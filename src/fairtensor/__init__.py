@@ -77,7 +77,6 @@ from .tensor_core import (
     ObservationTensor,
     cp_entries,
     cp_entry,
-    khatri_rao,
     masked_gradient,
     masked_loss,
 )

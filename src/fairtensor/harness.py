@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -60,6 +58,7 @@ from .models import (
     MODEL_KINDS,
     TrainConfig,
     TrainedModel,
+    _objective,
     ortho_penalty,
     parity_penalty,
     predict_cells,
@@ -79,9 +78,6 @@ __all__ = [
     "OracleCheck",
     "run_oracles",
 ]
-
-THREADS_ENV_VAR = "FAIRTENSOR_THREADS"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -323,22 +319,13 @@ def _run_one_model(
     return RunMetrics(**base, **values, error="; ".join(errors) or None)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | Path | None = None
 ) -> MetricsReport:
     """Run every (model, run) pair of an experiment and assemble the report.
 
     With ``out_dir`` the report is also written as report.csv and
-    report.json.  Model training within a run parallelises up to the
-    ``FAIRTENSOR_THREADS`` environment variable; runs stay sequential.
+    report.json.
     """
     positives, smap = _load_source(cfg)
     fair_requested = [m for m in cfg.models if m in GROUP_AWARE_KINDS]
@@ -348,22 +335,11 @@ def run_experiment(
         )
 
     rows: list[RunMetrics] = []
-    workers = _max_workers()
     for run in range(1, cfg.repeats + 1):
         seed = cfg.base_seed + run
         sampled = negative_sample(positives, cfg.negative_probability, seed)
         ds = split(sampled, cfg.train_fraction, seed)
-        kinds = sorted(cfg.models)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows.extend(
-                    pool.map(
-                        lambda kind: _run_one_model(kind, ds, smap, cfg, run, seed),
-                        kinds,
-                    )
-                )
-        else:
-            rows.extend(_run_one_model(kind, ds, smap, cfg, run, seed) for kind in kinds)
+        rows.extend(_run_one_model(kind, ds, smap, cfg, run, seed) for kind in sorted(cfg.models))
 
     report = MetricsReport(
         k=cfg.k, intervals=cfg.intervals, rows=tuple(rows), config=cfg.to_dict()
@@ -490,6 +466,7 @@ def _random_instance(rng):
 def _check_gradients() -> OracleCheck:
     started = time.perf_counter()
     rng = np.random.default_rng(11)
+    wide_rng = np.random.default_rng(12)  # FT/FM blocks, apart from rng's draws
     worst = 0.0
     for _ in range(20):
         u1, u2, u3, obs = _random_instance(rng)
@@ -526,12 +503,32 @@ def _check_gradients() -> OracleCheck:
         _, go = ortho_penalty(wide, s, ns_cols, mu)
         numeric = _fd_gradient(lambda: ortho_penalty(wide, s, ns_cols, mu)[0], [wide])
         worst = max(worst, _rel_err([go], numeric))
+
+        # the fused objectives the trainers descend: RTC, FT with constant
+        # sensitive columns, and one-topic slices (RMC, FM) whose topic
+        # factor is a constant row of ones
+        cfg = TrainConfig(lam=lam, parity_weight=gamma, ortho_weight=mu)
+        n, kk, rank = u1.shape[0], u3.shape[0], u1.shape[1]
+        w1, w3 = wide_rng.random((n, rank + 2)), wide_rng.random((kk, rank + 2))
+        top = obs.topics == 0
+        one_topic = ObservationTensor(
+            n, m, 1, obs.users[top], obs.curators[top], obs.topics[top], obs.values[top]
+        )
+        problems = [(obs, [u1, u2, u3], dict(groups=groups)), (obs, [w1, u2, w3], dict(s=s))]
+        if np.unique(groups[one_topic.curators]).size == 2:
+            problems += [(one_topic, [u1, u2], dict(groups=groups)),
+                         (one_topic, [w1, u2], dict(s=s))]
+        for train, params, constants in problems:
+            objective = _objective(train, cfg, **constants)
+            numeric = _fd_gradient(lambda: objective(params)[0], params)
+            worst = max(worst, _rel_err(objective(params)[1], numeric))
     elapsed = time.perf_counter() - started
     passed = worst < 1e-5 and elapsed < 10.0
     return OracleCheck(
         "gradients-vs-finite-differences",
         passed,
-        f"max relative error {worst:.3e} over 20 instances in {elapsed:.2f}s",
+        f"max relative error {worst:.3e} over 20 instances (kernels, penalties and "
+        f"the fused RTC/FT/RMC/FM objectives) in {elapsed:.2f}s",
     )
 
 

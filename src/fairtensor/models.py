@@ -1,18 +1,19 @@
 """Training and prediction for the six recommender variants.
 
-Tensor kinds factor the full user x curator x topic tensor; matrix kinds
-slice it by topic and factor each N x M slice independently:
+Tensor kinds factor the full user x curator x topic tensor.  A matrix kind
+trains its tensor kind's problem on each topic slice, an N x M x 1 tensor
+whose topic factor is a constant row of ones:
 
 =====  ======  =========================================================
 kind   solver  objective
 =====  ======  =========================================================
 OTC    ALS     masked ridge loss
 RTC    GD      masked ridge loss + parity penalty on group score means
-FT     GD      masked ridge loss + orthogonality penalty, group one-hot
-               features frozen into the last two curator-factor columns
-OMC    ALS     per-topic matrix analogue of OTC
-RMC    GD      per-topic matrix analogue of RTC
-FM     GD      per-topic matrix analogue of FT
+FT     GD      masked ridge loss + orthogonality penalty; the group
+               one-hot features are constant last two curator columns
+OMC    ALS     OTC on each topic slice (user and curator modes)
+RMC    GD      RTC on each topic slice
+FM     GD      FT on each topic slice, projection included
 =====  ======  =========================================================
 
 The parity penalty is (gamma/2) * (mean0 - mean1)^2 where mean_g is the mean
@@ -22,7 +23,11 @@ curator-factor columns; after descent those columns are also projected onto
 the orthogonal complement of span(S) exactly.  Fairness-aware kinds predict
 from the non-sensitive columns only; all other kinds use every column.
 
-Gradient descent is full batch with a constant step size.  Training is
+Gradient descent is full batch with a constant step size.  Each iterate
+makes one prediction, which gives the objective's value, and one scatter per
+free block, which gives its gradient (the parity term's per-cell weights are
+added to the residual first).  Constant blocks, the sensitive features and
+the ones topic row, are never parameters, so they cannot drift.  Training is
 deterministic given (data, config, seed); trained models are immutable.
 """
 
@@ -32,6 +37,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -45,8 +51,6 @@ from .tensor_core import (
     _scatter_rows,
     cp_entries,
     cp_entry,
-    masked_gradient,
-    masked_loss,
     scatter_cell_gradient,
 )
 
@@ -197,12 +201,31 @@ def _check_nonempty(train: ObservationTensor) -> None:
         raise ConfigError("training set is empty")
 
 
-def _check_sensitive(train: ObservationTensor, smap: SensitiveMap, where: str) -> None:
-    if smap.n_curators != train.n_curators:
+def _group0_cells(curators: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Mask of the cells whose curator is in group 0; both groups need cells."""
+    is0 = groups[curators] == 0
+    if is0.all() or not is0.any():
+        raise ConfigError("one group has no training cells")
+    return is0
+
+
+def _check_sensitive(
+    kind: str, train: ObservationTensor, sensitive: SensitiveMap | None
+) -> None:
+    """The one check of the sensitive map against a kind's training set.
+
+    Group-aware kinds need a map that covers every curator.  FT also needs
+    training cells in both groups; RTC and RMC get that check per problem
+    from the parity term.
+    """
+    if kind not in GROUP_AWARE_KINDS:
+        return
+    if sensitive is None:
+        raise ConfigError(f"{kind} requires a sensitive map")
+    if sensitive.n_curators != train.n_curators:
         raise ConfigError("sensitive map does not cover every curator")
-    groups = smap.groups[train.curators]
-    if not np.any(groups == 0) or not np.any(groups == 1):
-        raise ConfigError(f"one group has no training cells {where}")
+    if kind == "FT":
+        _group0_cells(train.curators, sensitive.groups)
 
 
 def _effective_ridge(lam: float) -> float:
@@ -220,22 +243,91 @@ def _converged(prev: float, cur: float, tol: float) -> bool:
     return abs(prev - cur) <= tol * max(abs(prev), 1e-12)
 
 
-def _descend(
-    params: list[np.ndarray],
-    loss_fn: Callable[[list[np.ndarray]], float],
-    grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
+def _fit_terms(train: ObservationTensor, factors: list[np.ndarray], lam: float):
+    """(gathered rows, predictions, residuals, masked ridge loss) of the cells.
+
+    A one-topic slice passes no topic factor: it is a constant row of ones,
+    so the CP products leave it out, and the ridge covers only the factors
+    the model stores.
+    """
+    rows = [u[idx] for u, idx in zip(factors, (train.users, train.curators, train.topics))]
+    preds = np.einsum(",".join(["er"] * len(rows)) + "->e", *rows)
+    resid = preds - train.values
+    reg = sum(float(np.sum(u * u)) for u in factors)
+    return rows, preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
+
+
+def _parity_terms(
+    preds: np.ndarray, is0: np.ndarray, weight: float
+) -> tuple[float, np.ndarray]:
+    """Parity value (weight/2) * d^2 and its per-cell gradient weights.
+
+    d is the gap between the mean predicted score of group-0 and group-1
+    cells; the weights are weight*d*(+1/n0 | -1/n1).
+    """
+    n0 = int(is0.sum())
+    n1 = is0.size - n0
+    d = float(preds[is0].mean() - preds[~is0].mean())
+    return 0.5 * weight * d * d, np.where(is0, weight * d / n0, -weight * d / n1)
+
+
+Objective = Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]
+
+
+def _objective(
+    train: ObservationTensor,
     cfg: TrainConfig,
-    after_step: Callable[[list[np.ndarray]], None] | None = None,
+    groups: np.ndarray | None = None,
+    s: np.ndarray | None = None,
+) -> Objective:
+    """Fused value and gradient of one problem's GD objective.
+
+    Each call makes one prediction.  With ``groups`` (RTC/RMC) the parity
+    weights join the residual before the one scatter per free block.  With
+    ``s`` (FT/FM) the features join the free curator block as its last two
+    columns, where :meth:`TrainConfig.fair_layout` puts them, and the
+    orthogonality penalty acts on the free curator block.  Constant blocks
+    get no gradient and no scatter.
+    """
+    index = (train.users, train.curators, train.topics)
+    is0 = None if groups is None else _group0_cells(train.curators, groups)
+
+    def objective(params):
+        factors = params if s is None else [params[0], np.hstack([params[1], s]), *params[2:]]
+        rows, preds, resid, value = _fit_terms(train, factors, cfg.lam)
+        if is0 is not None:
+            parity, cell_weights = _parity_terms(preds, is0, cfg.parity_weight)
+            value += parity
+            resid = resid + cell_weights
+        grads = []
+        for mode, p in enumerate(params):
+            others = [r[:, : p.shape[1]] for other, r in enumerate(rows) if other != mode]
+            contrib = reduce(np.multiply, others, resid[:, None])
+            grads.append(_scatter_rows(index[mode], contrib, p.shape[0]) + cfg.lam * p)
+        if s is not None:
+            free_cols = range(params[1].shape[1])
+            ortho, g_ortho = ortho_penalty(params[1], s, free_cols, cfg.ortho_weight)
+            value += ortho
+            grads[1] = grads[1] + g_ortho
+        return value, grads
+
+    return objective
+
+
+def _descend(
+    params: list[np.ndarray], objective: Objective, cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[float]]:
-    """Full-batch constant-step gradient descent with a relative-change stop."""
-    trace = [loss_fn(params)]
+    """Full-batch constant-step gradient descent with a relative-change stop.
+
+    One objective call per iterate; ``trace[0]`` is the value at ``params``.
+    """
+    value, grads = objective(params)
+    trace = [value]
     for _ in range(cfg.max_iters):
-        grads = grad_fn(params)
         params = [p - cfg.learning_rate * g for p, g in zip(params, grads)]
-        if after_step is not None:
-            after_step(params)
-        trace.append(loss_fn(params))
-        if not math.isfinite(trace[-1]):
+        value, grads = objective(params)
+        trace.append(value)
+        if not math.isfinite(value):
             raise ConfigError(
                 "gradient descent diverged (non-finite loss); lower "
                 "learning_rate or the penalty weight"
@@ -268,6 +360,31 @@ def _als_rows(
     return out
 
 
+def _als(
+    train: ObservationTensor, params: list[np.ndarray], cfg: TrainConfig
+) -> tuple[list[np.ndarray], list[float]]:
+    """Alternating least squares over the free blocks, in mode order.
+
+    Each sweep solves every row of every free block exactly (normal equations
+    with a ridge), so the loss trace is non-increasing up to numerical noise.
+    """
+    ridge = _effective_ridge(cfg.lam)
+    index = (train.users, train.curators, train.topics)
+    factors = list(params)
+    trace = [_fit_terms(train, factors, ridge)[3]]
+    for _ in range(cfg.max_iters):
+        for mode in range(len(factors)):
+            others = [u[index[other]] for other, u in enumerate(factors) if other != mode]
+            factors[mode] = _als_rows(
+                index[mode], reduce(np.multiply, others), train.values,
+                factors[mode].shape[0], ridge,
+            )
+        trace.append(_fit_terms(train, factors, ridge)[3])
+        if _converged(trace[-2], trace[-1], cfg.tol):
+            break
+    return factors, trace
+
+
 def parity_penalty(
     model: FactorModel,
     obs: ObservationTensor,
@@ -280,16 +397,10 @@ def parity_penalty(
     predicted score of group-0 and group-1 training cells.  The gradient is
     the usual score scatter with per-cell weights weight*d*(+1/n0 | -1/n1).
     """
-    cell_groups = groups[obs.curators]
-    is0 = cell_groups == 0
-    n0 = int(is0.sum())
-    n1 = obs.n_entries - n0
-    if n0 == 0 or n1 == 0:
-        raise ConfigError("parity penalty undefined: one group has no training cells")
+    is0 = _group0_cells(obs.curators, groups)
     preds = cp_entries(model, obs.users, obs.curators, obs.topics)
-    d = float(preds[is0].mean() - preds[~is0].mean())
-    w = np.where(is0, weight * d / n0, -weight * d / n1)
-    return 0.5 * weight * d * d, scatter_cell_gradient(model, obs, w)
+    value, cell_weights = _parity_terms(preds, is0, weight)
+    return value, scatter_cell_gradient(model, obs, cell_weights)
 
 
 def ortho_penalty(
@@ -300,8 +411,8 @@ def ortho_penalty(
 ) -> tuple[float, np.ndarray]:
     """Penalty (weight/2) * ||S^T U_ns||_F^2 and its curator-factor gradient.
 
-    The gradient lives on the non-sensitive columns only; sensitive columns
-    (frozen to S) get an exact zero block.
+    The gradient lives on the non-sensitive columns only; any other column
+    gets an exact zero block.
 
     Stability: under constant-step descent this term alone contracts only
     when learning_rate * weight * max(group size) < 2, since the per-column
@@ -322,11 +433,52 @@ def remove_span_component(u: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tensor kinds
+# trainers: one problem per tensor kind, one per topic slice for matrix kinds
 
 
-def _init_factors(rng: np.random.Generator, shape: tuple[int, int, int], rank: int):
+def _init_factors(rng: np.random.Generator, shape: Sequence[int], rank: int):
     return [rng.uniform(0.0, _INIT_SCALE, size=(n, rank)) for n in shape]
+
+
+def _fit(
+    kind: str,
+    train: ObservationTensor,
+    sensitive: SensitiveMap | None,
+    cfg: TrainConfig,
+    params: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[float]]:
+    """Train one problem of a tensor kind from its initial factors.
+
+    A one-topic slice passes its user and curator factors only.  FT passes
+    the curator factor at its full drawn width; the sensitive columns' draws
+    are dropped and the features take their place.
+    """
+    if kind == "OTC":
+        return _als(train, params, cfg)
+    if kind == "RTC":
+        return _descend(params, _objective(train, cfg, groups=sensitive.groups), cfg)
+    s = sensitive.matrix
+    params = [params[0], params[1][:, : -s.shape[1]], *params[2:]]
+    params, trace = _descend(params, _objective(train, cfg, s=s), cfg)
+    params[1] = np.hstack([remove_span_component(params[1], s), s])
+    return params, trace
+
+
+def _train_tensor(
+    kind: str, train: ObservationTensor, sensitive: SensitiveMap | None, cfg: TrainConfig
+) -> TrainedModel:
+    _check_nonempty(train)
+    _check_sensitive(kind, train, sensitive)
+    total, sens_cols = cfg.fair_layout() if kind == "FT" else (cfg.rank, ())
+    rng = np.random.default_rng(cfg.seed)
+    params, trace = _fit(kind, train, sensitive, cfg, _init_factors(rng, train.shape, total))
+    return TrainedModel(
+        kind=kind,
+        shape=train.shape,
+        config=cfg,
+        factors=FactorModel(*params, sensitive_cols=sens_cols),
+        loss_trace=tuple(trace),
+    )
 
 
 def train_otc(train: ObservationTensor, cfg: TrainConfig) -> TrainedModel:
@@ -335,230 +487,32 @@ def train_otc(train: ObservationTensor, cfg: TrainConfig) -> TrainedModel:
     Each sweep solves every row of every mode exactly (normal equations with
     a ridge), so the loss trace is non-increasing up to numerical noise.
     """
-    _check_nonempty(train)
-    ridge = _effective_ridge(cfg.lam)
-    rng = np.random.default_rng(cfg.seed)
-    u1, u2, u3 = _init_factors(rng, train.shape, cfg.rank)
-
-    def loss() -> float:
-        return masked_loss(FactorModel(u1, u2, u3), train, ridge)
-
-    trace = [loss()]
-    for _ in range(cfg.max_iters):
-        u1 = _als_rows(train.users, u2[train.curators] * u3[train.topics],
-                       train.values, train.n_users, ridge)
-        u2 = _als_rows(train.curators, u1[train.users] * u3[train.topics],
-                       train.values, train.n_curators, ridge)
-        u3 = _als_rows(train.topics, u1[train.users] * u2[train.curators],
-                       train.values, train.n_topics, ridge)
-        trace.append(loss())
-        if _converged(trace[-2], trace[-1], cfg.tol):
-            break
-    return TrainedModel(
-        kind="OTC",
-        shape=train.shape,
-        config=cfg,
-        factors=FactorModel(u1, u2, u3),
-        loss_trace=tuple(trace),
-    )
+    return _train_tensor("OTC", train, None, cfg)
 
 
 def train_rtc(
     train: ObservationTensor, sensitive: SensitiveMap, cfg: TrainConfig
 ) -> TrainedModel:
     """Regularised tensor completion: gradient descent with a parity penalty."""
-    _check_nonempty(train)
-    _check_sensitive(train, sensitive, "for the parity penalty")
-    rng = np.random.default_rng(cfg.seed)
-    params = _init_factors(rng, train.shape, cfg.rank)
-    groups = sensitive.groups
-
-    def loss_fn(p):
-        model = FactorModel(*p)
-        value, _ = parity_penalty(model, train, groups, cfg.parity_weight)
-        return masked_loss(model, train, cfg.lam) + value
-
-    def grad_fn(p):
-        model = FactorModel(*p)
-        g = masked_gradient(model, train, cfg.lam)
-        _, gp = parity_penalty(model, train, groups, cfg.parity_weight)
-        return [a + b for a, b in zip(g, gp)]
-
-    params, trace = _descend(params, loss_fn, grad_fn, cfg)
-    return TrainedModel(
-        kind="RTC",
-        shape=train.shape,
-        config=cfg,
-        factors=FactorModel(*params),
-        loss_trace=tuple(trace),
-    )
+    return _train_tensor("RTC", train, sensitive, cfg)
 
 
 def train_ft(
     train: ObservationTensor, sensitive: SensitiveMap, cfg: TrainConfig
 ) -> TrainedModel:
-    """Fair tensor model: frozen sensitive columns, orthogonality penalty,
+    """Fair tensor model: constant sensitive columns, orthogonality penalty,
     and one exact projection after descent.
 
-    The curator factor's last two columns hold the group one-hot features and
-    are never updated; all other parameters descend on the masked loss plus
-    the orthogonality penalty.  After convergence the non-sensitive curator
-    columns are projected onto the orthogonal complement of the features, so
-    the fair prediction (non-sensitive columns only) is exactly decoupled
-    from the group indicators.
+    The curator factor's last two columns are the group one-hot features, a
+    constant joined to the free curator block: they get no gradient, so they
+    equal the features exactly.  The free blocks descend on the masked loss,
+    whose ridge covers the whole curator factor, plus the orthogonality
+    penalty.  After convergence the free curator columns are projected onto
+    the orthogonal complement of the features, so the fair prediction
+    (non-sensitive columns only) is exactly decoupled from the group
+    indicators.
     """
-    _check_nonempty(train)
-    _check_sensitive(train, sensitive, "for the fairness features")
-    total, sens_cols = cfg.fair_layout()
-    ns_cols = tuple(c for c in range(total) if c not in sens_cols)
-    s = sensitive.matrix
-
-    rng = np.random.default_rng(cfg.seed)
-    params = _init_factors(rng, train.shape, total)
-    params[1][:, sens_cols] = s
-    trainable = (None, ns_cols, None)
-
-    def loss_fn(p):
-        model = FactorModel(*p)
-        value, _ = ortho_penalty(p[1], s, ns_cols, cfg.ortho_weight)
-        return masked_loss(model, train, cfg.lam) + value
-
-    def grad_fn(p):
-        model = FactorModel(*p)
-        g1, g2, g3 = masked_gradient(model, train, cfg.lam, trainable)
-        _, go = ortho_penalty(p[1], s, ns_cols, cfg.ortho_weight)
-        return [g1, g2 + go, g3]
-
-    def check_frozen(p):
-        assert np.array_equal(p[1][:, sens_cols], s), "sensitive columns drifted"
-
-    params, trace = _descend(params, loss_fn, grad_fn, cfg, after_step=check_frozen)
-    u2 = params[1].copy()
-    u2[:, ns_cols] = remove_span_component(u2[:, ns_cols], s)
-    return TrainedModel(
-        kind="FT",
-        shape=train.shape,
-        config=cfg,
-        factors=FactorModel(params[0], u2, params[2], sensitive_cols=sens_cols),
-        loss_trace=tuple(trace),
-    )
-
-
-# ---------------------------------------------------------------------------
-# matrix kinds: one independent N x M problem per topic
-
-
-def _matrix_predictions(u1, u2, users, curators) -> np.ndarray:
-    return np.einsum("er,er->e", u1[users], u2[curators])
-
-
-def _matrix_loss(u1, u2, users, curators, values, lam) -> float:
-    resid = values - _matrix_predictions(u1, u2, users, curators)
-    reg = float(np.sum(u1 * u1)) + float(np.sum(u2 * u2))
-    return 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
-
-
-def _matrix_scatter(u1, u2, users, curators, weights) -> tuple[np.ndarray, np.ndarray]:
-    w = weights[:, None]
-    g1 = _scatter_rows(users, w * u2[curators], u1.shape[0])
-    g2 = _scatter_rows(curators, w * u1[users], u2.shape[0])
-    return g1, g2
-
-
-def _matrix_parity(u1, u2, users, curators, groups, weight):
-    cell_groups = groups[curators]
-    is0 = cell_groups == 0
-    n0 = int(is0.sum())
-    n1 = curators.size - n0
-    if n0 == 0 or n1 == 0:
-        raise ConfigError("parity penalty undefined: one group has no training cells")
-    preds = _matrix_predictions(u1, u2, users, curators)
-    d = float(preds[is0].mean() - preds[~is0].mean())
-    w = np.where(is0, weight * d / n0, -weight * d / n1)
-    return 0.5 * weight * d * d, _matrix_scatter(u1, u2, users, curators, w)
-
-
-def _train_matrix_slice(
-    kind: str,
-    users: np.ndarray,
-    curators: np.ndarray,
-    values: np.ndarray,
-    n_users: int,
-    n_curators: int,
-    sensitive: SensitiveMap | None,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    topic: int,
-) -> tuple[MatrixSlice, tuple[float, ...]]:
-    """Train one nonempty topic slice with the matrix analogue of its kind."""
-    if kind == "FM":
-        total, sens_cols = cfg.fair_layout()
-    else:
-        total, sens_cols = cfg.rank, ()
-    ns_cols = tuple(c for c in range(total) if c not in sens_cols)
-
-    u1 = rng.uniform(0.0, _INIT_SCALE, size=(n_users, total))
-    u2 = rng.uniform(0.0, _INIT_SCALE, size=(n_curators, total))
-
-    if kind == "OMC":
-        ridge = _effective_ridge(cfg.lam)
-        trace = [_matrix_loss(u1, u2, users, curators, values, ridge)]
-        for _ in range(cfg.max_iters):
-            u1 = _als_rows(users, u2[curators], values, n_users, ridge)
-            u2 = _als_rows(curators, u1[users], values, n_curators, ridge)
-            trace.append(_matrix_loss(u1, u2, users, curators, values, ridge))
-            if _converged(trace[-2], trace[-1], cfg.tol):
-                break
-        return MatrixSlice(u1, u2), tuple(trace)
-
-    if kind == "RMC":
-        assert sensitive is not None
-        groups = sensitive.groups
-        try:
-            _matrix_parity(u1, u2, users, curators, groups, cfg.parity_weight)
-        except ConfigError as exc:
-            raise ConfigError(f"topic {topic}: {exc}") from None
-
-        def loss_fn(p):
-            value, _ = _matrix_parity(p[0], p[1], users, curators, groups, cfg.parity_weight)
-            return _matrix_loss(p[0], p[1], users, curators, values, cfg.lam) + value
-
-        def grad_fn(p):
-            resid = _matrix_predictions(p[0], p[1], users, curators) - values
-            g1, g2 = _matrix_scatter(p[0], p[1], users, curators, resid)
-            _, (p1, p2) = _matrix_parity(p[0], p[1], users, curators, groups, cfg.parity_weight)
-            return [g1 + cfg.lam * p[0] + p1, g2 + cfg.lam * p[1] + p2]
-
-        (u1, u2), trace = _descend([u1, u2], loss_fn, grad_fn, cfg)
-        return MatrixSlice(u1, u2), tuple(trace)
-
-    # FM: frozen sensitive columns + orthogonality penalty + exact projection
-    assert sensitive is not None
-    s = sensitive.matrix
-    ns_arr = np.asarray(ns_cols, dtype=np.int64)
-    u2[:, sens_cols] = s
-    keep = np.zeros(total, dtype=bool)
-    keep[ns_arr] = True
-
-    def loss_fn(p):
-        value, _ = ortho_penalty(p[1], s, ns_cols, cfg.ortho_weight)
-        return _matrix_loss(p[0], p[1], users, curators, values, cfg.lam) + value
-
-    def grad_fn(p):
-        resid = _matrix_predictions(p[0], p[1], users, curators) - values
-        g1, g2 = _matrix_scatter(p[0], p[1], users, curators, resid)
-        g2 = g2 + cfg.lam * p[1]
-        g2[:, ~keep] = 0.0
-        _, go = ortho_penalty(p[1], s, ns_cols, cfg.ortho_weight)
-        return [g1 + cfg.lam * p[0], g2 + go]
-
-    def check_frozen(p):
-        assert np.array_equal(p[1][:, sens_cols], s), "sensitive columns drifted"
-
-    (u1, u2), trace = _descend([u1, u2], loss_fn, grad_fn, cfg, after_step=check_frozen)
-    u2 = u2.copy()
-    u2[:, ns_arr] = remove_span_component(u2[:, ns_arr], s)
-    return MatrixSlice(u1, u2, sensitive_cols=sens_cols), tuple(trace)
+    return _train_tensor("FT", train, sensitive, cfg)
 
 
 def train_matrix(
@@ -567,24 +521,21 @@ def train_matrix(
     sensitive: SensitiveMap | None,
     cfg: TrainConfig,
 ) -> TrainedModel:
-    """Train one of the matrix kinds, one independent problem per topic.
+    """Train a matrix kind: its tensor kind's problem on every topic slice.
 
-    Topics without training entries get zero factors (all-zero predictions)
-    and an empty loss trace.
+    Each nonempty topic becomes an N x M x 1 tensor whose topic factor is a
+    constant row of ones, so OMC runs OTC's ALS over the user and curator
+    modes, RMC descends RTC's objective and FM FT's, projection included.
+    The slices draw their inits from one generator in topic order and each
+    stops on its own.  Topics without training entries get zero factors
+    (all-zero predictions) and an empty loss trace.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"not a matrix kind: {kind!r}")
     _check_nonempty(train)
-    if kind in GROUP_AWARE_KINDS:
-        if sensitive is None:
-            raise ConfigError(f"{kind} requires a sensitive map")
-        if sensitive.n_curators != train.n_curators:
-            raise ConfigError("sensitive map does not cover every curator")
-
-    if kind == "FM":
-        total, sens_cols = cfg.fair_layout()
-    else:
-        total, sens_cols = cfg.rank, ()
+    _check_sensitive(kind, train, sensitive)
+    tensor_kind = TENSOR_KINDS[MATRIX_KINDS.index(kind)]
+    total, sens_cols = cfg.fair_layout() if kind == "FM" else (cfg.rank, ())
 
     rng = np.random.default_rng(cfg.seed)
     slices: list[MatrixSlice] = []
@@ -599,20 +550,22 @@ def train_matrix(
             slices.append(MatrixSlice(u1, u2, sensitive_cols=sens_cols))
             traces.append(())
             continue
-        sl, trace = _train_matrix_slice(
-            kind,
-            train.users[mask],
-            train.curators[mask],
-            train.values[mask],
+        obs = ObservationTensor(
             train.n_users,
             train.n_curators,
-            sensitive,
-            cfg,
-            rng,
-            topic,
+            1,
+            train.users[mask],
+            train.curators[mask],
+            np.zeros(int(mask.sum()), dtype=np.int64),
+            train.values[mask],
         )
-        slices.append(sl)
-        traces.append(trace)
+        params = _init_factors(rng, obs.shape[:2], total)
+        try:
+            (u1, u2), trace = _fit(tensor_kind, obs, sensitive, cfg, params)
+        except ConfigError as exc:
+            raise ConfigError(f"topic {topic}: {exc}") from None
+        slices.append(MatrixSlice(u1, u2, sensitive_cols=sens_cols))
+        traces.append(tuple(trace))
     return TrainedModel(
         kind=kind,
         shape=train.shape,
@@ -631,14 +584,8 @@ def train_model(
     """Dispatch to the right trainer for ``kind``."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if kind in GROUP_AWARE_KINDS and sensitive is None:
-        raise ConfigError(f"{kind} requires a sensitive map")
-    if kind == "OTC":
-        return train_otc(train, cfg)
-    if kind == "RTC":
-        return train_rtc(train, sensitive, cfg)
-    if kind == "FT":
-        return train_ft(train, sensitive, cfg)
+    if kind in TENSOR_KINDS:
+        return _train_tensor(kind, train, sensitive, cfg)
     return train_matrix(kind, train, sensitive, cfg)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "FactorModel",
     "cp_entry",
     "cp_entries",
-    "khatri_rao",
     "masked_loss",
     "masked_gradient",
 ]
@@ -254,26 +253,6 @@ def cp_entries(
     return np.einsum("er,er,er->e", a[users], b[curators], c[topics])
 
 
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product of two matrices.
-
-    For ``a`` of shape (I, R) and ``b`` of shape (J, R) the result has shape
-    (I*J, R); column r is kron(a[:, r], b[:, r]) and the row for the pair
-    (p, q) sits at position p*J + q.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("inputs must be 2-D")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
-        )
-    i, r = a.shape
-    j = b.shape[0]
-    return (a[:, None, :] * b[None, :, :]).reshape(i * j, r)
-
-
 def _check_dims(model: FactorModel, obs: ObservationTensor) -> None:
     if model.shape != obs.shape:
         raise ValueError(
@@ -323,33 +302,13 @@ def scatter_cell_gradient(
     return g_users, g_curators, g_topics
 
 
-TrainableCols = tuple[
-    Sequence[int] | None, Sequence[int] | None, Sequence[int] | None
-]
-
-
 def masked_gradient(
-    model: FactorModel,
-    obs: ObservationTensor,
-    lam: float,
-    trainable_cols: TrainableCols | None = None,
+    model: FactorModel, obs: ObservationTensor, lam: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of :func:`masked_loss` w.r.t. each factor matrix.
-
-    ``trainable_cols`` optionally lists, per mode, the columns that are free
-    parameters; every other column's gradient block is zeroed exactly (this
-    is how frozen sensitive columns are kept frozen during descent).
-    """
+    """Gradient of :func:`masked_loss` w.r.t. each factor matrix."""
     _check_dims(model, obs)
     resid = cp_entries(model, obs.users, obs.curators, obs.topics) - obs.values
     grads = scatter_cell_gradient(model, obs, resid)
     factors = (model.u_users, model.u_curators, model.u_topics)
-    out = []
-    for mode, (g, u) in enumerate(zip(grads, factors)):
-        g = g + lam * u
-        if trainable_cols is not None and trainable_cols[mode] is not None:
-            keep = np.zeros(model.rank, dtype=bool)
-            keep[np.asarray(list(trainable_cols[mode]), dtype=np.int64)] = True
-            g[:, ~keep] = 0.0
-        out.append(g)
-    return out[0], out[1], out[2]
+    g_users, g_curators, g_topics = (g + lam * u for g, u in zip(grads, factors))
+    return g_users, g_curators, g_topics

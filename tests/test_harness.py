@@ -154,13 +154,6 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [r.seed for r in report.rows] == [11, 12]
 
-    def test_parallel_training_matches_sequential(self, tmp_path, monkeypatch):
-        cfg = toy_config(tmp_path, models=("OTC", "OMC", "FT"))
-        sequential = run_experiment(cfg)
-        monkeypatch.setenv("FAIRTENSOR_THREADS", "3")
-        parallel = run_experiment(cfg)
-        assert sequential.to_csv() == parallel.to_csv()
-
     def test_synth_source(self):
         cfg = ExperimentConfig(
             synth=SynthConfig(

@@ -18,7 +18,9 @@ from fairtensor.models import (
     TrainConfig,
     TrainedModel,
     _descend,
+    _fit,
     _init_factors,
+    _objective,
     load_checkpoint,
     ortho_penalty,
     parity_penalty,
@@ -128,8 +130,10 @@ class TestTrainRtc:
         params = _init_factors(rng, ds.train.shape, 4)
         params, trace = _descend(
             params,
-            lambda p: masked_loss(FactorModel(*p), ds.train, 0.01),
-            lambda p: list(masked_gradient(FactorModel(*p), ds.train, 0.01)),
+            lambda p: (
+                masked_loss(FactorModel(*p), ds.train, 0.01),
+                list(masked_gradient(FactorModel(*p), ds.train, 0.01)),
+            ),
             cfg,
         )
         assert list(fair.loss_trace) == trace
@@ -182,6 +186,19 @@ class TestTrainRtc:
                 fd = (up - down) / (2 * step)
                 worst = max(worst, abs(fd - g.ravel()[t]))
         assert worst < 1e-5
+
+    def test_fused_gradient_matches_kernels(self):
+        ds, smap = biased_dataset()
+        rng = np.random.default_rng(3)
+        params = [rng.random((d, 4)) for d in ds.train.shape]
+        cfg = TrainConfig(rank=4, lam=0.01, parity_weight=2.5)
+        value, grads = _objective(ds.train, cfg, groups=smap.groups)(params)
+        model = FactorModel(*params)
+        parity, g_parity = parity_penalty(model, ds.train, smap.groups, 2.5)
+        assert value == masked_loss(model, ds.train, 0.01) + parity
+        for g, g_data, g_par in zip(grads, masked_gradient(model, ds.train, 0.01), g_parity):
+            ref = g_data + g_par
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_missing_group_rejected(self):
         ds, _ = biased_dataset()
@@ -305,6 +322,24 @@ class TestTrainFt:
             worst = max(worst, abs((up - down) / (2 * step) - analytic.ravel()[t]))
         assert worst < 1e-5
 
+    def test_objective_keeps_sensitive_columns_constant(self):
+        # the features join the free curator block: same value and free-block
+        # gradient as the kernels on the whole factor, no sensitive gradient
+        ds, smap = biased_dataset()
+        rng = np.random.default_rng(4)
+        s = smap.matrix
+        u1, u2, u3 = (rng.random((d, 6)) for d in ds.train.shape)
+        u2[:, 4:] = s
+        cfg = TrainConfig(rank=6, lam=0.01, ortho_weight=1.0)
+        value, grads = _objective(ds.train, cfg, s=s)([u1, u2[:, :4], u3])
+        model = FactorModel(u1, u2, u3)
+        ortho, g_ortho = ortho_penalty(u2, s, range(4), 1.0)
+        assert value == masked_loss(model, ds.train, 0.01) + ortho
+        g1, g2, g3 = masked_gradient(model, ds.train, 0.01)
+        assert np.array_equal(grads[0], g1)
+        assert np.array_equal(grads[1], (g2 + g_ortho)[:, :4])
+        assert np.array_equal(grads[2], g3)
+
     def test_recovers_ft_generated_tensor(self):
         rng = np.random.default_rng(21)
         smap = SensitiveMap(groups=np.array([0, 1, 0, 1]))
@@ -321,8 +356,6 @@ class TestTrainFt:
 
 class TestTrainMatrix:
     def test_degenerate_single_topic_matches_slice_trainer(self):
-        from fairtensor.models import _train_matrix_slice
-
         ds, smap = biased_dataset()
         mask = ds.train.topics == 0
         single = ObservationTensor(
@@ -332,18 +365,15 @@ class TestTrainMatrix:
         )
         cfg = TrainConfig(rank=4, max_iters=30, seed=5)
         whole = train_matrix("OMC", single, None, cfg)
-        sl, trace = _train_matrix_slice(
-            "OMC", single.users, single.curators, single.values,
-            single.n_users, single.n_curators, None, cfg,
-            np.random.default_rng(cfg.seed), 0,
-        )
+        rng = np.random.default_rng(cfg.seed)
+        params, trace = _fit("OTC", single, None, cfg, _init_factors(rng, single.shape[:2], 4))
+        sl = MatrixSlice(*params)
+        trace = tuple(trace)
         assert np.array_equal(whole.slices[0].u_users, sl.u_users)
         assert np.array_equal(whole.slices[0].u_curators, sl.u_curators)
         assert whole.slice_traces[0] == trace
 
     def test_fm_single_topic_matches_slice_trainer(self):
-        from fairtensor.models import _train_matrix_slice
-
         ds, smap = biased_dataset()
         mask = ds.train.topics == 1
         single = ObservationTensor(
@@ -354,11 +384,9 @@ class TestTrainMatrix:
         cfg = TrainConfig(rank=5, ortho_weight=1.0, learning_rate=0.005,
                           max_iters=50, tol=0.0, seed=5)
         whole = train_matrix("FM", single, smap, cfg)
-        sl, trace = _train_matrix_slice(
-            "FM", single.users, single.curators, single.values,
-            single.n_users, single.n_curators, smap, cfg,
-            np.random.default_rng(cfg.seed), 0,
-        )
+        rng = np.random.default_rng(cfg.seed)
+        params, _ = _fit("FT", single, smap, cfg, _init_factors(rng, single.shape[:2], 5))
+        sl = MatrixSlice(*params, sensitive_cols=(3, 4))
         assert np.array_equal(whole.slices[0].u_users, sl.u_users)
         assert np.array_equal(whole.slices[0].u_curators, sl.u_curators)
         assert whole.slices[0].sensitive_cols == (3, 4)

@@ -6,7 +6,6 @@ from fairtensor.tensor_core import (
     ObservationTensor,
     cp_entries,
     cp_entry,
-    khatri_rao,
     masked_gradient,
     masked_loss,
 )
@@ -136,25 +135,6 @@ class TestCpEntry:
             assert parts == pytest.approx(full, rel=1e-12, abs=1e-12)
 
 
-class TestKhatriRao:
-    def test_scalar(self):
-        assert khatri_rao(np.array([[1.0]]), np.array([[5.0]])) == np.array([[5.0]])
-
-    def test_hand_case(self):
-        out = khatri_rao(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
-        assert np.array_equal(out, np.array([[3.0], [4.0], [6.0], [8.0]]))
-
-    def test_identity_columns(self):
-        out = khatri_rao(np.eye(2), np.eye(2))
-        assert out.shape == (4, 2)
-        assert np.array_equal(out[:, 0], np.array([1.0, 0.0, 0.0, 0.0]))
-        assert np.array_equal(out[:, 1], np.array([0.0, 0.0, 0.0, 1.0]))
-
-    def test_mismatched_columns_rejected(self):
-        with pytest.raises(ValueError):
-            khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
-
-
 class TestMaskedLoss:
     def test_zero_factors_single_entry(self):
         obs = ObservationTensor.from_entries(1, 1, 1, [(0, 0, 0, 1.0)])
@@ -246,17 +226,6 @@ class TestMaskedGradient:
                 lambda: masked_loss(FactorModel(u1, u2, u3), obs, lam), [u1, u2, u3]
             )
             assert rel_err(analytic, numeric) < 1e-5
-
-    def test_frozen_columns_exactly_zero(self):
-        rng = np.random.default_rng(5)
-        model, obs = random_model_and_obs(rng)
-        rank = model.rank
-        frozen = [rank - 1]
-        keep = tuple(c for c in range(rank) if c not in frozen)
-        g1, g2, g3 = masked_gradient(model, obs, 0.3, trainable_cols=(keep, keep, None))
-        assert np.array_equal(g1[:, frozen], np.zeros((g1.shape[0], 1)))
-        assert np.array_equal(g2[:, frozen], np.zeros((g2.shape[0], 1)))
-        assert np.any(g3[:, frozen] != 0.0) or rank == 1
 
 
 class TestCpEntries:
