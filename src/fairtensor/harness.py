@@ -10,6 +10,9 @@ requested model on the train side and evaluates it on the test side:
   scored against the pair's test positives;
 * fairness: predicted scores of the test cells (or of every cell, with
   ``fairness_scope="full"``) are grouped by curator group for MAD and KS.
+  Full scope stacks one (n x m) product per topic in (user, curator, topic)
+  order; with the grouping and KS's sort it holds at most 3*n*m*K floats at
+  once, about 36 MB at the paper's 589 x 252 x 10.
 
 Reports carry one row per (model, run), an across-run mean row per model and
 the fully resolved config, and are byte-identical for identical configs.
@@ -59,6 +62,7 @@ from .models import (
     TrainConfig,
     TrainedModel,
     _objective,
+    _top_indices,
     ortho_penalty,
     parity_penalty,
     predict_cells,
@@ -204,21 +208,16 @@ def _user_grid_top(
     model: TrainedModel, user: int, k_items: int, exclude: set[tuple[int, int]]
 ) -> list[tuple[int, int]]:
     """Top (curator, topic) cells for one user; ties break on (curator, topic)."""
-    _, m, kk = model.shape
+    kk = model.shape[2]
     grid = np.stack([score_curators(model, user, t) for t in range(kk)], axis=1)
-    flat = grid.ravel()  # index j*kk + t
-    keep = np.ones(flat.size, dtype=bool)
-    for j, t in exclude:
-        keep[j * kk + t] = False
-    candidates = np.flatnonzero(keep)
-    order = np.lexsort((candidates, -flat[candidates]))
-    chosen = candidates[order[:k_items]]
+    chosen = _top_indices(grid.ravel(), k_items, [j * kk + t for j, t in exclude])
     return [(int(c // kk), int(c % kk)) for c in chosen]
 
 
-def _ranking_metrics(
+def _quality_metrics(
     model: TrainedModel, ds: SplitDataset, k: int, rank_scope: str
-) -> tuple[float, float, float]:
+) -> dict[str, float]:
+    """P/R/F1@k of the model's top-k lists against the test positives."""
     test_pos = _positives_by_unit(ds.test, rank_scope)
     train_pos = _positives_by_unit(ds.train, rank_scope)
     tops: dict = {}
@@ -232,7 +231,7 @@ def _ranking_metrics(
             tops[unit] = _user_grid_top(model, unit, k, train_pos.get(unit, set()))
     p = precision_at_k(tops, test_pos, k)
     r = recall_at_k(tops, test_pos, k)
-    return p, r, f1_at_k(p, r)
+    return {"p_at_k": p, "r_at_k": r, "f1_at_k": f1_at_k(p, r)}
 
 
 def _grouped_scores(
@@ -244,21 +243,27 @@ def _grouped_scores(
     if fairness_scope == "test":
         cells = ds.test
         preds = predict_cells(model, cells.users, cells.curators, cells.topics)
-        groups = smap.groups[cells.curators]
-        return GroupedScores(preds[groups == 0], preds[groups == 1])
-    # full scope: every cell of the tensor, chunked to bound memory
-    n, m, kk = model.shape
-    users, curators, topics = np.meshgrid(
-        np.arange(n), np.arange(m), np.arange(kk), indexing="ij"
-    )
-    users, curators, topics = users.ravel(), curators.ravel(), topics.ravel()
-    preds = np.empty(users.size)
-    chunk = 200_000
-    for start in range(0, users.size, chunk):
-        sel = slice(start, start + chunk)
-        preds[sel] = predict_cells(model, users[sel], curators[sel], topics[sel])
-    groups = smap.groups[curators]
-    return GroupedScores(preds[groups == 0], preds[groups == 1])
+        is0 = smap.groups[cells.curators] == 0
+    else:
+        # every cell: topic k's (n x m) score matrix is A_k B_k^T, stacked on
+        # the last axis so the cells run in (user, curator, topic) order
+        preds = np.stack([a @ b.T for a, b in model.topic_factors], axis=2)
+        is0 = np.broadcast_to((smap.groups == 0)[None, :, None], preds.shape)
+    return GroupedScores(preds[is0], preds[~is0])
+
+
+def _fairness_metrics(
+    model: TrainedModel,
+    ds: SplitDataset,
+    smap: SensitiveMap | None,
+    intervals: int,
+    fairness_scope: str,
+) -> dict[str, float]:
+    """MAD and KS of the model's scores grouped by curator group."""
+    if smap is None:
+        raise UndefinedMetricError("fairness metrics need a sensitive map")
+    scores = _grouped_scores(model, ds, smap, fairness_scope)
+    return {"mad": mad(scores), "ks": ks(scores, intervals)}
 
 
 def evaluate_model(
@@ -275,16 +280,9 @@ def evaluate_model(
     Raises :class:`UndefinedMetricError` when no unit has a test positive or
     a group has no test cells (or no sensitive map was provided).
     """
-    p, r, f1 = _ranking_metrics(model, ds, k, rank_scope)
-    if smap is None:
-        raise UndefinedMetricError("fairness metrics need a sensitive map")
-    scores = _grouped_scores(model, ds, smap, fairness_scope)
     return {
-        "p_at_k": p,
-        "r_at_k": r,
-        "f1_at_k": f1,
-        "mad": mad(scores),
-        "ks": ks(scores, intervals),
+        **_quality_metrics(model, ds, k, rank_scope),
+        **_fairness_metrics(model, ds, smap, intervals, fairness_scope),
     }
 
 
@@ -305,15 +303,11 @@ def _run_one_model(
     errors = []
     values: dict[str, float] = {}
     try:
-        p, r, f1 = _ranking_metrics(model, ds, cfg.k, cfg.rank_scope)
-        values.update(p_at_k=p, r_at_k=r, f1_at_k=f1)
+        values.update(_quality_metrics(model, ds, cfg.k, cfg.rank_scope))
     except UndefinedMetricError as exc:
         errors.append(f"quality: {exc}")
     try:
-        if smap is None:
-            raise UndefinedMetricError("fairness metrics need a sensitive map")
-        scores = _grouped_scores(model, ds, smap, cfg.fairness_scope)
-        values.update(mad=mad(scores), ks=ks(scores, cfg.intervals))
+        values.update(_fairness_metrics(model, ds, smap, cfg.intervals, cfg.fairness_scope))
     except UndefinedMetricError as exc:
         errors.append(f"fairness: {exc}")
     return RunMetrics(**base, **values, error="; ".join(errors) or None)

@@ -37,7 +37,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,9 +48,9 @@ from .errors import ConfigError
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
+    _check_index,
     _scatter_rows,
     cp_entries,
-    cp_entry,
     scatter_cell_gradient,
 )
 
@@ -164,7 +164,8 @@ class TrainedModel:
     Tensor kinds carry one :class:`FactorModel` and a loss trace whose first
     element is the loss at initialisation.  Matrix kinds carry one
     :class:`MatrixSlice` and one trace per topic (empty slices get a zero
-    factor pair and an empty trace).
+    factor pair and an empty trace).  Prediction reads neither directly but
+    the per-topic pairs of :attr:`topic_factors`.
     """
 
     kind: str
@@ -191,6 +192,27 @@ class TrainedModel:
     def is_fair(self) -> bool:
         return self.kind in FAIR_KINDS
 
+    @cached_property
+    def topic_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per-topic pairs (A_k, B_k) with score(i, j, k) = A_k[i] . B_k[j].
+
+        Tensor kinds: A_k = U_users * U_topics[k] and B_k = U_curators, from
+        the CP slice U_users diag(U_topics[k]) U_curators^T; matrix kinds:
+        the slice's own pair.  Fair kinds slice to the non-sensitive columns
+        first, so stored sensitive values cannot reach a prediction.
+        """
+        fair = self.is_fair
+        if self.factors is not None:
+            f = self.factors
+            cols = list(f.nonsensitive_cols) if fair else slice(None)
+            users, curators = f.u_users[:, cols], f.u_curators[:, cols]
+            return tuple((users * t, curators) for t in f.u_topics[:, cols])
+        pairs = []
+        for sl in self.slices:
+            cols = list(sl.nonsensitive_cols) if fair else slice(None)
+            pairs.append((sl.u_users[:, cols], sl.u_curators[:, cols]))
+        return tuple(pairs)
+
 
 # ---------------------------------------------------------------------------
 # shared optimisation machinery
@@ -214,9 +236,9 @@ def _check_sensitive(
 ) -> None:
     """The one check of the sensitive map against a kind's training set.
 
-    Group-aware kinds need a map that covers every curator.  FT also needs
-    training cells in both groups; RTC and RMC get that check per problem
-    from the parity term.
+    Group-aware kinds need a map that covers every curator.  FT and FM also
+    need training cells in both groups (their projection needs two); RTC
+    and RMC get that check per problem from the parity term.
     """
     if kind not in GROUP_AWARE_KINDS:
         return
@@ -224,7 +246,7 @@ def _check_sensitive(
         raise ConfigError(f"{kind} requires a sensitive map")
     if sensitive.n_curators != train.n_curators:
         raise ConfigError("sensitive map does not cover every curator")
-    if kind == "FT":
+    if kind in FAIR_KINDS:
         _group0_cells(train.curators, sensitive.groups)
 
 
@@ -593,26 +615,14 @@ def train_model(
 # prediction
 
 
-def _predict_cols(model: TrainedModel, factors) -> tuple[int, ...] | None:
-    # fairness-aware kinds reconstruct from the non-sensitive columns only
-    if model.is_fair:
-        return factors.nonsensitive_cols
-    return None
-
-
 def predict(model: TrainedModel, i: int, j: int, k: int) -> float:
     """Predicted score of one (user, curator, topic) cell."""
     n, m, kk = model.shape
-    for idx, bound, label in ((i, n, "user"), (j, m, "curator"), (k, kk, "topic")):
-        if not 0 <= idx < bound:
-            raise IndexError(f"{label} index {idx} out of range [0, {bound})")
-    if model.factors is not None:
-        return cp_entry(model.factors, i, j, k, _predict_cols(model, model.factors))
-    sl = model.slices[k]
-    cols = _predict_cols(model, sl)
-    u = sl.u_users[i] if cols is None else sl.u_users[i, list(cols)]
-    v = sl.u_curators[j] if cols is None else sl.u_curators[j, list(cols)]
-    return float(np.dot(u, v))
+    _check_index(i, n, "user")
+    _check_index(j, m, "curator")
+    _check_index(k, kk, "topic")
+    a, b = model.topic_factors[k]
+    return float(np.dot(a[i], b[j]))
 
 
 def predict_cells(
@@ -625,43 +635,29 @@ def predict_cells(
     users = np.asarray(users, dtype=np.int64)
     curators = np.asarray(curators, dtype=np.int64)
     topics = np.asarray(topics, dtype=np.int64)
-    if model.factors is not None:
-        return cp_entries(
-            model.factors, users, curators, topics, _predict_cols(model, model.factors)
-        )
     out = np.empty(users.size)
     for topic in np.unique(topics):
-        sl = model.slices[topic]
-        cols = _predict_cols(model, sl)
-        u1, u2 = sl.u_users, sl.u_curators
-        if cols is not None:
-            idx = np.asarray(cols, dtype=np.int64)
-            u1, u2 = u1[:, idx], u2[:, idx]
+        a, b = model.topic_factors[topic]
         mask = topics == topic
-        out[mask] = np.einsum("er,er->e", u1[users[mask]], u2[curators[mask]])
+        out[mask] = np.einsum("er,er->e", a[users[mask]], b[curators[mask]])
     return out
 
 
 def score_curators(model: TrainedModel, user: int, topic: int) -> np.ndarray:
     """Predicted scores of every curator for one (user, topic) pair."""
     n, _, kk = model.shape
-    if not 0 <= user < n:
-        raise IndexError(f"user index {user} out of range [0, {n})")
-    if not 0 <= topic < kk:
-        raise IndexError(f"topic index {topic} out of range [0, {kk})")
-    if model.factors is not None:
-        f = model.factors
-        cols = _predict_cols(model, f)
-        if cols is None:
-            return f.u_curators @ (f.u_users[user] * f.u_topics[topic])
-        idx = np.asarray(cols, dtype=np.int64)
-        return f.u_curators[:, idx] @ (f.u_users[user, idx] * f.u_topics[topic, idx])
-    sl = model.slices[topic]
-    cols = _predict_cols(model, sl)
-    if cols is None:
-        return sl.u_curators @ sl.u_users[user]
-    idx = np.asarray(cols, dtype=np.int64)
-    return sl.u_curators[:, idx] @ sl.u_users[user, idx]
+    _check_index(user, n, "user")
+    _check_index(topic, kk, "topic")
+    a, b = model.topic_factors[topic]
+    return b @ a[user]
+
+
+def _top_indices(scores: np.ndarray, k_items: int, exclude: Sequence[int]) -> np.ndarray:
+    """Indices of the ``k_items`` highest scores outside ``exclude``; ties
+    break toward the lower index."""
+    candidates = np.setdiff1d(np.arange(scores.size), np.asarray(list(exclude), dtype=np.int64))
+    order = np.lexsort((candidates, -scores[candidates]))
+    return candidates[order[:k_items]]
 
 
 def top_k(
@@ -680,12 +676,7 @@ def top_k(
     if k_items < 1:
         raise ValueError("k_items must be >= 1")
     scores = score_curators(model, user, topic)
-    m = scores.size
-    candidates = np.setdiff1d(np.arange(m), np.asarray(list(exclude), dtype=np.int64))
-    if candidates.size == 0:
-        return []
-    order = np.lexsort((candidates, -scores[candidates]))
-    return [int(c) for c in candidates[order[:k_items]]]
+    return [int(c) for c in _top_indices(scores, k_items, exclude)]
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,22 @@ class TestCli:
         assert all(math.isfinite(doc[f]) for f in ("p_at_k", "r_at_k", "f1_at_k", "mad", "ks"))
         assert (tmp_path / "eval" / "ft_metrics.json").exists()
 
+    def test_train_fm_one_group_map_exits_2(self, tmp_path, capsys):
+        synth_cfg = self.synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli_main(["synth", "--config", str(synth_cfg), "--out", str(data_dir)])
+        sensitive = data_dir / "sensitive.csv"
+        header, *rows = sensitive.read_text(encoding="utf-8").splitlines()
+        one_group = [row.rsplit(",", 1)[0] + ",0" for row in rows]
+        sensitive.write_text("\n".join([header, *one_group]) + "\n", encoding="utf-8")
+        exp_cfg = self.experiment_config(tmp_path, data_dir)
+        capsys.readouterr()
+        code = cli_main(
+            ["train", "--config", str(exp_cfg), "--models", "FM", "--out", str(tmp_path / "ckpt")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_train_requires_single_model(self, tmp_path, capsys):
         synth_cfg = self.synth_config(tmp_path)
         data_dir = tmp_path / "data"

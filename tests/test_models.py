@@ -12,6 +12,7 @@ from fairtensor.data import (
     synth_generate,
 )
 from fairtensor.errors import ConfigError
+from fairtensor.harness import _grouped_scores
 from fairtensor.metrics import GroupedScores, ks
 from fairtensor.models import (
     MatrixSlice,
@@ -27,6 +28,7 @@ from fairtensor.models import (
     predict,
     predict_cells,
     save_checkpoint,
+    score_curators,
     top_k,
     train_ft,
     train_matrix,
@@ -432,6 +434,31 @@ class TestTrainMatrix:
         with pytest.raises(ConfigError, match="topic 0"):
             train_matrix("RMC", obs, smap, TrainConfig(rank=2, max_iters=5))
 
+    def test_fm_one_group_map_rejected(self):
+        obs = ObservationTensor.from_entries(
+            2, 4, 1, [(0, 0, 0, 1.0), (1, 1, 0, 1.0), (0, 2, 0, 0.0)]
+        )
+        smap = SensitiveMap(groups=np.zeros(4, dtype=int))
+        with pytest.raises(ConfigError, match="one group"):
+            train_matrix("FM", obs, smap, TrainConfig(rank=3, max_iters=5))
+
+    def test_fm_predictions_ignore_sensitive_columns_bitwise(self):
+        ds, smap = biased_dataset()
+        model = train_matrix(
+            "FM", ds.train, smap,
+            TrainConfig(rank=5, learning_rate=0.005, max_iters=50, tol=0.0, seed=2),
+        )
+        probe = ds.test
+        before = predict_cells(model, probe.users, probe.curators, probe.topics)
+        tampered_slices = []
+        for sl in model.slices:
+            u2 = sl.u_curators.copy()
+            u2[:, list(sl.sensitive_cols)] = -7.25
+            tampered_slices.append(MatrixSlice(sl.u_users, u2, sensitive_cols=sl.sensitive_cols))
+        tampered = replace(model, slices=tuple(tampered_slices))
+        after = predict_cells(tampered, probe.users, probe.curators, probe.topics)
+        assert np.array_equal(before, after)
+
     def test_omc_recovery(self):
         rng = np.random.default_rng(30)
         dm = rng.uniform(0.2, 1.0, (5, 2)) @ rng.uniform(0.2, 1.0, (6, 2)).T
@@ -452,6 +479,76 @@ class TestTrainMatrix:
         for sa, sb in zip(a.slices, b.slices):
             assert np.array_equal(sa.u_users, sb.u_users)
             assert np.array_equal(sa.u_curators, sb.u_curators)
+
+
+def reference_scores(model):
+    """Dense (user, curator, topic) scores by plain Python sums over the
+    stored predicting columns, and each sum's magnitude sum_c |term_c|."""
+    n, m, kk = model.shape
+    fair = model.kind in ("FT", "FM")
+    ref, mag = np.zeros((n, m, kk)), np.zeros((n, m, kk))
+    for k in range(kk):
+        if model.factors is not None:
+            f = model.factors
+            u, v, t = f.u_users, f.u_curators, f.u_topics[k]
+            sens = f.sensitive_cols
+        else:
+            sl = model.slices[k]
+            u, v, t = sl.u_users, sl.u_curators, np.ones(sl.rank)
+            sens = sl.sensitive_cols
+        cols = [c for c in range(u.shape[1]) if not (fair and c in sens)]
+        for i in range(n):
+            for j in range(m):
+                terms = [float(u[i, c]) * float(v[j, c]) * float(t[c]) for c in cols]
+                ref[i, j, k] = sum(terms)
+                mag[i, j, k] = sum(abs(x) for x in terms)
+    return ref, mag
+
+
+class TestScoringPath:
+    """Every kind's scores against a plain-Python reference, to 1e-12 of the
+    magnitude of each cell's terms (rank-sized sums, so ~1e-15 is expected)."""
+
+    TOL = 1e-12
+
+    def trained(self):
+        ds, smap = biased_dataset()
+        # topic 2 loses its training cells: an empty slice for the matrix kinds
+        train = ds.train.subset(np.flatnonzero(ds.train.topics != 2))
+        cfg = TrainConfig(rank=4, learning_rate=0.005, max_iters=15, tol=0.0, seed=1)
+        return ds, smap, [train_model(kind, train, cfg, smap)
+                          for kind in ("OTC", "RTC", "FT", "OMC", "RMC", "FM")]
+
+    def test_all_kinds_match_reference(self):
+        ds, smap, trained = self.trained()
+        n, m, kk = ds.train.shape
+        rng = np.random.default_rng(4)
+        cells = rng.permutation(n * m * kk)
+        users, curators, topics = np.unravel_index(cells, (n, m, kk))
+        is0 = smap.groups == 0
+        for model in trained:
+            ref, mag = reference_scores(model)
+            if model.slices is not None:
+                assert model.slice_traces[2] == ()
+                assert not ref[:, :, 2].any()
+            bound = self.TOL * mag
+
+            got = predict_cells(model, users, curators, topics)
+            assert np.all(np.abs(got - ref[users, curators, topics])
+                          <= bound[users, curators, topics]), model.kind
+            for i in range(n):
+                for k in range(kk):
+                    row = score_curators(model, i, k)
+                    assert np.all(np.abs(row - ref[i, :, k]) <= bound[i, :, k]), model.kind
+            for i, j, k in zip(users[:50], curators[:50], topics[:50]):
+                assert abs(predict(model, i, j, k) - ref[i, j, k]) <= bound[i, j, k]
+
+            full = _grouped_scores(model, ds, smap, "full")
+            for got_g, sel in ((full.group0, is0), (full.group1, ~is0)):
+                # (user, curator, topic) order within each group
+                want, scale = ref[:, sel, :].ravel(), bound[:, sel, :].ravel()
+                assert got_g.shape == want.shape
+                assert np.all(np.abs(got_g - want) <= scale), model.kind
 
 
 class TestPredictAndTopK:
