@@ -54,7 +54,6 @@ from .models import (
     MATRIX_KINDS,
     MODEL_KINDS,
     TENSOR_KINDS,
-    MatrixSlice,
     TrainConfig,
     TrainedModel,
     load_checkpoint,

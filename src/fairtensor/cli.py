@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import SynthConfig, export_synthetic, synth_generate
-from .errors import FairtensorError
+from .errors import FairtensorError, check_fields
 from .harness import (
     ExperimentConfig,
     evaluate_model,
@@ -51,7 +51,7 @@ def _cmd_synth(args) -> int:
     # accept either a bare SynthConfig or an ExperimentConfig with a synth block
     if "synth" in doc and isinstance(doc["synth"], dict):
         doc = doc["synth"]
-    cfg = SynthConfig(**doc)
+    cfg = SynthConfig(**check_fields(SynthConfig, doc, "synth"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out = args.out or "."

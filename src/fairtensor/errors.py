@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config-key check."""
+
+from dataclasses import fields
+from typing import Mapping
 
 
 class FairtensorError(Exception):
@@ -32,3 +35,14 @@ class ConfigError(FairtensorError, ValueError):
 
 class UndefinedMetricError(FairtensorError, ValueError):
     """A metric has no defined value for the given inputs."""
+
+
+def check_fields(cls, doc, what: str) -> Mapping:
+    """``doc`` if it is a mapping whose keys all name fields of the dataclass
+    ``cls``; otherwise a :class:`ConfigError` naming ``what``."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} field(s): {unknown}")
+    return doc

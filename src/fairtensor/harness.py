@@ -45,7 +45,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError, check_fields
 from .metrics import (
     GroupedScores,
     MetricsReport,
@@ -134,20 +134,17 @@ class ExperimentConfig:
         bad = set(self.model_overrides) - set(MODEL_KINDS)
         if bad:
             raise ConfigError(f"model_overrides for unknown kind(s): {sorted(bad)}")
+        for kind, overrides in self.model_overrides.items():
+            check_fields(TrainConfig, overrides, f"model_overrides[{kind!r}]")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        doc = dict(doc)
-        if doc.get("synth") is not None:
-            doc["synth"] = SynthConfig(**doc["synth"])
-        if doc.get("train") is not None:
-            doc["train"] = TrainConfig(**doc["train"])
+        doc = dict(check_fields(cls, doc, "config"))
+        for name, block in (("synth", SynthConfig), ("train", TrainConfig)):
+            if doc.get(name) is not None:
+                doc[name] = block(**check_fields(block, doc[name], name))
         if doc.get("models") is not None:
             doc["models"] = tuple(doc["models"])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         return cls(**doc)
 
     @classmethod
@@ -277,9 +274,15 @@ def evaluate_model(
 ) -> dict[str, float]:
     """All five metrics for one trained model on one split.
 
-    Raises :class:`UndefinedMetricError` when no unit has a test positive or
-    a group has no test cells (or no sensitive map was provided).
+    Raises :class:`ConfigError` when the model was trained on another shape,
+    and :class:`UndefinedMetricError` when no unit has a test positive or a
+    group has no test cells (or no sensitive map was provided).
     """
+    if model.shape != ds.train.shape:
+        raise ConfigError(
+            f"{model.kind} model of shape {model.shape} cannot score a dataset "
+            f"of shape {ds.train.shape}"
+        )
     return {
         **_quality_metrics(model, ds, k, rank_scope),
         **_fairness_metrics(model, ds, smap, intervals, fairness_scope),

@@ -2,7 +2,8 @@
 
 Tensor kinds factor the full user x curator x topic tensor.  A matrix kind
 trains its tensor kind's problem on each topic slice, an N x M x 1 tensor
-whose topic factor is a constant row of ones:
+whose topic factor is a constant row of ones, and stores each slice as the
+(n, m, 1) :class:`FactorModel` it was trained as:
 
 =====  ======  =========================================================
 kind   solver  objective
@@ -44,11 +45,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import SensitiveMap
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
     _check_index,
+    _check_indices,
     _scatter_rows,
     cp_entries,
     scatter_cell_gradient,
@@ -60,7 +62,6 @@ __all__ = [
     "MATRIX_KINDS",
     "FAIR_KINDS",
     "TrainConfig",
-    "MatrixSlice",
     "TrainedModel",
     "train_otc",
     "train_rtc",
@@ -84,6 +85,7 @@ MODEL_KINDS = TENSOR_KINDS + MATRIX_KINDS
 FAIR_KINDS = ("FT", "FM")
 GROUP_AWARE_KINDS = ("RTC", "RMC", "FT", "FM")
 
+CHECKPOINT_VERSION = 1
 _INIT_SCALE = 0.1  # i.i.d. uniform [0, 0.1) init suits implicit 0/1 ratings
 _MIN_RIDGE = 1e-8
 
@@ -132,47 +134,22 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class MatrixSlice:
-    """Per-topic factor pair for the matrix kinds."""
-
-    u_users: np.ndarray
-    u_curators: np.ndarray
-    sensitive_cols: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        u = np.asarray(self.u_users, dtype=np.float64)
-        v = np.asarray(self.u_curators, dtype=np.float64)
-        if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
-            raise ValueError("slice factors must be 2-D with equal column count")
-        object.__setattr__(self, "u_users", u)
-        object.__setattr__(self, "u_curators", v)
-        object.__setattr__(self, "sensitive_cols", tuple(sorted(int(c) for c in self.sensitive_cols)))
-
-    @property
-    def rank(self) -> int:
-        return int(self.u_users.shape[1])
-
-    @property
-    def nonsensitive_cols(self) -> tuple[int, ...]:
-        return tuple(c for c in range(self.rank) if c not in self.sensitive_cols)
-
-
-@dataclass(frozen=True)
 class TrainedModel:
     """Immutable result of one training run.
 
     Tensor kinds carry one :class:`FactorModel` and a loss trace whose first
-    element is the loss at initialisation.  Matrix kinds carry one
-    :class:`MatrixSlice` and one trace per topic (empty slices get a zero
-    factor pair and an empty trace).  Prediction reads neither directly but
-    the per-topic pairs of :attr:`topic_factors`.
+    element is the loss at initialisation.  Matrix kinds carry one (n, m, 1)
+    :class:`FactorModel` per topic, whose topic factor is a constant row of
+    ones, and one trace per topic (empty slices get zero user factors and an
+    empty trace).  Prediction reads neither directly but the per-topic pairs
+    of :attr:`topic_factors`.
     """
 
     kind: str
     shape: tuple[int, int, int]
     config: TrainConfig
     factors: FactorModel | None = None
-    slices: tuple[MatrixSlice, ...] | None = None
+    slices: tuple[FactorModel, ...] | None = None
     loss_trace: tuple[float, ...] | None = None
     slice_traces: tuple[tuple[float, ...], ...] | None = None
 
@@ -182,11 +159,16 @@ class TrainedModel:
         if self.kind in TENSOR_KINDS:
             if self.factors is None or self.loss_trace is None:
                 raise ValueError("tensor kinds need factors and a loss trace")
+            if self.factors.shape != self.shape:
+                raise ValueError(f"factors of shape {self.factors.shape} in a {self.shape} model")
         else:
             if self.slices is None or self.slice_traces is None:
                 raise ValueError("matrix kinds need slices and slice traces")
             if len(self.slices) != self.shape[2]:
                 raise ValueError("one slice per topic required")
+            n, m, _ = self.shape
+            if any(sl.shape != (n, m, 1) for sl in self.slices):
+                raise ValueError(f"every slice of a {self.shape} model must have shape {(n, m, 1)}")
 
     @property
     def is_fair(self) -> bool:
@@ -196,21 +178,21 @@ class TrainedModel:
     def topic_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per-topic pairs (A_k, B_k) with score(i, j, k) = A_k[i] . B_k[j].
 
-        Tensor kinds: A_k = U_users * U_topics[k] and B_k = U_curators, from
-        the CP slice U_users diag(U_topics[k]) U_curators^T; matrix kinds:
-        the slice's own pair.  Fair kinds slice to the non-sensitive columns
-        first, so stored sensitive values cannot reach a prediction.
+        Topic k of a CP model f is U_users diag(U_topics[k]) U_curators^T,
+        so A_k = U_users * U_topics[k] and B_k = U_curators; tensor kinds
+        read topic k of ``factors``, matrix kinds topic 0 (the ones row) of
+        slice k.  Fair kinds slice to the non-sensitive columns first, so
+        stored sensitive values cannot reach a prediction.  Other kinds take
+        views, not a copy of every column, which would change BLAS's low bits.
         """
-        fair = self.is_fair
         if self.factors is not None:
-            f = self.factors
-            cols = list(f.nonsensitive_cols) if fair else slice(None)
-            users, curators = f.u_users[:, cols], f.u_curators[:, cols]
-            return tuple((users * t, curators) for t in f.u_topics[:, cols])
+            sources = [(self.factors, k) for k in range(self.shape[2])]
+        else:
+            sources = [(sl, 0) for sl in self.slices]
         pairs = []
-        for sl in self.slices:
-            cols = list(sl.nonsensitive_cols) if fair else slice(None)
-            pairs.append((sl.u_users[:, cols], sl.u_curators[:, cols]))
+        for f, k in sources:
+            cols = list(f.nonsensitive_cols) if self.is_fair else slice(None)
+            pairs.append((f.u_users[:, cols] * f.u_topics[k, cols], f.u_curators[:, cols]))
         return tuple(pairs)
 
 
@@ -548,9 +530,11 @@ def train_matrix(
     Each nonempty topic becomes an N x M x 1 tensor whose topic factor is a
     constant row of ones, so OMC runs OTC's ALS over the user and curator
     modes, RMC descends RTC's objective and FM FT's, projection included.
-    The slices draw their inits from one generator in topic order and each
-    stops on its own.  Topics without training entries get zero factors
-    (all-zero predictions) and an empty loss trace.
+    The ones row joins each slice's :class:`FactorModel` only after
+    training, so no training product multiplies by it.  The slices draw
+    their inits from one generator in topic order and each stops on its
+    own.  Topics without training entries get zero factors (all-zero
+    predictions) and an empty loss trace.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"not a matrix kind: {kind!r}")
@@ -560,7 +544,7 @@ def train_matrix(
     total, sens_cols = cfg.fair_layout() if kind == "FM" else (cfg.rank, ())
 
     rng = np.random.default_rng(cfg.seed)
-    slices: list[MatrixSlice] = []
+    slices: list[FactorModel] = []
     traces: list[tuple[float, ...]] = []
     for topic in range(train.n_topics):
         mask = train.topics == topic
@@ -569,7 +553,7 @@ def train_matrix(
             u2 = np.zeros((train.n_curators, total))
             if kind == "FM":
                 u2[:, sens_cols] = sensitive.matrix
-            slices.append(MatrixSlice(u1, u2, sensitive_cols=sens_cols))
+            slices.append(FactorModel(u1, u2, np.ones((1, total)), sensitive_cols=sens_cols))
             traces.append(())
             continue
         obs = ObservationTensor(
@@ -586,7 +570,7 @@ def train_matrix(
             (u1, u2), trace = _fit(tensor_kind, obs, sensitive, cfg, params)
         except ConfigError as exc:
             raise ConfigError(f"topic {topic}: {exc}") from None
-        slices.append(MatrixSlice(u1, u2, sensitive_cols=sens_cols))
+        slices.append(FactorModel(u1, u2, np.ones((1, total)), sensitive_cols=sens_cols))
         traces.append(tuple(trace))
     return TrainedModel(
         kind=kind,
@@ -617,10 +601,7 @@ def train_model(
 
 def predict(model: TrainedModel, i: int, j: int, k: int) -> float:
     """Predicted score of one (user, curator, topic) cell."""
-    n, m, kk = model.shape
-    _check_index(i, n, "user")
-    _check_index(j, m, "curator")
-    _check_index(k, kk, "topic")
+    _check_indices(model.shape, *np.atleast_1d(i, j, k))
     a, b = model.topic_factors[k]
     return float(np.dot(a[i], b[j]))
 
@@ -635,6 +616,7 @@ def predict_cells(
     users = np.asarray(users, dtype=np.int64)
     curators = np.asarray(curators, dtype=np.int64)
     topics = np.asarray(topics, dtype=np.int64)
+    _check_indices(model.shape, users, curators, topics)
     out = np.empty(users.size)
     for topic in np.unique(topics):
         a, b = model.topic_factors[topic]
@@ -691,9 +673,23 @@ def _decode_matrix(obj: dict) -> np.ndarray:
     return np.asarray(obj["data"], dtype=np.float64).reshape(obj["shape"])
 
 
+_FACTOR_FIELDS = ("u_users", "u_curators", "u_topics")
+
+
+def _encode_factors(f: FactorModel) -> dict:
+    doc = {name: _encode_matrix(getattr(f, name)) for name in _FACTOR_FIELDS}
+    return {**doc, "sensitive_cols": list(f.sensitive_cols)}
+
+
+def _decode_factors(doc: dict) -> FactorModel:
+    mats = (_decode_matrix(doc[name]) for name in _FACTOR_FIELDS)
+    return FactorModel(*mats, sensitive_cols=tuple(doc["sensitive_cols"]))
+
+
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     """Serialise a trained model to JSON (bit-exact float round trip)."""
     doc: dict = {
+        "format_version": CHECKPOINT_VERSION,
         "kind": model.kind,
         "dimensions": {
             "n_users": model.shape[0],
@@ -705,62 +701,47 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
         "slice_traces": [list(t) for t in model.slice_traces]
         if model.slice_traces is not None
         else None,
+        "factors": _encode_factors(model.factors) if model.factors is not None else None,
+        "slices": [_encode_factors(sl) for sl in model.slices]
+        if model.slices is not None
+        else None,
     }
-    if model.factors is not None:
-        f = model.factors
-        doc["factors"] = {
-            "u_users": _encode_matrix(f.u_users),
-            "u_curators": _encode_matrix(f.u_curators),
-            "u_topics": _encode_matrix(f.u_topics),
-            "sensitive_cols": list(f.sensitive_cols),
-        }
-        doc["slices"] = None
-    else:
-        doc["factors"] = None
-        doc["slices"] = [
-            {
-                "u_users": _encode_matrix(sl.u_users),
-                "u_curators": _encode_matrix(sl.u_curators),
-                "sensitive_cols": list(sl.sensitive_cols),
-            }
-            for sl in model.slices
-        ]
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Rebuild a trained model from :func:`save_checkpoint` output."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    dims = doc["dimensions"]
-    shape = (dims["n_users"], dims["n_curators"], dims["n_topics"])
-    cfg = TrainConfig(**doc["config"])
-    factors = None
-    slices = None
-    if doc.get("factors") is not None:
-        f = doc["factors"]
-        factors = FactorModel(
-            _decode_matrix(f["u_users"]),
-            _decode_matrix(f["u_curators"]),
-            _decode_matrix(f["u_topics"]),
-            sensitive_cols=tuple(f["sensitive_cols"]),
+    """Rebuild a trained model from :func:`save_checkpoint` output.
+
+    An unreadable, malformed or inconsistent checkpoint, or one of another
+    ``format_version``, is a :class:`ConfigError`.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {path} is not JSON: {exc}") from None
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"checkpoint {path}: format_version {version!r} is not {CHECKPOINT_VERSION}"
         )
-    else:
-        slices = tuple(
-            MatrixSlice(
-                _decode_matrix(sl["u_users"]),
-                _decode_matrix(sl["u_curators"]),
-                sensitive_cols=tuple(sl["sensitive_cols"]),
-            )
-            for sl in doc["slices"]
+    try:
+        dims = doc["dimensions"]
+        return TrainedModel(
+            kind=doc["kind"],
+            shape=(dims["n_users"], dims["n_curators"], dims["n_topics"]),
+            config=TrainConfig(**check_fields(TrainConfig, doc["config"], "checkpoint config")),
+            factors=_decode_factors(doc["factors"]) if doc["factors"] is not None else None,
+            slices=tuple(map(_decode_factors, doc["slices"]))
+            if doc["slices"] is not None
+            else None,
+            loss_trace=tuple(doc["loss_trace"]) if doc["loss_trace"] is not None else None,
+            slice_traces=tuple(tuple(t) for t in doc["slice_traces"])
+            if doc["slice_traces"] is not None
+            else None,
         )
-    return TrainedModel(
-        kind=doc["kind"],
-        shape=shape,
-        config=cfg,
-        factors=factors,
-        slices=slices,
-        loss_trace=tuple(doc["loss_trace"]) if doc.get("loss_trace") is not None else None,
-        slice_traces=tuple(tuple(t) for t in doc["slice_traces"])
-        if doc.get("slice_traces") is not None
-        else None,
-    )
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path} lacks key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None

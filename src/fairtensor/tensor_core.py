@@ -7,9 +7,8 @@ a cell is the usual CP sum of per-column products
 
     score(i, j, k) = sum_r  U_users[i, r] * U_curators[j, r] * U_topics[k, r]
 
-optionally restricted to a subset of columns (fairness-aware models predict
-from the non-sensitive columns only).  Losses and gradients only ever touch
-observed cells; unobserved cells are never imputed.
+Losses and gradients only ever touch observed cells; unobserved cells are
+never imputed.
 
 Entries are normalised to a canonical (user, curator, topic) sort order on
 construction so that losses and gradients are bit-reproducible across runs
@@ -64,13 +63,7 @@ class ObservationTensor:
         values = np.asarray(self.values, dtype=np.float64).ravel()
         if not (users.size == curators.size == topics.size == values.size):
             raise ValueError("index and value arrays must have equal length")
-        for idx, bound, label in (
-            (users, self.n_users, "user"),
-            (curators, self.n_curators, "curator"),
-            (topics, self.n_topics, "topic"),
-        ):
-            if idx.size and (idx.min() < 0 or idx.max() >= bound):
-                raise IndexError(f"{label} index out of range")
+        _check_indices(self.shape, users, curators, topics)
         if not np.all(np.isfinite(values)):
             raise ValueError("ratings must be finite")
 
@@ -192,65 +185,33 @@ class FactorModel:
         return tuple(c for c in range(self.rank) if c not in self.sensitive_cols)
 
 
-def _check_cols(cols: Sequence[int] | None, rank: int) -> np.ndarray | None:
-    if cols is None:
-        return None
-    idx = np.asarray(list(cols), dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("column subset must be nonempty")
-    if idx.min() < 0 or idx.max() >= rank:
-        raise IndexError("column index out of range")
-    return idx
-
-
 def _check_index(i: int, bound: int, label: str) -> None:
     if not 0 <= i < bound:
         raise IndexError(f"{label} index {i} out of range [0, {bound})")
 
 
-def cp_entry(
-    model: FactorModel, i: int, j: int, k: int, cols: Sequence[int] | None = None
-) -> float:
-    """Reconstructed score of one cell, summed over the given columns.
+def _check_indices(shape: Sequence[int], *index: np.ndarray) -> None:
+    """Vectorised :func:`_check_index` over parallel (user, curator, topic)
+    index arrays; the first bad value of an axis is the one reported."""
+    for idx, bound, label in zip(index, shape, ("user", "curator", "topic")):
+        bad = (idx < 0) | (idx >= bound)
+        if bad.any():
+            _check_index(int(idx[bad][0]), bound, label)
 
-    ``cols=None`` uses every column.  An empty column subset is rejected.
-    """
-    n, m, kk = model.shape
-    _check_index(i, n, "user")
-    _check_index(j, m, "curator")
-    _check_index(k, kk, "topic")
-    idx = _check_cols(cols, model.rank)
-    if idx is None:
-        return float(
-            np.dot(model.u_users[i] * model.u_curators[j], model.u_topics[k])
-        )
-    return float(
-        np.dot(
-            model.u_users[i, idx] * model.u_curators[j, idx], model.u_topics[k, idx]
-        )
-    )
+
+def cp_entry(model: FactorModel, i: int, j: int, k: int) -> float:
+    """Reconstructed score of one cell."""
+    _check_indices(model.shape, *np.atleast_1d(i, j, k))
+    return float(np.dot(model.u_users[i] * model.u_curators[j], model.u_topics[k]))
 
 
 def cp_entries(
-    model: FactorModel,
-    users: np.ndarray,
-    curators: np.ndarray,
-    topics: np.ndarray,
-    cols: Sequence[int] | None = None,
+    model: FactorModel, users: np.ndarray, curators: np.ndarray, topics: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :func:`cp_entry` over parallel index arrays.
-
-    Columns are sliced before any row is gathered, so values stored in the
-    excluded columns can never influence the result, not even at bit level.
-    """
-    idx = _check_cols(cols, model.rank)
-    if idx is None:
-        a, b, c = model.u_users, model.u_curators, model.u_topics
-    else:
-        a = model.u_users[:, idx]
-        b = model.u_curators[:, idx]
-        c = model.u_topics[:, idx]
-    return np.einsum("er,er,er->e", a[users], b[curators], c[topics])
+    """Vectorised :func:`cp_entry` over parallel index arrays."""
+    return np.einsum(
+        "er,er,er->e", model.u_users[users], model.u_curators[curators], model.u_topics[topics]
+    )
 
 
 def _check_dims(model: FactorModel, obs: ObservationTensor) -> None:

@@ -360,12 +360,13 @@ def test_criterion_7_protocol_reproducibility(tmp_path):
                 f"{expected:.0f} (3 sigma = {3 * sigma:.0f})")
 
 
-def test_criterion_8_oracle_subcommand():
+def test_criterion_8_oracle_subcommand(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "fairtensor", "oracle"],
         capture_output=True,
         text=True,
         timeout=300,
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = [l for l in proc.stdout.strip().splitlines() if l]

@@ -315,12 +315,67 @@ class TestCli:
         first = (out_a / "report.csv").read_text().splitlines()[1]
         assert first.split(",")[2] == "6"  # base_seed 5 + run 1
 
-    def test_oracle_subcommand_exits_zero(self):
+    def synth_experiment(self, tmp_path, name, n_users=25, **kw):
+        synth = json.loads(self.synth_config(tmp_path).read_text(encoding="utf-8"))
+        doc = {
+            "synth": dict(synth, n_users=n_users),
+            "repeats": 1,
+            "k": 3,
+            "models": ["OTC"],
+            "train": {"rank": 3, "max_iters": 5},
+            **kw,
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("problem", ["missing", "truncated", "other shape"])
+    def test_evaluate_bad_checkpoint_exits_2(self, tmp_path, capsys, problem):
+        exp_cfg = self.synth_experiment(tmp_path, "exp")
+        ckpt = tmp_path / "otc_checkpoint.json"
+        if problem != "missing":
+            trained_on = exp_cfg if problem == "truncated" else self.synth_experiment(
+                tmp_path, "other", n_users=20
+            )
+            assert cli_main(["train", "--config", str(trained_on), "--out", str(tmp_path)]) == 0
+        if problem == "truncated":
+            ckpt.write_text(ckpt.read_text(encoding="utf-8")[:200], encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(["evaluate", "--config", str(exp_cfg), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, block", [
+        ("experiment", "train"),
+        ("experiment", "synth"),
+        ("experiment", "model_overrides"),
+        ("synth", "bare synth"),
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, command, block):
+        if block == "bare synth":
+            path = self.synth_config(tmp_path)
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps(dict(doc, rnak=3)), encoding="utf-8")
+        else:
+            path = self.synth_experiment(tmp_path, "exp")
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if block == "model_overrides":
+                doc["model_overrides"] = {"OTC": {"rnak": 3}}
+            else:
+                doc[block]["rnak"] = 3
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rnak" in err
+
+    def test_oracle_subcommand_exits_zero(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "fairtensor", "oracle"],
             capture_output=True,
             text=True,
             timeout=300,
+            env=src_env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         lines = [l for l in proc.stdout.strip().splitlines() if l]

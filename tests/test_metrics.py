@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtensor.errors import UndefinedMetricError
 from fairtensor.metrics import (
@@ -182,6 +184,31 @@ class TestKs:
             hi = max(a.max(), b.max())
             width = (hi - lo) / 50
             assert abs(got - want) <= width * 1.0 + 1e-12
+
+
+# derandomized and bounded, so every run draws the same examples
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+finite_scores = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=30
+)
+# multiples of 1/8 in [-8, 8]: with a power-of-two ``intervals`` every
+# boundary lo + width * i is exact, and so is any dyadic shift of it
+dyadic_scores = st.lists(st.integers(-64, 64).map(lambda x: x / 8), min_size=1, max_size=30)
+
+
+class TestKsProperties:
+    @PROPERTY
+    @given(finite_scores, finite_scores, st.integers(1, 200))
+    def test_swap_symmetry(self, g0, g1, intervals):
+        assert ks(GroupedScores(g0, g1), intervals) == ks(GroupedScores(g1, g0), intervals)
+
+    @PROPERTY
+    @given(dyadic_scores, dyadic_scores, st.integers(0, 7), st.integers(-64, 64))
+    def test_shift_invariance_on_dyadic_scores(self, g0, g1, log2_intervals, shift):
+        c = shift / 8
+        intervals = 2**log2_intervals
+        shifted = GroupedScores(np.add(g0, c), np.add(g1, c))
+        assert ks(shifted, intervals) == ks(GroupedScores(g0, g1), intervals)
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ from fairtensor.errors import ConfigError
 from fairtensor.harness import _grouped_scores
 from fairtensor.metrics import GroupedScores, ks
 from fairtensor.models import (
-    MatrixSlice,
     TrainConfig,
     TrainedModel,
     _descend,
@@ -369,11 +369,11 @@ class TestTrainMatrix:
         whole = train_matrix("OMC", single, None, cfg)
         rng = np.random.default_rng(cfg.seed)
         params, trace = _fit("OTC", single, None, cfg, _init_factors(rng, single.shape[:2], 4))
-        sl = MatrixSlice(*params)
-        trace = tuple(trace)
-        assert np.array_equal(whole.slices[0].u_users, sl.u_users)
-        assert np.array_equal(whole.slices[0].u_curators, sl.u_curators)
-        assert whole.slice_traces[0] == trace
+        sl = whole.slices[0]
+        assert np.array_equal(sl.u_users, params[0])
+        assert np.array_equal(sl.u_curators, params[1])
+        assert np.array_equal(sl.u_topics, np.ones((1, 4)))
+        assert whole.slice_traces[0] == tuple(trace)
 
     def test_fm_single_topic_matches_slice_trainer(self):
         ds, smap = biased_dataset()
@@ -388,10 +388,11 @@ class TestTrainMatrix:
         whole = train_matrix("FM", single, smap, cfg)
         rng = np.random.default_rng(cfg.seed)
         params, _ = _fit("FT", single, smap, cfg, _init_factors(rng, single.shape[:2], 5))
-        sl = MatrixSlice(*params, sensitive_cols=(3, 4))
-        assert np.array_equal(whole.slices[0].u_users, sl.u_users)
-        assert np.array_equal(whole.slices[0].u_curators, sl.u_curators)
-        assert whole.slices[0].sensitive_cols == (3, 4)
+        sl = whole.slices[0]
+        assert np.array_equal(sl.u_users, params[0])
+        assert np.array_equal(sl.u_curators, params[1])
+        assert np.array_equal(sl.u_topics, np.ones((1, 5)))
+        assert sl.sensitive_cols == (3, 4)
 
     def test_fm_fairer_than_omc_on_biased_data(self):
         ds, smap = biased_dataset()
@@ -454,7 +455,7 @@ class TestTrainMatrix:
         for sl in model.slices:
             u2 = sl.u_curators.copy()
             u2[:, list(sl.sensitive_cols)] = -7.25
-            tampered_slices.append(MatrixSlice(sl.u_users, u2, sensitive_cols=sl.sensitive_cols))
+            tampered_slices.append(replace(sl, u_curators=u2))
         tampered = replace(model, slices=tuple(tampered_slices))
         after = predict_cells(tampered, probe.users, probe.curators, probe.topics)
         assert np.array_equal(before, after)
@@ -488,14 +489,9 @@ def reference_scores(model):
     fair = model.kind in ("FT", "FM")
     ref, mag = np.zeros((n, m, kk)), np.zeros((n, m, kk))
     for k in range(kk):
-        if model.factors is not None:
-            f = model.factors
-            u, v, t = f.u_users, f.u_curators, f.u_topics[k]
-            sens = f.sensitive_cols
-        else:
-            sl = model.slices[k]
-            u, v, t = sl.u_users, sl.u_curators, np.ones(sl.rank)
-            sens = sl.sensitive_cols
+        f, topic = (model.factors, k) if model.factors is not None else (model.slices[k], 0)
+        u, v, t = f.u_users, f.u_curators, f.u_topics[topic]
+        sens = f.sensitive_cols
         cols = [c for c in range(u.shape[1]) if not (fair and c in sens)]
         for i in range(n):
             for j in range(m):
@@ -586,6 +582,22 @@ class TestPredictAndTopK:
         with pytest.raises(IndexError):
             predict(model, 0, 0, -1)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_predict_cells_out_of_range(self, axis, bad):
+        model = TrainedModel(
+            kind="OTC",
+            shape=(2, 2, 2),
+            config=TrainConfig(rank=1),
+            factors=FactorModel(np.ones((2, 1)), np.ones((2, 1)), np.array([[1.0], [2.0]])),
+            loss_trace=(0.0,),
+        )
+        cells = [np.array([0, 1]) for _ in range(3)]
+        cells[axis] = np.array([0, bad])
+        label = ("user", "curator", "topic")[axis]
+        with pytest.raises(IndexError, match=rf"{label} index {bad} out of range \[0, 2\)"):
+            predict_cells(model, *cells)
+
     def scored_model(self, scores):
         m = len(scores)
         return TrainedModel(
@@ -623,33 +635,79 @@ class TestPredictAndTopK:
             top_k(self.scored_model([1.0]), 0, 0, 0)
 
 
+def assert_same_model(a, b):
+    assert (a.kind, a.shape, a.config) == (b.kind, b.shape, b.config)
+    assert (a.loss_trace, a.slice_traces) == (b.loss_trace, b.slice_traces)
+    fa = [a.factors] if a.factors is not None else list(a.slices)
+    fb = [b.factors] if b.factors is not None else list(b.slices)
+    assert len(fa) == len(fb)
+    for x, y in zip(fa, fb):
+        assert x.sensitive_cols == y.sensitive_cols
+        for name in ("u_users", "u_curators", "u_topics"):
+            assert np.array_equal(getattr(x, name), getattr(y, name))
+
+
 class TestCheckpoints:
-    def test_tensor_round_trip_bit_exact(self, tmp_path):
+    def round_trip(self, kind, tmp_path):
         ds, smap = biased_dataset()
-        model = train_ft(ds.train, smap, TrainConfig(rank=4, max_iters=15, tol=0.0, seed=1))
-        path = tmp_path / "ft.json"
+        # topic 2 loses its training cells: an empty slice for the matrix kinds
+        train = ds.train.subset(np.flatnonzero(ds.train.topics != 2))
+        cfg = TrainConfig(rank=4, learning_rate=0.005, max_iters=10, tol=0.0, seed=1)
+        model = train_model(kind, train, cfg, smap)
+        path = tmp_path / f"{kind}.json"
         save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.kind == model.kind
-        assert loaded.shape == model.shape
-        assert loaded.config == model.config
-        assert loaded.loss_trace == model.loss_trace
-        assert np.array_equal(loaded.factors.u_users, model.factors.u_users)
-        assert np.array_equal(loaded.factors.u_curators, model.factors.u_curators)
-        assert np.array_equal(loaded.factors.u_topics, model.factors.u_topics)
-        assert loaded.factors.sensitive_cols == model.factors.sensitive_cols
+        return model, load_checkpoint(path)
+
+    def test_tensor_round_trip_bit_exact(self, tmp_path):
+        for kind in ("OTC", "RTC", "FT"):
+            model, loaded = self.round_trip(kind, tmp_path)
+            assert loaded.slices is None
+            assert_same_model(loaded, model)
 
     def test_matrix_round_trip_bit_exact(self, tmp_path):
-        ds, smap = biased_dataset()
-        model = train_matrix("FM", ds.train, smap, TrainConfig(rank=4, max_iters=10, tol=0.0, seed=1))
-        path = tmp_path / "fm.json"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.slice_traces == model.slice_traces
-        for a, b in zip(loaded.slices, model.slices):
-            assert np.array_equal(a.u_users, b.u_users)
-            assert np.array_equal(a.u_curators, b.u_curators)
-            assert a.sensitive_cols == b.sensitive_cols
+        for kind in ("OMC", "RMC", "FM"):
+            model, loaded = self.round_trip(kind, tmp_path)
+            assert loaded.factors is None
+            assert_same_model(loaded, model)
+
+    def write_broken(self, tmp_path, edit):
+        ds, _ = biased_dataset()
+        path = tmp_path / "otc.json"
+        save_checkpoint(train_otc(ds.train, TrainConfig(rank=2, max_iters=2, seed=2)), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("format_version"), "format_version None"),
+        (lambda d: d.update(format_version=0), "format_version 0"),
+        (lambda d: d.pop("factors"), "lacks key 'factors'"),
+        (lambda d: d["factors"].pop("u_topics"), "lacks key 'u_topics'"),
+        (lambda d: d.update(kind="XYZ"), "unknown model kind"),
+        (lambda d: d["config"].update(rnak=3), "unknown checkpoint config field"),
+        (lambda d: d["dimensions"].update(n_users=1), "factors of shape"),
+    ])
+    def test_malformed_checkpoint_is_config_error(self, tmp_path, edit, message):
+        path = self.write_broken(tmp_path, edit)
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(path)
+
+    def test_unreadable_checkpoint_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_checkpoint(tmp_path / "missing.json")
+        path = self.write_broken(tmp_path, lambda d: None)
+        path.write_text(path.read_text(encoding="utf-8")[:100], encoding="utf-8")
+        with pytest.raises(ConfigError, match="not JSON"):
+            load_checkpoint(path)
+
+    def test_slice_of_wrong_shape_rejected(self):
+        model = train_matrix("OMC", biased_dataset()[0].train, None,
+                             TrainConfig(rank=2, max_iters=2, seed=0))
+        sl = model.slices[0]
+        two_topics = replace(sl, u_topics=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="must have shape"):
+            replace(model, slices=(two_topics, *model.slices[1:]))
 
     def test_predictions_survive_round_trip(self, tmp_path):
         ds, _ = biased_dataset()

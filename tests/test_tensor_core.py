@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtensor.tensor_core import (
     FactorModel,
     ObservationTensor,
+    _scatter_rows,
     cp_entries,
     cp_entry,
     masked_gradient,
@@ -85,13 +88,12 @@ class TestObservationTensor:
 class TestCpEntry:
     def test_single_term_product(self):
         model = FactorModel(np.array([[2.0]]), np.array([[3.0]]), np.array([[4.0]]))
-        assert cp_entry(model, 0, 0, 0, cols=[0]) == 24.0
+        assert cp_entry(model, 0, 0, 0) == 24.0
 
     def test_sum_over_columns(self):
         ones = np.ones((1, 2))
         model = FactorModel(ones, ones, ones)
-        assert cp_entry(model, 0, 0, 0, cols=[0]) == 1.0
-        assert cp_entry(model, 0, 0, 0, cols=[0, 1]) == 2.0
+        assert cp_entry(model, 0, 0, 0) == 2.0
 
     def test_hand_triple_sum(self):
         model = FactorModel(
@@ -99,18 +101,7 @@ class TestCpEntry:
             np.array([[0.5, 1.0, 7.0]]),
             np.array([[2.0, 0.25, 0.0]]),
         )
-        assert cp_entry(model, 0, 0, 0, cols=[0, 1, 2]) == pytest.approx(1.5)
-
-    def test_default_cols_is_all(self):
-        rng = np.random.default_rng(0)
-        model, _ = random_model_and_obs(rng)
-        full = cp_entry(model, 0, 0, 0)
-        assert full == pytest.approx(cp_entry(model, 0, 0, 0, cols=range(model.rank)))
-
-    def test_empty_cols_rejected(self):
-        model = FactorModel(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            cp_entry(model, 0, 0, 0, cols=[])
+        assert cp_entry(model, 0, 0, 0) == pytest.approx(1.5)
 
     def test_out_of_range_index(self):
         model = FactorModel(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
@@ -120,18 +111,19 @@ class TestCpEntry:
             cp_entry(model, 0, -1, 0)
 
     def test_column_partition_linearity(self):
-        # summing over any partition of the columns equals the full sum
+        # the score of a cell is a sum over columns: the models built from
+        # any partition of the columns sum to the full model's score
         rng = np.random.default_rng(42)
         for _ in range(25):
             model, _ = random_model_and_obs(rng)
-            rank = model.rank
-            cut = int(rng.integers(1, rank + 1))
-            cols = list(rng.permutation(rank))
-            left, right = cols[:cut], cols[cut:]
+            cut = int(rng.integers(1, model.rank + 1))
+            cols = list(rng.permutation(model.rank))
             full = cp_entry(model, 0, 0, 0)
-            parts = cp_entry(model, 0, 0, 0, cols=left)
-            if right:
-                parts += cp_entry(model, 0, 0, 0, cols=right)
+            parts = 0.0
+            for part in (cols[:cut], cols[cut:]):
+                if part:
+                    factors = (model.u_users, model.u_curators, model.u_topics)
+                    parts += cp_entry(FactorModel(*(u[:, part] for u in factors)), 0, 0, 0)
             assert parts == pytest.approx(full, rel=1e-12, abs=1e-12)
 
 
@@ -242,11 +234,43 @@ class TestCpEntries:
             )
             assert batch[pos] == pytest.approx(one, rel=1e-12)
 
-    def test_column_subset_ignores_excluded_values(self):
-        model = FactorModel(
-            np.array([[1.0, 99.0]]), np.array([[2.0, 99.0]]), np.array([[3.0, 99.0]])
-        )
-        out = cp_entries(
-            model, np.array([0]), np.array([0]), np.array([0]), cols=[0]
-        )
-        assert out[0] == 6.0
+
+# derandomized and bounded, so every run draws the same examples
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+reals = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+def matrices(rows, cols):
+    return st.lists(reals, min_size=rows * cols, max_size=rows * cols).map(
+        lambda xs: np.array(xs, dtype=np.float64).reshape(rows, cols)
+    )
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_cp_entries_match_triple_loop(self, data):
+        n, m, kk, rank = (data.draw(st.integers(1, 4)) for _ in range(4))
+        u1, u2, u3 = (data.draw(matrices(d, rank)) for d in (n, m, kk))
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, kk - 1)),
+            max_size=20,
+        ))
+        users, curators, topics = (np.array([c[a] for c in cells], dtype=np.int64)
+                                   for a in range(3))
+        got = cp_entries(FactorModel(u1, u2, u3), users, curators, topics)
+        assert got.shape == (len(cells),)
+        for pos, (i, j, k) in enumerate(cells):
+            terms = [u1[i, r] * u2[j, r] * u3[k, r] for r in range(rank)]
+            assert abs(got[pos] - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+    @PROPERTY
+    @given(st.data())
+    def test_scatter_rows_matches_add_at(self, data):
+        n_rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        index = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=30)),
+                         dtype=np.int64)
+        contrib = data.draw(matrices(index.size, cols))
+        want = np.zeros((n_rows, cols))
+        np.add.at(want, index, contrib)
+        assert np.array_equal(_scatter_rows(index, contrib, n_rows), want)
