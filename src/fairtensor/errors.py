@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the config-key check."""
+"""Exception types shared across the package, and the config-field check."""
 
+import types
+import typing
 from dataclasses import fields
 from typing import Mapping
 
@@ -37,12 +39,33 @@ class UndefinedMetricError(FairtensorError, ValueError):
     """A metric has no defined value for the given inputs."""
 
 
+_SCALARS = {int, float, str, bool, type(None)}
+
+
+def _fits(t: type, value) -> bool:
+    """Whether ``value`` fits the scalar type ``t``: a float takes an int,
+    neither number takes a bool, and other types must match exactly."""
+    if t in (int, float):
+        return isinstance(value, (int, t)) and not isinstance(value, bool)
+    return type(value) is t
+
+
 def check_fields(cls, doc, what: str) -> Mapping:
     """``doc`` if it is a mapping whose keys all name fields of the dataclass
-    ``cls``; otherwise a :class:`ConfigError` naming ``what``."""
+    ``cls`` and whose values fit those fields' scalar annotations (``X |
+    None`` also takes None); otherwise a :class:`ConfigError` naming
+    ``what``.  Container and dataclass fields are left to their own checks."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {what} field(s): {unknown}")
+    hints = typing.get_type_hints(cls)
+    for name, value in doc.items():
+        union = typing.get_origin(hints[name]) in (typing.Union, types.UnionType)
+        allowed = typing.get_args(hints[name]) if union else (hints[name],)
+        if _SCALARS.issuperset(allowed) and not any(_fits(t, value) for t in allowed):
+            expected = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
+            got = type(value).__name__
+            raise ConfigError(f"{what} field {name!r} must be {expected}, got {got}")
     return doc

@@ -45,7 +45,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, UndefinedMetricError, check_fields
+from .errors import ConfigError, FairtensorError, UndefinedMetricError, check_fields
 from .metrics import (
     GroupedScores,
     MetricsReport,
@@ -307,11 +307,11 @@ def _run_one_model(
     values: dict[str, float] = {}
     try:
         values.update(_quality_metrics(model, ds, cfg.k, cfg.rank_scope))
-    except UndefinedMetricError as exc:
+    except FairtensorError as exc:
         errors.append(f"quality: {exc}")
     try:
         values.update(_fairness_metrics(model, ds, smap, cfg.intervals, cfg.fairness_scope))
-    except UndefinedMetricError as exc:
+    except FairtensorError as exc:
         errors.append(f"fairness: {exc}")
     return RunMetrics(**base, **values, error="; ".join(errors) or None)
 

@@ -232,17 +232,6 @@ def _check_sensitive(
         _group0_cells(train.curators, sensitive.groups)
 
 
-def _effective_ridge(lam: float) -> float:
-    if lam > 0:
-        return lam
-    warnings.warn(
-        f"lam=0 makes the ALS normal equations singular; substituting {_MIN_RIDGE}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return _MIN_RIDGE
-
-
 def _converged(prev: float, cur: float, tol: float) -> bool:
     return abs(prev - cur) <= tol * max(abs(prev), 1e-12)
 
@@ -341,29 +330,6 @@ def _descend(
     return params, trace
 
 
-def _als_rows(
-    target_idx: np.ndarray,
-    design: np.ndarray,
-    values: np.ndarray,
-    n_rows: int,
-    ridge: float,
-) -> np.ndarray:
-    """Exact per-row ridge solve: rows without observations become zero."""
-    rank = design.shape[1]
-    out = np.zeros((n_rows, rank))
-    order = np.argsort(target_idx, kind="stable")
-    sorted_idx = target_idx[order]
-    starts = np.searchsorted(sorted_idx, np.arange(n_rows + 1))
-    eye = ridge * np.eye(rank)
-    for row in range(n_rows):
-        seg = order[starts[row]:starts[row + 1]]
-        if seg.size == 0:
-            continue
-        z = design[seg]
-        out[row] = np.linalg.solve(z.T @ z + eye, z.T @ values[seg])
-    return out
-
-
 def _als(
     train: ObservationTensor, params: list[np.ndarray], cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[float]]:
@@ -371,18 +337,43 @@ def _als(
 
     Each sweep solves every row of every free block exactly (normal equations
     with a ridge), so the loss trace is non-increasing up to numerical noise.
+    One plan per mode, built once, sorts the cells by that mode's row, so each
+    row's cells are one contiguous run of the design; then one stacked solve
+    per mode per sweep solves every nonempty row.  Rows without cells are zero.
     """
-    ridge = _effective_ridge(cfg.lam)
+    ridge = cfg.lam
+    if ridge == 0:
+        warnings.warn(
+            f"lam=0 makes the ALS normal equations singular; substituting {_MIN_RIDGE}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        ridge = _MIN_RIDGE
     index = (train.users, train.curators, train.topics)
     factors = list(params)
+    plans = []
+    for mode, u in enumerate(factors):
+        order = np.argsort(index[mode], kind="stable")
+        starts = np.searchsorted(index[mode][order], np.arange(u.shape[0] + 1))
+        rows = np.flatnonzero(np.diff(starts))
+        runs = list(zip(starts[rows].tolist(), starts[rows + 1].tolist()))
+        others = [(other, index[other][order]) for other in range(len(factors)) if other != mode]
+        plans.append((rows, runs, others, train.values[order]))
     trace = [_fit_terms(train, factors, ridge)[3]]
     for _ in range(cfg.max_iters):
-        for mode in range(len(factors)):
-            others = [u[index[other]] for other, u in enumerate(factors) if other != mode]
-            factors[mode] = _als_rows(
-                index[mode], reduce(np.multiply, others), train.values,
-                factors[mode].shape[0], ridge,
-            )
+        for mode, (rows, runs, others, y) in enumerate(plans):
+            zs = reduce(np.multiply, [factors[other][idx] for other, idx in others])
+            rank = zs.shape[1]
+            gram = np.empty((len(runs), rank, rank))
+            rhs = np.empty((len(runs), rank))
+            for t, (a, b) in enumerate(runs):
+                z = zs[a:b]  # a view: z.T @ z stays BLAS syrk, as for a copy
+                np.matmul(z.T, z, out=gram[t])
+                np.matmul(z.T, y[a:b], out=rhs[t])
+            gram += ridge * np.eye(rank)
+            factors[mode] = np.zeros((factors[mode].shape[0], rank))
+            # a 2-D right-hand side would be read as one matrix, not a stack
+            factors[mode][rows] = np.linalg.solve(gram, rhs[..., None])[..., 0]
         trace.append(_fit_terms(train, factors, ridge)[3])
         if _converged(trace[-2], trace[-1], cfg.tol):
             break
@@ -489,7 +480,9 @@ def train_otc(train: ObservationTensor, cfg: TrainConfig) -> TrainedModel:
     """Ordinary tensor completion: alternating least squares.
 
     Each sweep solves every row of every mode exactly (normal equations with
-    a ridge), so the loss trace is non-increasing up to numerical noise.
+    a ridge), so the loss trace is non-increasing up to numerical noise:
+    one plan per mode, one stacked solve per mode per sweep; rows without
+    cells are zero.
     """
     return _train_tensor("OTC", train, None, cfg)
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from fairtensor import harness
 from fairtensor.cli import main as cli_main
 from fairtensor.data import SynthConfig
 from fairtensor.errors import ConfigError
@@ -146,6 +147,22 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         by_model = {r.model: r for r in report.rows}
         assert by_model["FT"].error is not None
+        assert by_model["OTC"].complete()
+        assert not report.complete()
+
+    def test_evaluation_error_row_keeps_other_models(self, tmp_path, monkeypatch):
+        fairness_metrics = harness._fairness_metrics
+
+        def fail_for_ft(model, *args):
+            if model.kind == "FT":
+                raise ConfigError("scope too large")
+            return fairness_metrics(model, *args)
+
+        monkeypatch.setattr(harness, "_fairness_metrics", fail_for_ft)
+        report = run_experiment(toy_config(tmp_path, models=("OTC", "FT")))
+        by_model = {r.model: r for r in report.rows}
+        assert by_model["FT"].error == "fairness: scope too large"
+        assert by_model["FT"].p_at_k is not None  # quality still reported
         assert by_model["OTC"].complete()
         assert not report.complete()
 
@@ -368,6 +385,33 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rnak" in err
+
+    @pytest.mark.parametrize("command, block, field, label", [
+        ("experiment", None, "repeats", "config"),
+        ("experiment", "train", "rank", "train"),
+        ("experiment", "synth", "n_users", "synth"),
+        ("experiment", "model_overrides", "rank", "model_overrides['OTC']"),
+        ("synth", "bare synth", "n_users", "synth"),
+    ])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, command, block, field, label):
+        if block == "bare synth":
+            path = self.synth_config(tmp_path)
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc[field] = "20"
+        else:
+            path = self.synth_experiment(tmp_path, "exp")
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if block == "model_overrides":
+                doc[block] = {"OTC": {field: "3"}}
+            elif block is None:
+                doc[field] = "1"
+            else:
+                doc[block][field] = "20"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {label} field {field!r} must be int, got str")
 
     def test_oracle_subcommand_exits_zero(self, src_env):
         proc = subprocess.run(

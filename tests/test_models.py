@@ -1,9 +1,12 @@
 import json
 import warnings
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtensor.data import (
     SensitiveMap,
@@ -18,8 +21,11 @@ from fairtensor.metrics import GroupedScores, ks
 from fairtensor.models import (
     TrainConfig,
     TrainedModel,
+    _als,
+    _converged,
     _descend,
     _fit,
+    _fit_terms,
     _init_factors,
     _objective,
     load_checkpoint,
@@ -119,6 +125,114 @@ class TestTrainOtc:
         obs = ObservationTensor.from_entries(2, 2, 1, [])
         with pytest.raises(ConfigError):
             train_otc(obs, TrainConfig(rank=1))
+
+
+def _als_rows(target_idx, design, values, n_rows, ridge):
+    """Reference per-row ridge solve, one ``np.linalg.solve`` per row with
+    cells: rows without observations become zero."""
+    rank = design.shape[1]
+    out = np.zeros((n_rows, rank))
+    order = np.argsort(target_idx, kind="stable")
+    starts = np.searchsorted(target_idx[order], np.arange(n_rows + 1))
+    eye = ridge * np.eye(rank)
+    for row in range(n_rows):
+        seg = order[starts[row]:starts[row + 1]]
+        if seg.size == 0:
+            continue
+        z = design[seg]
+        out[row] = np.linalg.solve(z.T @ z + eye, z.T @ values[seg])
+    return out
+
+
+def reference_als(train, params, cfg):
+    """ALS built on :func:`_als_rows`, with ``_als``'s sweep order and stop rule."""
+    index = (train.users, train.curators, train.topics)
+    factors = list(params)
+    trace = [_fit_terms(train, factors, cfg.lam)[3]]
+    for _ in range(cfg.max_iters):
+        for mode in range(len(factors)):
+            others = [u[index[other]] for other, u in enumerate(factors) if other != mode]
+            factors[mode] = _als_rows(index[mode], reduce(np.multiply, others),
+                                      train.values, factors[mode].shape[0], cfg.lam)
+        trace.append(_fit_terms(train, factors, cfg.lam)[3])
+        if _converged(trace[-2], trace[-1], cfg.tol):
+            break
+    return factors, trace
+
+
+@st.composite
+def als_problems(draw, min_lam=1e-3):
+    """A small problem with empty and one-cell rows, possibly a one-topic
+    slice (two free blocks), its initial factors and a config."""
+    one_topic = draw(st.booleans())
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kk = 1 if one_topic else draw(st.integers(1, 4))
+    cells = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, kk - 1)),
+        min_size=1, max_size=30,
+    )))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = ObservationTensor.from_entries(
+        n, m, kk, [(i, j, k, float(v)) for (i, j, k), v in zip(cells, rng.normal(size=len(cells)))]
+    )
+    rank = draw(st.integers(1, 6))
+    shape = (n, m) if one_topic else (n, m, kk)
+    params = [rng.uniform(0.0, 1.0, size=(d, rank)) for d in shape]
+    cfg = TrainConfig(rank=rank, lam=draw(st.floats(min_lam, 1.0)),
+                      max_iters=draw(st.integers(1, 4)), tol=draw(st.sampled_from([0.0, 1e-3])))
+    return train, params, cfg
+
+
+ALS_PROPERTY = settings(derandomize=True, deadline=None, max_examples=80, database=None)
+
+
+class TestAlsKernel:
+    @ALS_PROPERTY
+    @given(als_problems())
+    def test_bit_equal_to_per_row_reference(self, problem):
+        train, params, cfg = problem
+        got, got_trace = _als(train, params, cfg)
+        want, want_trace = reference_als(train, params, cfg)
+        assert got_trace == want_trace
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @ALS_PROPERTY
+    @given(als_problems(min_lam=0.05))
+    def test_rows_match_ridge_lstsq(self, problem):
+        train, params, cfg = problem
+        cfg = replace(cfg, max_iters=1)
+        out, _ = _als(train, params, cfg)
+        index = (train.users, train.curators, train.topics)
+        for mode in range(len(out)):
+            # a sweep solves mode `mode` against the already-updated earlier modes
+            current = [out[o] if o < mode else params[o] for o in range(len(out))]
+            for row in np.unique(index[mode]):
+                cells = index[mode] == row
+                z = reduce(np.multiply, [u[index[o][cells]] for o, u in enumerate(current)
+                                         if o != mode])
+                aug = np.vstack([z, np.sqrt(cfg.lam) * np.eye(cfg.rank)])
+                y = np.concatenate([train.values[cells], np.zeros(cfg.rank)])
+                want = np.linalg.lstsq(aug, y, rcond=None)[0]
+                # ||aug^+|| <= 1/sqrt(lam): a stable solve's error is relative to this scale
+                scale = np.linalg.norm(want) + np.linalg.norm(y) / np.sqrt(cfg.lam)
+                assert np.linalg.norm(out[mode][row] - want) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("one_topic", [False, True])
+    def test_rows_without_cells_are_zero(self, one_topic):
+        # users 1 and 3, curator 0 and (for the tensor) topic 1 have no cells
+        entries = [(0, 1, 0, 1.0), (2, 2, 0, 0.5), (2, 1, 2, -1.0), (0, 2, 2, 2.0)]
+        if one_topic:
+            entries = [(i, j, 0, v) for i, j, _, v in entries[:2]]
+        kk = 1 if one_topic else 3
+        train = ObservationTensor.from_entries(4, 3, kk, entries)
+        shape = (4, 3) if one_topic else (4, 3, kk)
+        params = [np.full((d, 2), 0.5) for d in shape]
+        out, _ = _als(train, params, TrainConfig(rank=2, lam=0.1, max_iters=3, tol=0.0))
+        empty = [[1, 3], [0]] + ([] if one_topic else [[1]])
+        for u, rows in zip(out, empty, strict=True):
+            assert u[rows].tobytes() == np.zeros((len(rows), 2)).tobytes()
+            assert np.all(np.delete(u, rows, axis=0) != 0.0)
 
 
 class TestTrainRtc:
