@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, ParseError, SplitError
+from .errors import ConfigError, EmptyDatasetError, ParseError, SplitError, check_types
 from .tensor_core import ObservationTensor
 
 __all__ = [
@@ -214,7 +214,7 @@ def negative_sample(
     output never duplicates a positive.
     """
     if not 0.0 <= probability <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
+        raise ConfigError("probability must lie in [0, 1]")
     if probability == 0.0:
         return positives
     rng = np.random.default_rng(seed)
@@ -240,7 +240,7 @@ def split(obs: ObservationTensor, train_fraction: float, seed: int) -> SplitData
     negatives are treated alike.
     """
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+        raise ConfigError("train_fraction must lie strictly between 0 and 1")
     n = obs.n_entries
     if n < 2:
         raise SplitError(f"cannot split {n} entries into train and test")
@@ -274,6 +274,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(SynthConfig, vars(self), "synth")
         if min(self.n_users, self.n_curators, self.n_topics, self.true_rank) < 1:
             raise ConfigError("dimensions and true_rank must be positive")
         if not 0.0 < self.group_ratio < 1.0:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the config-field check."""
+"""Exception types shared across the package, and the config-field checks."""
 
+import functools
 import types
 import typing
 from dataclasses import fields
@@ -40,6 +41,7 @@ class UndefinedMetricError(FairtensorError, ValueError):
 
 
 _SCALARS = {int, float, str, bool, type(None)}
+_type_hints = functools.cache(typing.get_type_hints)  # resolving them costs ~0.2 ms
 
 
 def _fits(t: type, value) -> bool:
@@ -52,20 +54,27 @@ def _fits(t: type, value) -> bool:
 
 def check_fields(cls, doc, what: str) -> Mapping:
     """``doc`` if it is a mapping whose keys all name fields of the dataclass
-    ``cls`` and whose values fit those fields' scalar annotations (``X |
-    None`` also takes None); otherwise a :class:`ConfigError` naming
-    ``what``.  Container and dataclass fields are left to their own checks."""
+    ``cls``; otherwise a :class:`ConfigError` naming ``what``.  The values
+    are left to :func:`check_types`, which the config classes run on
+    construction."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {what} field(s): {unknown}")
-    hints = typing.get_type_hints(cls)
-    for name, value in doc.items():
+    return doc
+
+
+def check_types(cls, values: Mapping, what: str) -> None:
+    """Raise a :class:`ConfigError` naming ``what`` unless each of ``values``
+    fits the scalar annotation of its field of the dataclass ``cls`` (``X |
+    None`` also takes None).  Container and dataclass fields are left to
+    their own checks."""
+    hints = _type_hints(cls)
+    for name, value in values.items():
         union = typing.get_origin(hints[name]) in (typing.Union, types.UnionType)
         allowed = typing.get_args(hints[name]) if union else (hints[name],)
         if _SCALARS.issuperset(allowed) and not any(_fits(t, value) for t in allowed):
             expected = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
             got = type(value).__name__
             raise ConfigError(f"{what} field {name!r} must be {expected}, got {got}")
-    return doc

@@ -6,8 +6,13 @@ negative sampling, splitting and factor initialisation, trains every
 requested model on the train side and evaluates it on the test side:
 
 * quality: per (user, topic) pair with at least one test positive, the
-  curators ranked top-k (training positives of that pair excluded) are
-  scored against the pair's test positives;
+  curators ranked top-k (training positives of that pair excluded, ties
+  toward the lower curator index) are scored against the pair's test
+  positives.  With ``rank_scope="user"`` the unit is a user: every
+  (curator, topic) cell of the user is ranked, the user's training
+  positives are excluded, and ties break toward the lower cell id
+  ``j * K + t``.  Ranking a unit costs one stable sort of its m or m*K
+  scores;
 * fairness: predicted scores of the test cells (or of every cell, with
   ``fairness_scope="full"``) are grouped by curator group for MAD and KS.
   Full scope stacks one (n x m) product per topic in (user, curator, topic)
@@ -45,7 +50,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, FairtensorError, UndefinedMetricError, check_fields
+from .errors import ConfigError, FairtensorError, UndefinedMetricError, check_fields, check_types
 from .metrics import (
     GroupedScores,
     MetricsReport,
@@ -108,6 +113,7 @@ class ExperimentConfig:
     rank_scope: str = "user_topic"
 
     def __post_init__(self):
+        check_types(ExperimentConfig, vars(self), "config")
         if (self.synth is None) == (self.interactions_csv is None):
             raise ConfigError("give either interactions_csv or synth, not both")
         if not 0.0 <= self.negative_probability <= 1.0:
@@ -135,7 +141,8 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"model_overrides for unknown kind(s): {sorted(bad)}")
         for kind, overrides in self.model_overrides.items():
-            check_fields(TrainConfig, overrides, f"model_overrides[{kind!r}]")
+            what = f"model_overrides[{kind!r}]"
+            check_types(TrainConfig, check_fields(TrainConfig, overrides, what), what)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -190,25 +197,28 @@ def prepare_run(
 
 
 def _positives_by_unit(obs: ObservationTensor, rank_scope: str) -> dict:
-    out: dict = {}
-    for i, j, k, v in zip(obs.users, obs.curators, obs.topics, obs.values):
-        if v != 1.0:
-            continue
-        if rank_scope == "user_topic":
-            out.setdefault((int(i), int(k)), set()).add(int(j))
-        else:
-            out.setdefault(int(i), set()).add((int(j), int(k)))
-    return out
+    """Ids of the positive cells per ranking unit, in cell order: curator ids
+    per (user, topic) pair, or cell ids ``j * K + t`` per user."""
+    pos = obs.values == 1.0
+    kk = obs.n_topics
+    if rank_scope == "user_topic":
+        keys, items = obs.users[pos] * kk + obs.topics[pos], obs.curators[pos]
+    else:
+        keys, items = obs.users[pos], obs.curators[pos] * kk + obs.topics[pos]
+    order = np.argsort(keys, kind="stable")
+    keys, items = keys[order], items[order].tolist()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    units = keys[starts].tolist()
+    if rank_scope == "user_topic":
+        units = [divmod(key, kk) for key in units]
+    bounds = [*starts.tolist(), keys.size]
+    return {unit: items[a:b] for unit, a, b in zip(units, bounds, bounds[1:])}
 
 
-def _user_grid_top(
-    model: TrainedModel, user: int, k_items: int, exclude: set[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Top (curator, topic) cells for one user; ties break on (curator, topic)."""
-    kk = model.shape[2]
-    grid = np.stack([score_curators(model, user, t) for t in range(kk)], axis=1)
-    chosen = _top_indices(grid.ravel(), k_items, [j * kk + t for j, t in exclude])
-    return [(int(c // kk), int(c % kk)) for c in chosen]
+def _user_grid_top(model: TrainedModel, user: int, k_items: int, exclude: list[int]) -> list[int]:
+    """Top cell ids ``j * K + t`` of one user; ties break toward the lower id."""
+    grid = np.stack([score_curators(model, user, t) for t in range(model.shape[2])], axis=1)
+    return _top_indices(grid.ravel(), k_items, exclude).tolist()
 
 
 def _quality_metrics(
@@ -219,13 +229,11 @@ def _quality_metrics(
     train_pos = _positives_by_unit(ds.train, rank_scope)
     tops: dict = {}
     for unit in sorted(test_pos):
+        exclude = train_pos.get(unit, [])
         if rank_scope == "user_topic":
-            user, topic = unit
-            tops[unit] = top_k(
-                model, user, topic, k, exclude=sorted(train_pos.get(unit, ()))
-            )
+            tops[unit] = top_k(model, *unit, k, exclude=exclude)
         else:
-            tops[unit] = _user_grid_top(model, unit, k, train_pos.get(unit, set()))
+            tops[unit] = _user_grid_top(model, unit, k, exclude)
     p = precision_at_k(tops, test_pos, k)
     r = recall_at_k(tops, test_pos, k)
     return {"p_at_k": p, "r_at_k": r, "f1_at_k": f1_at_k(p, r)}

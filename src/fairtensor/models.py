@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import SensitiveMap
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, check_types
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
@@ -111,6 +111,7 @@ class TrainConfig:
     extra_sensitive_cols: bool = False
 
     def __post_init__(self):
+        check_types(TrainConfig, vars(self), "train")
         if self.rank < 1:
             raise ConfigError("rank must be >= 1")
         for name in ("lam", "parity_weight", "ortho_weight", "tol"):
@@ -582,7 +583,7 @@ def train_model(
 ) -> TrainedModel:
     """Dispatch to the right trainer for ``kind``."""
     if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise ConfigError(f"unknown model kind {kind!r}")
     if kind in TENSOR_KINDS:
         return _train_tensor(kind, train, sensitive, cfg)
     return train_matrix(kind, train, sensitive, cfg)
@@ -628,11 +629,14 @@ def score_curators(model: TrainedModel, user: int, topic: int) -> np.ndarray:
 
 
 def _top_indices(scores: np.ndarray, k_items: int, exclude: Sequence[int]) -> np.ndarray:
-    """Indices of the ``k_items`` highest scores outside ``exclude``; ties
-    break toward the lower index."""
-    candidates = np.setdiff1d(np.arange(scores.size), np.asarray(list(exclude), dtype=np.int64))
-    order = np.lexsort((candidates, -scores[candidates]))
-    return candidates[order[:k_items]]
+    """Indices of the ``k_items`` highest scores outside ``exclude`` (indices
+    in range); ties break toward the lower index.  Excluded indices are
+    dropped from the sorted order, not masked in the scores, so infinities
+    and NaN (sorted last) cannot collide with a mask value."""
+    keep = np.ones(scores.size, dtype=bool)
+    keep[np.asarray(list(exclude), dtype=np.int64)] = False
+    order = np.argsort(-scores, kind="stable")
+    return order[keep[order]][:k_items]
 
 
 def top_k(
@@ -649,9 +653,11 @@ def top_k(
     is min(k_items, number of non-excluded curators).
     """
     if k_items < 1:
-        raise ValueError("k_items must be >= 1")
+        raise ConfigError("k_items must be >= 1")
     scores = score_curators(model, user, topic)
-    return [int(c) for c in _top_indices(scores, k_items, exclude)]
+    for c in exclude:
+        _check_index(c, scores.size, "curator")
+    return _top_indices(scores, k_items, exclude).tolist()
 
 
 # ---------------------------------------------------------------------------

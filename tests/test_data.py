@@ -168,8 +168,9 @@ class TestNegativeSample:
         assert a.entry_tuples() == b.entry_tuples()
 
     def test_bad_probability(self):
-        with pytest.raises(ValueError):
-            negative_sample(self.positives(), 1.5, seed=0)
+        for probability in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match=r"probability must lie in \[0, 1\]"):
+                negative_sample(self.positives(), probability, seed=0)
 
     def test_paper_scale_count_within_three_sigma(self):
         # 16,867 positives in a 589 x 252 x 10 tensor; p = 0.00113
@@ -224,8 +225,9 @@ class TestSplit:
             split(self.entries(1), 0.7, seed=0)
 
     def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            split(self.entries(5), 1.0, seed=0)
+        for fraction in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ConfigError, match="train_fraction must lie strictly between"):
+                split(self.entries(5), fraction, seed=0)
 
 
 class TestSynthGenerate:
@@ -265,6 +267,15 @@ class TestSynthGenerate:
         obs, _, _ = synth_generate(cfg)
         assert obs.sparsity >= 0.07
         assert obs.n_entries == math.ceil(0.07 * obs.n_cells)
+
+    @pytest.mark.parametrize("field, value, got", [
+        ("n_users", "20", "str"),
+        ("seed", 1.0, "float"),
+        ("bias_strength", None, "NoneType"),
+    ])
+    def test_config_value_type_is_config_error(self, field, value, got):
+        with pytest.raises(ConfigError, match=rf"synth field {field!r} must be \w+, got {got}"):
+            self.small(**{field: value})
 
     def test_group_ratio_must_leave_both_groups(self):
         with pytest.raises(ConfigError):

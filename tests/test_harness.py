@@ -17,7 +17,14 @@ from fairtensor.harness import (
     run_experiment,
     run_oracles,
 )
-from fairtensor.models import TrainConfig, load_checkpoint, train_model
+from fairtensor.models import (
+    TrainConfig,
+    TrainedModel,
+    load_checkpoint,
+    score_curators,
+    train_model,
+)
+from fairtensor.tensor_core import FactorModel, ObservationTensor
 
 
 def write_toy_dataset(tmp_path, n_users=5, n_curators=4, n_topics=2):
@@ -83,6 +90,16 @@ class TestExperimentConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config field"):
             ExperimentConfig.from_dict({"interactions_csv": "x", "bogus": 1})
+
+    def test_value_type_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="config field 'repeats' must be int, got str"):
+            toy_config(tmp_path, repeats="1")
+        with pytest.raises(ConfigError, match="config field 'fairness_scope' must be str"):
+            toy_config(tmp_path, fairness_scope=None)
+        with pytest.raises(
+            ConfigError, match=r"model_overrides\['OTC'\] field 'rank' must be int, got str"
+        ):
+            toy_config(tmp_path, model_overrides={"OTC": {"rank": "3"}})
 
     def test_overrides_applied(self, tmp_path):
         cfg = toy_config(tmp_path, model_overrides={"OTC": {"rank": 7}})
@@ -208,6 +225,96 @@ class TestEvaluateScopes:
         values = evaluate_model(model, ds, smap, 3, 50, rank_scope="user")
         for v in values.values():
             assert math.isfinite(v)
+
+
+def reference_positives_by_unit(obs, rank_scope):
+    """Per-cell loop: positive ids per unit in cell order."""
+    out = {}
+    for i, j, t, v in zip(obs.users, obs.curators, obs.topics, obs.values):
+        if v != 1.0:
+            continue
+        if rank_scope == "user_topic":
+            out.setdefault((int(i), int(t)), []).append(int(j))
+        else:
+            out.setdefault(int(i), []).append(int(j) * obs.n_topics + int(t))
+    return out
+
+
+def small_synth_config(**kw):
+    base = dict(
+        synth=SynthConfig(
+            n_users=30, n_curators=12, n_topics=3, true_rank=2,
+            group_ratio=0.5, bias_strength=0.2, target_sparsity=0.15, seed=3,
+        ),
+        negative_probability=0.05,
+        repeats=1,
+        k=4,
+        models=("OTC",),
+        train=TrainConfig(rank=3, max_iters=20, seed=0),
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+class TestRanking:
+    @pytest.mark.parametrize("rank_scope", ["user_topic", "user"])
+    def test_positives_by_unit_matches_cell_loop(self, rank_scope):
+        ds, _ = prepare_run(small_synth_config(), run=1)
+        rng = np.random.default_rng(0)
+        n, m, kk = 9, 7, 4
+        flat = rng.permutation(n * m * kk)[:120]  # cells out of key order
+        shuffled = ObservationTensor(
+            n, m, kk, flat // (m * kk), (flat // kk) % m, flat % kk,
+            rng.integers(0, 2, flat.size).astype(float),
+        )
+        empty = ObservationTensor(n, m, kk, *(np.zeros(1, dtype=np.int64),) * 3, np.zeros(1))
+        for obs in (ds.train, ds.test, shuffled, empty):
+            got = harness._positives_by_unit(obs, rank_scope)
+            assert got == reference_positives_by_unit(obs, rank_scope)
+            assert all(type(x) is int for ids in got.values() for x in ids)
+
+    def tied_model(self, shape):
+        """Factors of 0s and 1s: most scores tie with many others."""
+        n, m, kk = shape
+        rng = np.random.default_rng(5)
+        factors = FactorModel(
+            *(rng.integers(0, 2, (size, 2)).astype(float) for size in (n, m, kk))
+        )
+        return TrainedModel(
+            kind="OTC", shape=shape, config=TrainConfig(rank=2), factors=factors,
+            loss_trace=(0.0,),
+        )
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_user_scope_matches_brute_force(self, tied):
+        cfg = small_synth_config(rank_scope="user")
+        ds, smap = prepare_run(cfg, run=1)
+        if tied:
+            model = self.tied_model(ds.train.shape)
+        else:
+            model = train_model("OTC", ds.train, cfg.train_config_for("OTC", 1), smap)
+        _, m, kk = model.shape
+        k = cfg.k
+        train_pos = {(i, j, t) for i, j, t, v in ds.train.entry_tuples() if v == 1.0}
+        test_pos: dict = {}
+        for i, j, t, v in ds.test.entry_tuples():
+            if v == 1.0:
+                test_pos.setdefault(i, set()).add(j * kk + t)
+        p = r = 0.0
+        for i in sorted(test_pos):
+            ranked = sorted(
+                (-float(score_curators(model, i, t)[j]), j, t)
+                for j in range(m) for t in range(kk) if (i, j, t) not in train_pos
+            )
+            expected = [j * kk + t for _, j, t in ranked[:k]]
+            exclude = [j * kk + t for (u, j, t) in sorted(train_pos) if u == i]
+            assert harness._user_grid_top(model, i, k, exclude) == expected
+            hits = len(set(expected) & test_pos[i])
+            p += hits / k
+            r += hits / len(test_pos[i])
+        values = evaluate_model(model, ds, smap, k, 50, rank_scope="user")
+        assert values["p_at_k"] == p / len(test_pos)
+        assert values["r_at_k"] == r / len(test_pos)
 
 
 class TestOracles:

@@ -28,6 +28,7 @@ from fairtensor.models import (
     _fit_terms,
     _init_factors,
     _objective,
+    _top_indices,
     load_checkpoint,
     ortho_penalty,
     parity_penalty,
@@ -745,8 +746,50 @@ class TestPredictAndTopK:
         assert len(top_k(model, 0, 0, 10, exclude=[0])) == 2
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="k_items must be >= 1"):
             top_k(self.scored_model([1.0]), 0, 0, 0)
+
+    @pytest.mark.parametrize("bad", [-1, 3, 99])
+    def test_exclude_out_of_range(self, bad):
+        model = self.scored_model([0.2, 0.9, 0.5])
+        with pytest.raises(IndexError, match=rf"curator index {bad} out of range \[0, 3\)"):
+            top_k(model, 0, 0, 2, exclude=[1, bad])
+
+
+def reference_top_indices(scores, k_items, exclude):
+    """The set-difference-and-lexsort ranking that ``_top_indices`` replaced."""
+    candidates = np.setdiff1d(np.arange(scores.size), np.asarray(list(exclude), dtype=np.int64))
+    order = np.lexsort((candidates, -scores[candidates]))
+    return candidates[order[:k_items]]
+
+
+SPECIAL_SCORES = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def ranking_inputs(draw):
+    m = draw(st.integers(1, 30))
+    pool = st.sampled_from(SPECIAL_SCORES) | st.floats(-3.0, 3.0)
+    scores = np.array(draw(st.lists(pool, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        exclude = draw(st.permutations(range(m)))  # every index, out of order
+    else:
+        exclude = draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    return scores, draw(st.integers(1, m + 3)), exclude
+
+
+class TestTopIndices:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(ranking_inputs())
+    def test_equals_setdiff_lexsort_reference(self, case):
+        scores, k_items, exclude = case
+        got = _top_indices(scores, k_items, exclude)
+        assert got.tolist() == reference_top_indices(scores, k_items, exclude).tolist()
+
+    def test_ties_signed_zeros_and_nan(self):
+        scores = np.array([0.0, np.nan, -0.0, np.inf, 0.0, -np.inf, np.nan])
+        assert _top_indices(scores, 7, [4]).tolist() == [3, 0, 2, 5, 1, 6]
+        assert _top_indices(scores, 7, [3, 3, 0, 6, 1]).tolist() == [2, 4, 5]
 
 
 def assert_same_model(a, b):
@@ -856,8 +899,19 @@ class TestTrainModelDispatch:
 
     def test_unknown_kind_rejected(self):
         ds, _ = biased_dataset()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unknown model kind 'XYZ'"):
             train_model("XYZ", ds.train, TrainConfig(rank=4), None)
+
+    @pytest.mark.parametrize("field, value, got", [
+        ("rank", "3", "str"),
+        ("rank", True, "bool"),
+        ("max_iters", 2.0, "float"),
+        ("lam", "0.1", "str"),
+        ("extra_sensitive_cols", 1, "int"),
+    ])
+    def test_config_value_type_is_config_error(self, field, value, got):
+        with pytest.raises(ConfigError, match=rf"train field {field!r} must be \w+, got {got}"):
+            TrainConfig(**{field: value})
 
     def test_divergence_raises_config_error(self):
         ds, smap = biased_dataset()
