@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -109,6 +109,22 @@ class SplitDataset:
     seed: int
 
 
+def _csv_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each nonblank data row of a CSV file, numbered
+    from 2; the first row must be ``header``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise EmptyDatasetError(f"{path}: file is empty") from None
+        if tuple(h.strip() for h in first) != header:
+            raise ParseError(f"expected header {','.join(header)}", line_number=1)
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                yield line_no, row
+
+
 def load_interactions(path: str | Path) -> tuple[list[InteractionRecord], IdMaps]:
     """Read an interactions CSV into records plus stable id->index maps.
 
@@ -121,30 +137,16 @@ def load_interactions(path: str | Path) -> tuple[list[InteractionRecord], IdMaps
     users: dict[str, int] = {}
     curators: dict[str, int] = {}
     topics: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        if tuple(h.strip() for h in header) != INTERACTIONS_HEADER:
-            raise ParseError(
-                f"expected header {','.join(INTERACTIONS_HEADER)}", line_number=1
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 or any(not f.strip() for f in row):
-                raise ParseError(
-                    f"expected 3 nonempty fields, got {row!r}", line_number=line_no
-                )
-            triple = (row[0].strip(), row[1].strip(), row[2].strip())
-            if triple in seen:
-                continue
-            seen.add(triple)
-            records.append(InteractionRecord(*triple))
-            for value, table in zip(triple, (users, curators, topics)):
-                table.setdefault(value, len(table))
+    for line_no, row in _csv_rows(path, INTERACTIONS_HEADER):
+        if len(row) != 3 or any(not f.strip() for f in row):
+            raise ParseError(f"expected 3 nonempty fields, got {row!r}", line_number=line_no)
+        triple = (row[0].strip(), row[1].strip(), row[2].strip())
+        if triple in seen:
+            continue
+        seen.add(triple)
+        records.append(InteractionRecord(*triple))
+        for value, table in zip(triple, (users, curators, topics)):
+            table.setdefault(value, len(table))
     if not records:
         raise EmptyDatasetError(f"{path}: no interaction rows")
     return records, IdMaps(users=users, curators=curators, topics=topics)
@@ -170,32 +172,20 @@ def load_sensitive(path: str | Path, curator_index: Mapping[str, int]) -> Sensit
     present in the map are ignored.
     """
     groups = np.full(len(curator_index), -1, dtype=np.int64)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        if tuple(h.strip() for h in header) != SENSITIVE_HEADER:
+    for line_no, row in _csv_rows(path, SENSITIVE_HEADER):
+        if len(row) != 2 or row[1].strip() not in ("0", "1"):
             raise ParseError(
-                f"expected header {','.join(SENSITIVE_HEADER)}", line_number=1
+                f"expected curator_id,group with group in {{0,1}}, got {row!r}",
+                line_number=line_no,
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or row[1].strip() not in ("0", "1"):
-                raise ParseError(
-                    f"expected curator_id,group with group in {{0,1}}, got {row!r}",
-                    line_number=line_no,
-                )
-            cid = row[0].strip()
-            if cid not in curator_index:
-                continue
-            j = curator_index[cid]
-            label = int(row[1])
-            if groups[j] != -1 and groups[j] != label:
-                raise ParseError(f"conflicting group for curator {cid!r}", line_number=line_no)
-            groups[j] = label
+        cid = row[0].strip()
+        if cid not in curator_index:
+            continue
+        j = curator_index[cid]
+        label = int(row[1])
+        if groups[j] != -1 and groups[j] != label:
+            raise ParseError(f"conflicting group for curator {cid!r}", line_number=line_no)
+        groups[j] = label
     missing = [cid for cid, j in curator_index.items() if groups[j] == -1]
     if missing:
         raise ConfigError(
@@ -222,14 +212,10 @@ def negative_sample(
     chosen = draws < probability
     chosen[positives.flat_indices()] = False
     flat = np.flatnonzero(chosen)
-    n_c, n_t = positives.n_curators, positives.n_topics
-    users = np.concatenate([positives.users, flat // (n_c * n_t)])
-    curators = np.concatenate([positives.curators, (flat // n_t) % n_c])
-    topics = np.concatenate([positives.topics, flat % n_t])
-    values = np.concatenate([positives.values, np.zeros(flat.size)])
-    return ObservationTensor(
-        positives.n_users, positives.n_curators, positives.n_topics,
-        users, curators, topics, values,
+    return ObservationTensor.from_flat(
+        positives.shape,
+        np.concatenate([positives.flat_indices(), flat]),
+        np.concatenate([positives.values, np.zeros(flat.size)]),
     )
 
 
@@ -316,13 +302,8 @@ def synth_generate(
     if n_pos < 1:
         raise ConfigError("target_sparsity yields no positives")
     flat = np.argpartition(scores.ravel(), total - n_pos)[total - n_pos:]
-    flat = np.sort(flat)
-    n_c, n_t = cfg.n_curators, cfg.n_topics
-    obs = ObservationTensor(
-        cfg.n_users, cfg.n_curators, cfg.n_topics,
-        flat // (n_c * n_t), (flat // n_t) % n_c, flat % n_t,
-        np.ones(flat.size),
-    )
+    flat = np.sort(flat)  # a copy, so the full-size argpartition result is freed here
+    obs = ObservationTensor.from_flat(scores.shape, flat, np.ones(flat.size))
     return obs, SensitiveMap(groups=groups), (u1, u2, u3)
 
 

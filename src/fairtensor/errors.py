@@ -3,7 +3,7 @@
 import functools
 import types
 import typing
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from typing import Mapping
 
 
@@ -40,16 +40,28 @@ class UndefinedMetricError(FairtensorError, ValueError):
     """A metric has no defined value for the given inputs."""
 
 
-_SCALARS = {int, float, str, bool, type(None)}
 _type_hints = functools.cache(typing.get_type_hints)  # resolving them costs ~0.2 ms
 
 
-def _fits(t: type, value) -> bool:
-    """Whether ``value`` fits the scalar type ``t``: a float takes an int,
-    neither number takes a bool, and other types must match exactly."""
+def _fits(t, value) -> bool:
+    """Whether ``value`` fits the type ``t``: a float takes an int, neither
+    number takes a bool, a ``tuple[X, ...]`` takes a list or tuple of X
+    (JSON has no tuples), a dict or dataclass type takes its instances and
+    other types must match exactly."""
+    if typing.get_origin(t) is tuple:
+        item = typing.get_args(t)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(item, v) for v in value)
     if t in (int, float):
         return isinstance(value, (int, t)) and not isinstance(value, bool)
+    if t is dict or is_dataclass(t):
+        return isinstance(value, t)
     return type(value) is t
+
+
+def _type_name(t) -> str:
+    if t is type(None):
+        return "None"
+    return str(t) if typing.get_args(t) else t.__name__
 
 
 def check_fields(cls, doc, what: str) -> Mapping:
@@ -67,14 +79,14 @@ def check_fields(cls, doc, what: str) -> Mapping:
 
 def check_types(cls, values: Mapping, what: str) -> None:
     """Raise a :class:`ConfigError` naming ``what`` unless each of ``values``
-    fits the scalar annotation of its field of the dataclass ``cls`` (``X |
-    None`` also takes None).  Container and dataclass fields are left to
-    their own checks."""
+    fits the annotation of its field of the dataclass ``cls`` (``X | None``
+    also takes None).  A container's own contents, such as a dict's
+    entries, are left to its class's checks."""
     hints = _type_hints(cls)
     for name, value in values.items():
         union = typing.get_origin(hints[name]) in (typing.Union, types.UnionType)
         allowed = typing.get_args(hints[name]) if union else (hints[name],)
-        if _SCALARS.issuperset(allowed) and not any(_fits(t, value) for t in allowed):
-            expected = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
+        if not any(_fits(t, value) for t in allowed):
+            expected = " or ".join(map(_type_name, allowed))
             got = type(value).__name__
             raise ConfigError(f"{what} field {name!r} must be {expected}, got {got}")

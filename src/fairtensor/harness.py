@@ -88,6 +88,18 @@ __all__ = [
     "run_oracles",
 ]
 
+
+def _check_evaluation(k: int, intervals: int, fairness_scope: str, rank_scope: str) -> None:
+    """The checks of the evaluation settings, for configs and
+    :func:`evaluate_model` alike."""
+    if k < 1 or intervals < 1:
+        raise ConfigError("k and intervals must be >= 1")
+    if fairness_scope not in ("test", "full"):
+        raise ConfigError("fairness_scope must be 'test' or 'full'")
+    if rank_scope not in ("user_topic", "user"):
+        raise ConfigError("rank_scope must be 'user_topic' or 'user'")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment.
@@ -122,8 +134,7 @@ class ExperimentConfig:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.k < 1 or self.intervals < 1:
-            raise ConfigError("k and intervals must be >= 1")
+        _check_evaluation(self.k, self.intervals, self.fairness_scope, self.rank_scope)
         models = tuple(self.models)
         if not models:
             raise ConfigError("at least one model kind is required")
@@ -133,10 +144,6 @@ class ExperimentConfig:
         if len(set(models)) != len(models):
             raise ConfigError("duplicate model kinds")
         object.__setattr__(self, "models", models)
-        if self.fairness_scope not in ("test", "full"):
-            raise ConfigError("fairness_scope must be 'test' or 'full'")
-        if self.rank_scope not in ("user_topic", "user"):
-            raise ConfigError("rank_scope must be 'user_topic' or 'user'")
         bad = set(self.model_overrides) - set(MODEL_KINDS)
         if bad:
             raise ConfigError(f"model_overrides for unknown kind(s): {sorted(bad)}")
@@ -150,8 +157,6 @@ class ExperimentConfig:
         for name, block in (("synth", SynthConfig), ("train", TrainConfig)):
             if doc.get(name) is not None:
                 doc[name] = block(**check_fields(block, doc[name], name))
-        if doc.get("models") is not None:
-            doc["models"] = tuple(doc["models"])
         return cls(**doc)
 
     @classmethod
@@ -282,10 +287,12 @@ def evaluate_model(
 ) -> dict[str, float]:
     """All five metrics for one trained model on one split.
 
-    Raises :class:`ConfigError` when the model was trained on another shape,
-    and :class:`UndefinedMetricError` when no unit has a test positive or a
-    group has no test cells (or no sensitive map was provided).
+    Raises :class:`ConfigError` for a bad setting or when the model was
+    trained on another shape, and :class:`UndefinedMetricError` when no unit
+    has a test positive or a group has no test cells (or no sensitive map was
+    provided).
     """
+    _check_evaluation(k, intervals, fairness_scope, rank_scope)
     if model.shape != ds.train.shape:
         raise ConfigError(
             f"{model.kind} model of shape {model.shape} cannot score a dataset "
@@ -392,13 +399,7 @@ def _brute_force_loss(u1, u2, u3, values, lam) -> float:
 
 
 def _fully_observed(values: np.ndarray) -> ObservationTensor:
-    n, m, kk = values.shape
-    users, curators, topics = np.meshgrid(
-        np.arange(n), np.arange(m), np.arange(kk), indexing="ij"
-    )
-    return ObservationTensor(
-        n, m, kk, users.ravel(), curators.ravel(), topics.ravel(), values.ravel()
-    )
+    return ObservationTensor.from_flat(values.shape, np.arange(values.size), values.ravel())
 
 
 def _check_kernel_loss() -> OracleCheck:
@@ -460,11 +461,7 @@ def _random_instance(rng):
     if not keep.any():
         keep[rng.integers(0, total)] = True
     flat = np.flatnonzero(keep)
-    obs = ObservationTensor(
-        int(n), int(m), int(kk),
-        flat // (m * kk), (flat // kk) % m, flat % kk,
-        rng.random(flat.size),
-    )
+    obs = ObservationTensor.from_flat((int(n), int(m), int(kk)), flat, rng.random(flat.size))
     return u1, u2, u3, obs
 
 

@@ -3,7 +3,10 @@
 Tensor kinds factor the full user x curator x topic tensor.  A matrix kind
 trains its tensor kind's problem on each topic slice, an N x M x 1 tensor
 whose topic factor is a constant row of ones, and stores each slice as the
-(n, m, 1) :class:`FactorModel` it was trained as:
+(n, m, 1) :class:`FactorModel` it was trained as.  :func:`train_model` is the
+one trainer: it checks the inputs, seeds one generator and fits each problem
+of the kind in turn; ``train_otc``, ``train_rtc``, ``train_ft`` and
+``train_matrix`` each make one call into it.
 
 =====  ======  =========================================================
 kind   solver  objective
@@ -199,11 +202,6 @@ class TrainedModel:
 
 # ---------------------------------------------------------------------------
 # shared optimisation machinery
-
-
-def _check_nonempty(train: ObservationTensor) -> None:
-    if train.n_entries == 0:
-        raise ConfigError("training set is empty")
 
 
 def _group0_cells(curators: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -443,38 +441,22 @@ def _fit(
     cfg: TrainConfig,
     params: list[np.ndarray],
 ) -> tuple[list[np.ndarray], list[float]]:
-    """Train one problem of a tensor kind from its initial factors.
+    """Train one problem of ``kind`` from its initial factors.
 
-    A one-topic slice passes its user and curator factors only.  FT passes
-    the curator factor at its full drawn width; the sensitive columns' draws
-    are dropped and the features take their place.
+    A matrix kind's problem is a one-topic slice, which it trains as its
+    tensor kind and which passes its user and curator factors only.  FT and
+    FM pass the curator factor at its full drawn width; the sensitive
+    columns' draws are dropped and the features take their place.
     """
-    if kind == "OTC":
+    if kind in ("OTC", "OMC"):
         return _als(train, params, cfg)
-    if kind == "RTC":
+    if kind in ("RTC", "RMC"):
         return _descend(params, _objective(train, cfg, groups=sensitive.groups), cfg)
     s = sensitive.matrix
     params = [params[0], params[1][:, : -s.shape[1]], *params[2:]]
     params, trace = _descend(params, _objective(train, cfg, s=s), cfg)
     params[1] = np.hstack([remove_span_component(params[1], s), s])
     return params, trace
-
-
-def _train_tensor(
-    kind: str, train: ObservationTensor, sensitive: SensitiveMap | None, cfg: TrainConfig
-) -> TrainedModel:
-    _check_nonempty(train)
-    _check_sensitive(kind, train, sensitive)
-    total, sens_cols = cfg.fair_layout() if kind == "FT" else (cfg.rank, ())
-    rng = np.random.default_rng(cfg.seed)
-    params, trace = _fit(kind, train, sensitive, cfg, _init_factors(rng, train.shape, total))
-    return TrainedModel(
-        kind=kind,
-        shape=train.shape,
-        config=cfg,
-        factors=FactorModel(*params, sensitive_cols=sens_cols),
-        loss_trace=tuple(trace),
-    )
 
 
 def train_otc(train: ObservationTensor, cfg: TrainConfig) -> TrainedModel:
@@ -485,14 +467,14 @@ def train_otc(train: ObservationTensor, cfg: TrainConfig) -> TrainedModel:
     one plan per mode, one stacked solve per mode per sweep; rows without
     cells are zero.
     """
-    return _train_tensor("OTC", train, None, cfg)
+    return train_model("OTC", train, cfg)
 
 
 def train_rtc(
     train: ObservationTensor, sensitive: SensitiveMap, cfg: TrainConfig
 ) -> TrainedModel:
     """Regularised tensor completion: gradient descent with a parity penalty."""
-    return _train_tensor("RTC", train, sensitive, cfg)
+    return train_model("RTC", train, cfg, sensitive)
 
 
 def train_ft(
@@ -510,69 +492,30 @@ def train_ft(
     (non-sensitive columns only) is exactly decoupled from the group
     indicators.
     """
-    return _train_tensor("FT", train, sensitive, cfg)
+    return train_model("FT", train, cfg, sensitive)
 
 
 def train_matrix(
-    kind: str,
-    train: ObservationTensor,
-    sensitive: SensitiveMap | None,
-    cfg: TrainConfig,
+    kind: str, train: ObservationTensor, sensitive: SensitiveMap | None, cfg: TrainConfig
 ) -> TrainedModel:
-    """Train a matrix kind: its tensor kind's problem on every topic slice.
-
-    Each nonempty topic becomes an N x M x 1 tensor whose topic factor is a
-    constant row of ones, so OMC runs OTC's ALS over the user and curator
-    modes, RMC descends RTC's objective and FM FT's, projection included.
-    The ones row joins each slice's :class:`FactorModel` only after
-    training, so no training product multiplies by it.  The slices draw
-    their inits from one generator in topic order and each stops on its
-    own.  Topics without training entries get zero factors (all-zero
-    predictions) and an empty loss trace.
-    """
+    """Train a matrix kind (OMC, RMC or FM) with :func:`train_model`."""
     if kind not in MATRIX_KINDS:
         raise ValueError(f"not a matrix kind: {kind!r}")
-    _check_nonempty(train)
-    _check_sensitive(kind, train, sensitive)
-    tensor_kind = TENSOR_KINDS[MATRIX_KINDS.index(kind)]
-    total, sens_cols = cfg.fair_layout() if kind == "FM" else (cfg.rank, ())
+    return train_model(kind, train, cfg, sensitive)
 
-    rng = np.random.default_rng(cfg.seed)
-    slices: list[FactorModel] = []
-    traces: list[tuple[float, ...]] = []
+
+def _problems(kind: str, train: ObservationTensor):
+    """(error prefix, problem) of each problem a kind trains: the tensor
+    itself, or one N x M x 1 slice per topic."""
+    if kind in TENSOR_KINDS:
+        yield "", train
+        return
+    cells = train.flat_indices() // train.n_topics  # each entry's (user, curator) cell
+    shape = (train.n_users, train.n_curators, 1)
     for topic in range(train.n_topics):
         mask = train.topics == topic
-        if not np.any(mask):
-            u1 = np.zeros((train.n_users, total))
-            u2 = np.zeros((train.n_curators, total))
-            if kind == "FM":
-                u2[:, sens_cols] = sensitive.matrix
-            slices.append(FactorModel(u1, u2, np.ones((1, total)), sensitive_cols=sens_cols))
-            traces.append(())
-            continue
-        obs = ObservationTensor(
-            train.n_users,
-            train.n_curators,
-            1,
-            train.users[mask],
-            train.curators[mask],
-            np.zeros(int(mask.sum()), dtype=np.int64),
-            train.values[mask],
-        )
-        params = _init_factors(rng, obs.shape[:2], total)
-        try:
-            (u1, u2), trace = _fit(tensor_kind, obs, sensitive, cfg, params)
-        except ConfigError as exc:
-            raise ConfigError(f"topic {topic}: {exc}") from None
-        slices.append(FactorModel(u1, u2, np.ones((1, total)), sensitive_cols=sens_cols))
-        traces.append(tuple(trace))
-    return TrainedModel(
-        kind=kind,
-        shape=train.shape,
-        config=cfg,
-        slices=tuple(slices),
-        slice_traces=tuple(traces),
-    )
+        obs = ObservationTensor.from_flat(shape, cells[mask], train.values[mask])
+        yield f"topic {topic}: ", obs
 
 
 def train_model(
@@ -581,12 +524,46 @@ def train_model(
     cfg: TrainConfig,
     sensitive: SensitiveMap | None = None,
 ) -> TrainedModel:
-    """Dispatch to the right trainer for ``kind``."""
+    """Train one model of ``kind``; every kind goes through this trainer.
+
+    A tensor kind fits one problem, the whole tensor.  A matrix kind fits its
+    tensor kind's problem on every topic slice: each topic becomes an
+    N x M x 1 tensor whose topic factor is a constant row of ones, so OMC
+    runs OTC's ALS over the user and curator modes, RMC descends RTC's
+    objective and FM FT's, projection included.  The ones row joins each
+    slice's :class:`FactorModel` only after training, so no training product
+    multiplies by it.  The slices draw their inits from one generator in
+    topic order and each stops on its own.  Topics without training entries
+    get zero factors (all-zero predictions; FM's keep the features) and an
+    empty loss trace; a slice's errors name its topic.
+    """
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    if kind in TENSOR_KINDS:
-        return _train_tensor(kind, train, sensitive, cfg)
-    return train_matrix(kind, train, sensitive, cfg)
+    if train.n_entries == 0:
+        raise ConfigError("training set is empty")
+    _check_sensitive(kind, train, sensitive)
+    total, sens_cols = cfg.fair_layout() if kind in FAIR_KINDS else (cfg.rank, ())
+    is_tensor = kind in TENSOR_KINDS
+    rng = np.random.default_rng(cfg.seed)
+    fitted, traces = [], []
+    for prefix, obs in _problems(kind, train):
+        modes = obs.shape if is_tensor else obs.shape[:2]  # a slice's ones row is no parameter
+        if obs.n_entries == 0:
+            params, trace = [np.zeros((n, total)) for n in modes], []
+            if kind == "FM":
+                params[1][:, sens_cols] = sensitive.matrix
+        else:
+            try:
+                params, trace = _fit(kind, obs, sensitive, cfg, _init_factors(rng, modes, total))
+            except ConfigError as exc:
+                raise ConfigError(f"{prefix}{exc}") from None
+        if not is_tensor:
+            params = [*params, np.ones((1, total))]
+        fitted.append(FactorModel(*params, sensitive_cols=sens_cols))
+        traces.append(tuple(trace))
+    if is_tensor:
+        return TrainedModel(kind, train.shape, cfg, factors=fitted[0], loss_trace=traces[0])
+    return TrainedModel(kind, train.shape, cfg, slices=tuple(fitted), slice_traces=tuple(traces))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,17 @@ class ObservationTensor:
             values = np.empty(0, dtype=np.float64)
         return cls(n_users, n_curators, n_topics, users, curators, topics, values)
 
+    @classmethod
+    def from_flat(
+        cls, shape: Sequence[int], flat: np.ndarray, values: np.ndarray
+    ) -> "ObservationTensor":
+        """Build from row-major flat cell indices, the inverse of :meth:`flat_indices`."""
+        n_users, n_curators, n_topics = shape
+        flat = np.asarray(flat, dtype=np.int64)
+        users = flat // (n_curators * n_topics)
+        curators = (flat // n_topics) % n_curators
+        return cls(n_users, n_curators, n_topics, users, curators, flat % n_topics, values)
+
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.n_users, self.n_curators, self.n_topics)

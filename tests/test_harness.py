@@ -1,7 +1,10 @@
+import ast
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +103,20 @@ class TestExperimentConfig:
             ConfigError, match=r"model_overrides\['OTC'\] field 'rank' must be int, got str"
         ):
             toy_config(tmp_path, model_overrides={"OTC": {"rank": "3"}})
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("models", 5, "tuple[str, ...], got int"),
+        ("models", ["OTC", 5], "tuple[str, ...], got list"),
+        ("train", None, "TrainConfig, got NoneType"),
+        ("synth", {"n_users": 3}, "SynthConfig or None, got dict"),
+        ("model_overrides", ["OTC"], "dict, got list"),
+    ])
+    def test_container_value_type_is_config_error(self, tmp_path, field, value, expected):
+        with pytest.raises(ConfigError, match=rf"config field '{field}' must be {re.escape(expected)}"):
+            toy_config(tmp_path, **{field: value})
+
+    def test_models_list_becomes_tuple(self, tmp_path):
+        assert toy_config(tmp_path, models=["OTC", "FT"]).models == ("OTC", "FT")
 
     def test_overrides_applied(self, tmp_path):
         cfg = toy_config(tmp_path, model_overrides={"OTC": {"rank": 7}})
@@ -225,6 +242,19 @@ class TestEvaluateScopes:
         values = evaluate_model(model, ds, smap, 3, 50, rank_scope="user")
         for v in values.values():
             assert math.isfinite(v)
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(rank_scope="bogus"), "rank_scope must be"),
+        (dict(fairness_scope="everything"), "fairness_scope must be"),
+        (dict(k=0, rank_scope="user"), "k and intervals must be >= 1"),
+        (dict(k=0, rank_scope="user_topic"), "k and intervals must be >= 1"),
+        (dict(intervals=0), "k and intervals must be >= 1"),
+    ], ids=["rank_scope", "fairness_scope", "k-user", "k-user_topic", "intervals"])
+    def test_bad_setting_is_config_error(self, tmp_path, setting, message):
+        model, ds, smap = self.trained(tmp_path)
+        args = {"k": 3, "intervals": 50, **setting}
+        with pytest.raises(ConfigError, match=message):
+            evaluate_model(model, ds, smap, **args)
 
 
 def reference_positives_by_unit(obs, rank_scope):
@@ -493,14 +523,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rnak" in err
 
+    # the bad JSON value of each top-level field and the type error it gives
+    TOP_LEVEL = {
+        "repeats": ("1", "int, got str"),
+        "models": (5, "tuple[str, ...], got int"),
+        "train": (None, "TrainConfig, got NoneType"),
+        "model_overrides": (["OTC"], "dict, got list"),
+    }
+
     @pytest.mark.parametrize("command, block, field, label", [
         ("experiment", None, "repeats", "config"),
         ("experiment", "train", "rank", "train"),
         ("experiment", "synth", "n_users", "synth"),
         ("experiment", "model_overrides", "rank", "model_overrides['OTC']"),
         ("synth", "bare synth", "n_users", "synth"),
+        ("experiment", None, "models", "config"),
+        ("experiment", None, "train", "config"),
+        ("experiment", None, "model_overrides", "config"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, command, block, field, label):
+        expected = "int, got str"
         if block == "bare synth":
             path = self.synth_config(tmp_path)
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -511,14 +553,14 @@ class TestCli:
             if block == "model_overrides":
                 doc[block] = {"OTC": {field: "3"}}
             elif block is None:
-                doc[field] = "1"
+                doc[field], expected = self.TOP_LEVEL[field]
             else:
                 doc[block][field] = "20"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {label} field {field!r} must be int, got str")
+        assert err.startswith(f"error: {label} field {field!r} must be {expected}")
 
     def test_oracle_subcommand_exits_zero(self, src_env):
         proc = subprocess.run(
@@ -532,3 +574,16 @@ class TestCli:
         lines = [l for l in proc.stdout.strip().splitlines() if l]
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
+
+
+def test_package_has_no_assert():
+    """Checks that guard results must raise: ``python -O`` strips asserts."""
+    package = Path(harness.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(package.glob("*.py"))) >= 8
+    assert not found, f"assert statements in fairtensor: {found}"

@@ -84,6 +84,17 @@ class TestObservationTensor:
         with pytest.raises(IndexError):
             ObservationTensor.from_entries(2, 2, 2, [(-1, 0, 0, 1.0)])
 
+    def test_from_flat_inverts_flat_indices(self):
+        obs = ObservationTensor.from_entries(
+            3, 4, 5, [(2, 3, 4, 0.5), (0, 0, 0, 1.0), (1, 2, 3, 0.0), (0, 3, 1, 2.0)]
+        )
+        flat = obs.flat_indices()
+        assert flat.tolist() == [(i * 4 + j) * 5 + k for i, j, k, _ in obs.entry_tuples()]
+        # entries in any order come back in canonical order
+        back = ObservationTensor.from_flat(obs.shape, flat[::-1], obs.values[::-1])
+        assert back.shape == obs.shape
+        assert back.entry_tuples() == obs.entry_tuples()
+
 
 class TestCpEntry:
     def test_single_term_product(self):
