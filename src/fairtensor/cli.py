@@ -28,8 +28,8 @@ from .harness import (
 from .models import load_checkpoint, save_checkpoint, train_model
 
 
-def _add_common(parser: argparse.ArgumentParser, *, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="JSON config file")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="overrides base_seed")
     parser.add_argument(
@@ -74,8 +74,7 @@ def _cmd_train(args) -> int:
     cfg = _experiment_config(args)
     kind = _single_kind(cfg)
     ds, smap = prepare_run(cfg, run=1)
-    seed = cfg.base_seed + 1
-    model = train_model(kind, ds.train, cfg.train_config_for(kind, seed), smap)
+    model = train_model(kind, ds.train, cfg.train_config_for(kind, ds.seed), smap)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{kind.lower()}_checkpoint.json"
@@ -91,7 +90,7 @@ def _cmd_evaluate(args) -> int:
     values = evaluate_model(
         model, ds, smap, cfg.k, cfg.intervals, cfg.fairness_scope, cfg.rank_scope
     )
-    doc = {"model": model.kind, "seed": cfg.base_seed + 1, **values}
+    doc = {"model": model.kind, "seed": ds.seed, **values}
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -319,13 +319,13 @@ def calibrate_bias_strength(
     cfg: SynthConfig,
     target_ratio: float,
     rel_tol: float = 0.02,
-    max_iter: int = 60,
 ) -> float:
     """Bisection for the bias level whose positive counts split group 0 vs
     group 1 at roughly ``target_ratio`` : 1.
 
     The generated positive ratio is monotone in the bias, so plain bisection
-    on the generator (same seed throughout) converges.
+    on the generator (same seed throughout) converges; after 60 steps it
+    returns the bracket's upper end.
     """
     if target_ratio <= 0:
         raise ConfigError("target_ratio must be positive")
@@ -342,7 +342,7 @@ def calibrate_bias_strength(
             raise ConfigError("cannot reach target_ratio with any finite bias")
     if ratio_at(lo) >= target_ratio:
         return lo
-    for _ in range(max_iter):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         r = ratio_at(mid)
         if r < target_ratio:

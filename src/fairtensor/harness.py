@@ -92,6 +92,7 @@ __all__ = [
 def _check_evaluation(k: int, intervals: int, fairness_scope: str, rank_scope: str) -> None:
     """The checks of the evaluation settings, for configs and
     :func:`evaluate_model` alike."""
+    check_types(ExperimentConfig, {"k": k, "intervals": intervals}, "evaluation")
     if k < 1 or intervals < 1:
         raise ConfigError("k and intervals must be >= 1")
     if fairness_scope not in ("test", "full"):
@@ -126,6 +127,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_types(ExperimentConfig, vars(self), "config")
+        if self.train.seed != 0:
+            raise ConfigError(
+                "train.seed is not used: base_seed seeds each run; set "
+                "model_overrides[kind]['seed'] to fix one kind's initialisation"
+            )
         if (self.synth is None) == (self.interactions_csv is None):
             raise ConfigError("give either interactions_csv or synth, not both")
         if not 0.0 <= self.negative_probability <= 1.0:
@@ -150,6 +156,10 @@ class ExperimentConfig:
         for kind, overrides in self.model_overrides.items():
             what = f"model_overrides[{kind!r}]"
             check_types(TrainConfig, check_fields(TrainConfig, overrides, what), what)
+            try:
+                replace(self.train, **overrides)
+            except ConfigError as exc:
+                raise ConfigError(f"{what}: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -187,14 +197,19 @@ def _load_source(cfg: ExperimentConfig) -> tuple[ObservationTensor, SensitiveMap
     return obs, smap
 
 
+def _run_split(cfg: ExperimentConfig, positives: ObservationTensor, run: int) -> SplitDataset:
+    """Run ``run``'s negative sample and split, both seeded with ``base_seed + run``."""
+    seed = cfg.base_seed + run
+    sampled = negative_sample(positives, cfg.negative_probability, seed)
+    return split(sampled, cfg.train_fraction, seed)
+
+
 def prepare_run(
     cfg: ExperimentConfig, run: int = 1
 ) -> tuple[SplitDataset, SensitiveMap | None]:
     """Materialise the sampled-and-split dataset of one run."""
     positives, smap = _load_source(cfg)
-    seed = cfg.base_seed + run
-    sampled = negative_sample(positives, cfg.negative_probability, seed)
-    return split(sampled, cfg.train_fraction, seed), smap
+    return _run_split(cfg, positives, run), smap
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +218,7 @@ def prepare_run(
 
 def _positives_by_unit(obs: ObservationTensor, rank_scope: str) -> dict:
     """Ids of the positive cells per ranking unit, in cell order: curator ids
-    per (user, topic) pair, or cell ids ``j * K + t`` per user."""
+    per (user, topic) unit ``i * K + t``, or cell ids ``j * K + t`` per user ``i``."""
     pos = obs.values == 1.0
     kk = obs.n_topics
     if rank_scope == "user_topic":
@@ -214,8 +229,6 @@ def _positives_by_unit(obs: ObservationTensor, rank_scope: str) -> dict:
     keys, items = keys[order], items[order].tolist()
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     units = keys[starts].tolist()
-    if rank_scope == "user_topic":
-        units = [divmod(key, kk) for key in units]
     bounds = [*starts.tolist(), keys.size]
     return {unit: items[a:b] for unit, a, b in zip(units, bounds, bounds[1:])}
 
@@ -236,7 +249,7 @@ def _quality_metrics(
     for unit in sorted(test_pos):
         exclude = train_pos.get(unit, [])
         if rank_scope == "user_topic":
-            tops[unit] = top_k(model, *unit, k, exclude=exclude)
+            tops[unit] = top_k(model, *divmod(unit, ds.test.n_topics), k, exclude=exclude)
         else:
             tops[unit] = _user_grid_top(model, unit, k, exclude)
     p = precision_at_k(tops, test_pos, k)
@@ -310,11 +323,10 @@ def _run_one_model(
     smap: SensitiveMap | None,
     cfg: ExperimentConfig,
     run: int,
-    seed: int,
 ) -> RunMetrics:
-    base = dict(model=kind, run=run, seed=seed)
+    base = dict(model=kind, run=run, seed=ds.seed)
     try:
-        model = train_model(kind, ds.train, cfg.train_config_for(kind, seed), smap)
+        model = train_model(kind, ds.train, cfg.train_config_for(kind, ds.seed), smap)
     except ConfigError as exc:
         return RunMetrics(**base, error=f"training failed: {exc}")
 
@@ -348,10 +360,8 @@ def run_experiment(
 
     rows: list[RunMetrics] = []
     for run in range(1, cfg.repeats + 1):
-        seed = cfg.base_seed + run
-        sampled = negative_sample(positives, cfg.negative_probability, seed)
-        ds = split(sampled, cfg.train_fraction, seed)
-        rows.extend(_run_one_model(kind, ds, smap, cfg, run, seed) for kind in sorted(cfg.models))
+        ds = _run_split(cfg, positives, run)
+        rows.extend(_run_one_model(kind, ds, smap, cfg, run) for kind in sorted(cfg.models))
 
     report = MetricsReport(
         k=cfg.k, intervals=cfg.intervals, rows=tuple(rows), config=cfg.to_dict()
@@ -569,9 +579,7 @@ def _check_ft_structure() -> OracleCheck:
         n_users=40, n_curators=24, n_topics=3, true_rank=3,
         group_ratio=0.5, bias_strength=1.2, target_sparsity=0.08, seed=5,
     )
-    positives, smap, _ = synth_generate(cfg)
-    sampled = negative_sample(positives, 0.008, 9)
-    ds = split(sampled, 0.7, 9)
+    ds, smap = prepare_run(ExperimentConfig(synth=cfg, negative_probability=0.008, base_seed=8))
     model = train_ft(
         ds.train, smap,
         TrainConfig(rank=6, lam=0.01, ortho_weight=1.0, learning_rate=0.01,

@@ -14,7 +14,7 @@ maximum.  Lower is fairer for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -49,40 +49,34 @@ class GroupedScores:
             object.__setattr__(self, name, arr)
 
 
-def _eligible(positives: Mapping) -> list:
-    keys = [key for key, pos in positives.items() if len(pos) > 0]
+def _mean_over_units(top_lists: Mapping, positives: Mapping, k: int, ratio: Callable) -> float:
+    """Mean of ``ratio(hits, n_positives)`` over the units with a test
+    positive, in sorted order; ``hits`` counts a unit's top-k among them."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    keys = sorted(key for key, pos in positives.items() if len(pos) > 0)
     if not keys:
         raise UndefinedMetricError("no evaluation unit has a test positive")
-    return sorted(keys)
+    total = 0.0
+    for key in keys:
+        pos = set(positives[key])
+        hits = len(set(top_lists.get(key, ())[:k]) & pos)
+        total += ratio(hits, len(pos))
+    return total / len(keys)
 
 
 def precision_at_k(
     top_lists: Mapping, positives: Mapping, k: int
 ) -> float:
     """Mean over eligible units of |top-k hits| / k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    keys = _eligible(positives)
-    total = 0.0
-    for key in keys:
-        hits = len(set(top_lists.get(key, ())[:k]) & set(positives[key]))
-        total += hits / k
-    return total / len(keys)
+    return _mean_over_units(top_lists, positives, k, lambda hits, _: hits / k)
 
 
 def recall_at_k(
     top_lists: Mapping, positives: Mapping, k: int
 ) -> float:
     """Mean over eligible units of |top-k hits| / |test positives|."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    keys = _eligible(positives)
-    total = 0.0
-    for key in keys:
-        pos = set(positives[key])
-        hits = len(set(top_lists.get(key, ())[:k]) & pos)
-        total += hits / len(pos)
-    return total / len(keys)
+    return _mean_over_units(top_lists, positives, k, lambda hits, n_pos: hits / n_pos)
 
 
 def f1_at_k(p: float, r: float) -> float:

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import SensitiveMap
-from .errors import ConfigError, check_fields, check_types
+from .errors import ConfigError, _fits, check_fields, check_types
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
@@ -629,6 +629,8 @@ def top_k(
     (typically the pair's training positives) are omitted.  The list length
     is min(k_items, number of non-excluded curators).
     """
+    if not _fits(int, k_items):
+        raise ConfigError(f"k_items must be int, got {type(k_items).__name__}")
     if k_items < 1:
         raise ConfigError("k_items must be >= 1")
     scores = score_curators(model, user, topic)
@@ -646,7 +648,10 @@ def _encode_matrix(arr: np.ndarray) -> dict:
 
 
 def _decode_matrix(obj: dict) -> np.ndarray:
-    return np.asarray(obj["data"], dtype=np.float64).reshape(obj["shape"])
+    arr = np.asarray(obj["data"], dtype=np.float64).reshape(obj["shape"])
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("factor values must be finite")
+    return arr
 
 
 _FACTOR_FIELDS = ("u_users", "u_curators", "u_topics")

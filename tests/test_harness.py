@@ -118,6 +118,20 @@ class TestExperimentConfig:
     def test_models_list_becomes_tuple(self, tmp_path):
         assert toy_config(tmp_path, models=["OTC", "FT"]).models == ("OTC", "FT")
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rank": 0}, "rank must be >= 1"),
+        ({"learning_rate": -1.0}, "learning_rate must be > 0"),
+    ], ids=["rank", "learning_rate"])
+    def test_out_of_range_override_is_config_error(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=rf"model_overrides\['OTC'\]: {message}"):
+            toy_config(tmp_path, model_overrides={"OTC": overrides})
+
+    def test_train_seed_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="base_seed seeds each run"):
+            toy_config(tmp_path, train=TrainConfig(rank=3, max_iters=30, seed=5))
+        cfg = toy_config(tmp_path, model_overrides={"OTC": {"seed": 5}})
+        assert cfg.train_config_for("OTC", seed=1).seed == 5
+
     def test_overrides_applied(self, tmp_path):
         cfg = toy_config(tmp_path, model_overrides={"OTC": {"rank": 7}})
         resolved = cfg.train_config_for("OTC", seed=5)
@@ -249,7 +263,13 @@ class TestEvaluateScopes:
         (dict(k=0, rank_scope="user"), "k and intervals must be >= 1"),
         (dict(k=0, rank_scope="user_topic"), "k and intervals must be >= 1"),
         (dict(intervals=0), "k and intervals must be >= 1"),
-    ], ids=["rank_scope", "fairness_scope", "k-user", "k-user_topic", "intervals"])
+        (dict(k="3"), "field 'k' must be int, got str"),
+        (dict(k=2.5), "field 'k' must be int, got float"),
+        (dict(k=True), "field 'k' must be int, got bool"),
+        (dict(intervals="5"), "field 'intervals' must be int, got str"),
+        (dict(intervals=2.0), "field 'intervals' must be int, got float"),
+    ], ids=["rank_scope", "fairness_scope", "k-user", "k-user_topic", "intervals",
+            "k-str", "k-float", "k-bool", "intervals-str", "intervals-float"])
     def test_bad_setting_is_config_error(self, tmp_path, setting, message):
         model, ds, smap = self.trained(tmp_path)
         args = {"k": 3, "intervals": 50, **setting}
@@ -264,7 +284,7 @@ def reference_positives_by_unit(obs, rank_scope):
         if v != 1.0:
             continue
         if rank_scope == "user_topic":
-            out.setdefault((int(i), int(t)), []).append(int(j))
+            out.setdefault(int(i) * obs.n_topics + int(t), []).append(int(j))
         else:
             out.setdefault(int(i), []).append(int(j) * obs.n_topics + int(t))
     return out
@@ -482,6 +502,35 @@ class TestCli:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         return path
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "5"]], ids=["base_seed", "seed-flag"])
+    def test_train_evaluate_reproduce_experiment_run_1(self, tmp_path, capsys, seed_args):
+        exp_cfg = self.synth_experiment(tmp_path, "exp", repeats=2, models=["OTC", "RTC"])
+        out = tmp_path / "report"
+        code = cli_main(["experiment", "--config", str(exp_cfg), "--out", str(out), *seed_args])
+        assert code == 0
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+        expected = next(r for r in rows if r["model"] == "RTC" and r["run"] == 1)
+        assert expected["seed"] == (6 if seed_args else 1)
+        common = ["--config", str(exp_cfg), "--models", "RTC", *seed_args]
+        assert cli_main(["train", *common, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        ckpt = str(tmp_path / "rtc_checkpoint.json")
+        assert cli_main(["evaluate", *common, "--checkpoint", ckpt]) == 0
+        got = json.loads(capsys.readouterr().out)
+        for name in ("seed", "p_at_k", "r_at_k", "f1_at_k", "mad", "ks"):
+            assert got[name] == expected[name], name
+
+    @pytest.mark.parametrize("edit", [
+        {"model_overrides": {"OTC": {"rank": 0}}},
+        {"train": {"rank": 3, "max_iters": 5, "seed": 5}},
+    ], ids=["override-range", "train-seed"])
+    def test_config_rejected_before_any_run(self, tmp_path, capsys, edit):
+        exp_cfg = self.synth_experiment(tmp_path, "exp", **edit)
+        out = tmp_path / "out"
+        assert cli_main(["experiment", "--config", str(exp_cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("problem", ["missing", "truncated", "other shape"])
     def test_evaluate_bad_checkpoint_exits_2(self, tmp_path, capsys, problem):

@@ -748,6 +748,9 @@ class TestPredictAndTopK:
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError, match="k_items must be >= 1"):
             top_k(self.scored_model([1.0]), 0, 0, 0)
+        for bad, name in (("3", "str"), (2.5, "float"), (True, "bool")):
+            with pytest.raises(ConfigError, match=f"k_items must be int, got {name}"):
+                top_k(self.scored_model([1.0]), 0, 0, bad)
 
     @pytest.mark.parametrize("bad", [-1, 3, 99])
     def test_exclude_out_of_range(self, bad):
@@ -844,6 +847,8 @@ class TestCheckpoints:
         (lambda d: d.update(kind="XYZ"), "unknown model kind"),
         (lambda d: d["config"].update(rnak=3), "unknown checkpoint config field"),
         (lambda d: d["dimensions"].update(n_users=1), "factors of shape"),
+        (lambda d: d["factors"]["u_users"]["data"].__setitem__(0, None), "values must be finite"),
+        (lambda d: d["factors"]["u_topics"]["data"].__setitem__(1, np.nan), "must be finite"),
     ])
     def test_malformed_checkpoint_is_config_error(self, tmp_path, edit, message):
         path = self.write_broken(tmp_path, edit)
