@@ -86,6 +86,9 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _experiment_config(args)
     model = load_checkpoint(args.checkpoint)
+    kind = _single_kind(cfg)
+    if kind != model.kind:
+        raise FairtensorError(f"--models {kind} does not match the checkpoint's {model.kind} model")
     ds, smap = prepare_run(cfg, run=1)
     values = evaluate_model(
         model, ds, smap, cfg.k, cfg.intervals, cfg.fairness_scope, cfg.rank_scope

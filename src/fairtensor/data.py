@@ -45,6 +45,19 @@ __all__ = [
 INTERACTIONS_HEADER = ("user_id", "curator_id", "topic_id")
 SENSITIVE_HEADER = ("curator_id", "group")
 
+# Most cells a step may hold as one dense float64 array: 22 times the paper's
+# 589 x 252 x 10 tensor, 268 MB per array.
+MAX_DENSE_CELLS = 2**25
+
+
+def _check_dense_cells(n_cells: int, what: str) -> None:
+    """Raise :class:`ConfigError` when ``what`` would allocate a dense array
+    of more than :data:`MAX_DENSE_CELLS` cells."""
+    if n_cells > MAX_DENSE_CELLS:
+        raise ConfigError(
+            f"{what} needs {n_cells} dense cells, more than MAX_DENSE_CELLS = {MAX_DENSE_CELLS}"
+        )
+
 
 @dataclass(frozen=True)
 class InteractionRecord:
@@ -201,12 +214,15 @@ def negative_sample(
 
     Every unobserved cell is independently included as a rating-0.0 entry
     with the given probability.  Cells already present stay untouched, so the
-    output never duplicates a positive.
+    output never duplicates a positive.  One uniform draw is made per cell,
+    so a tensor of more than :data:`MAX_DENSE_CELLS` cells is a
+    :class:`ConfigError`.
     """
     if not 0.0 <= probability <= 1.0:
         raise ConfigError("probability must lie in [0, 1]")
     if probability == 0.0:
         return positives
+    _check_dense_cells(positives.n_cells, "negative sampling")
     rng = np.random.default_rng(seed)
     draws = rng.random(positives.n_cells)
     chosen = draws < probability
@@ -247,7 +263,8 @@ class SynthConfig:
     Ground-truth scores come from a random CP model of rank ``true_rank``
     with factor entries uniform in [0, 1); every cell belonging to a group-0
     curator gets ``bias_strength`` added, and the highest-scoring cells
-    become positives until ``target_sparsity`` is reached.
+    become positives until ``target_sparsity`` is reached.  The scores are
+    one dense tensor, so its cell count is bounded by :data:`MAX_DENSE_CELLS`.
     """
 
     n_users: int
@@ -263,6 +280,7 @@ class SynthConfig:
         check_types(SynthConfig, vars(self), "synth")
         if min(self.n_users, self.n_curators, self.n_topics, self.true_rank) < 1:
             raise ConfigError("dimensions and true_rank must be positive")
+        _check_dense_cells(self.n_users * self.n_curators * self.n_topics, "synth_generate")
         if not 0.0 < self.group_ratio < 1.0:
             raise ConfigError("group_ratio must lie strictly between 0 and 1")
         if self.bias_strength < 0.0:

@@ -11,13 +11,15 @@ requested model on the train side and evaluates it on the test side:
   positives.  With ``rank_scope="user"`` the unit is a user: every
   (curator, topic) cell of the user is ranked, the user's training
   positives are excluded, and ties break toward the lower cell id
-  ``j * K + t``.  Ranking a unit costs one stable sort of its m or m*K
-  scores;
+  ``j * K + t``.  A user's m*K scores are one batched matrix-vector
+  product.  Ranking a unit partitions its m or m*K scores at the k-th and
+  stable-sorts only the candidates at or above that cut;
 * fairness: predicted scores of the test cells (or of every cell, with
   ``fairness_scope="full"``) are grouped by curator group for MAD and KS.
-  Full scope stacks one (n x m) product per topic in (user, curator, topic)
-  order; with the grouping and KS's sort it holds at most 3*n*m*K floats at
-  once, about 36 MB at the paper's 589 x 252 x 10.
+  Full scope makes one batched (K x n x m) product, read in (user, curator,
+  topic) order; with the grouping and KS's sort it holds at most 3*n*m*K
+  floats at once, about 36 MB at the paper's 589 x 252 x 10, and a shape of
+  more than ``MAX_DENSE_CELLS`` cells is a :class:`ConfigError`.
 
 Reports carry one row per (model, run), an across-run mean row per model and
 the fully resolved config, and are byte-identical for identical configs.
@@ -43,6 +45,7 @@ from .data import (
     SensitiveMap,
     SplitDataset,
     SynthConfig,
+    _check_dense_cells,
     load_interactions,
     load_sensitive,
     negative_sample,
@@ -71,7 +74,6 @@ from .models import (
     ortho_penalty,
     parity_penalty,
     predict_cells,
-    score_curators,
     top_k,
     train_ft,
     train_model,
@@ -234,8 +236,14 @@ def _positives_by_unit(obs: ObservationTensor, rank_scope: str) -> dict:
 
 
 def _user_grid_top(model: TrainedModel, user: int, k_items: int, exclude: list[int]) -> list[int]:
-    """Top cell ids ``j * K + t`` of one user; ties break toward the lower id."""
-    grid = np.stack([score_curators(model, user, t) for t in range(model.shape[2])], axis=1)
+    """Top cell ids ``j * K + t`` of one user; ties break toward the lower id.
+
+    The (m x K) grid is one batched matrix-vector product: numpy runs it as
+    one gemv per topic, the kernel :func:`score_curators` runs, so each
+    column equals that topic's :func:`score_curators` row bit for bit.
+    """
+    a, b = model.topic_factors
+    grid = np.matmul(b, a[:, user, :, None])[..., 0].T
     return _top_indices(grid.ravel(), k_items, exclude).tolist()
 
 
@@ -268,9 +276,12 @@ def _grouped_scores(
         preds = predict_cells(model, cells.users, cells.curators, cells.topics)
         is0 = smap.groups[cells.curators] == 0
     else:
-        # every cell: topic k's (n x m) score matrix is A_k B_k^T, stacked on
-        # the last axis so the cells run in (user, curator, topic) order
-        preds = np.stack([a @ b.T for a, b in model.topic_factors], axis=2)
+        _check_dense_cells(ds.train.n_cells, "full-scope fairness")
+        # every cell: topic k's (n x m) score matrix is A[k] B[k]^T, one gemm
+        # per topic in one batched product, read with the topic axis last so
+        # the cells run in (user, curator, topic) order
+        a, b = model.topic_factors
+        preds = np.matmul(a, b.transpose(0, 2, 1)).transpose(1, 2, 0)
         is0 = np.broadcast_to((smap.groups == 0)[None, :, None], preds.shape)
     return GroupedScores(preds[is0], preds[~is0])
 

@@ -145,8 +145,8 @@ class TrainedModel:
     element is the loss at initialisation.  Matrix kinds carry one (n, m, 1)
     :class:`FactorModel` per topic, whose topic factor is a constant row of
     ones, and one trace per topic (empty slices get zero user factors and an
-    empty trace).  Prediction reads neither directly but the per-topic pairs
-    of :attr:`topic_factors`.
+    empty trace).  Prediction reads neither directly but the stacked
+    per-topic arrays of :attr:`topic_factors`.
     """
 
     kind: str
@@ -179,25 +179,24 @@ class TrainedModel:
         return self.kind in FAIR_KINDS
 
     @cached_property
-    def topic_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per-topic pairs (A_k, B_k) with score(i, j, k) = A_k[i] . B_k[j].
+    def topic_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked per-topic factors (A, B), of shapes (K, n, r') and (K, m, r'),
+        with score(i, j, k) = A[k, i] . B[k, j].
 
         Topic k of a CP model f is U_users diag(U_topics[k]) U_curators^T,
-        so A_k = U_users * U_topics[k] and B_k = U_curators; tensor kinds
-        read topic k of ``factors``, matrix kinds topic 0 (the ones row) of
-        slice k.  Fair kinds slice to the non-sensitive columns first, so
-        stored sensitive values cannot reach a prediction.  Other kinds take
-        views, not a copy of every column, which would change BLAS's low bits.
+        so A[k] = U_users * U_topics[k] and B[k] = U_curators; a tensor kind
+        broadcasts its one curator factor over the topics, a matrix kind
+        stacks its slices' factors, whose topic row is ones.  Fair kinds
+        slice to the non-sensitive columns first, so stored sensitive values
+        cannot reach a prediction.
         """
-        if self.factors is not None:
-            sources = [(self.factors, k) for k in range(self.shape[2])]
-        else:
-            sources = [(sl, 0) for sl in self.slices]
-        pairs = []
-        for f, k in sources:
-            cols = list(f.nonsensitive_cols) if self.is_fair else slice(None)
-            pairs.append((f.u_users[:, cols] * f.u_topics[k, cols], f.u_curators[:, cols]))
-        return tuple(pairs)
+        fs = [self.factors] if self.factors is not None else list(self.slices)
+        cols = list(fs[0].nonsensitive_cols) if self.is_fair else slice(None)
+        users = np.stack([f.u_users[:, cols] for f in fs])
+        topics = np.concatenate([f.u_topics[:, cols] for f in fs])
+        curators = np.stack([f.u_curators[:, cols] for f in fs])
+        a = users * topics[:, None, :]
+        return a, np.broadcast_to(curators, (a.shape[0], *curators.shape[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +572,8 @@ def train_model(
 def predict(model: TrainedModel, i: int, j: int, k: int) -> float:
     """Predicted score of one (user, curator, topic) cell."""
     _check_indices(model.shape, *np.atleast_1d(i, j, k))
-    a, b = model.topic_factors[k]
-    return float(np.dot(a[i], b[j]))
+    a, b = model.topic_factors
+    return float(np.dot(a[k, i], b[k, j]))
 
 
 def predict_cells(
@@ -589,10 +588,10 @@ def predict_cells(
     topics = np.asarray(topics, dtype=np.int64)
     _check_indices(model.shape, users, curators, topics)
     out = np.empty(users.size)
+    a, b = model.topic_factors
     for topic in np.unique(topics):
-        a, b = model.topic_factors[topic]
         mask = topics == topic
-        out[mask] = np.einsum("er,er->e", a[users[mask]], b[curators[mask]])
+        out[mask] = np.einsum("er,er->e", a[topic, users[mask]], b[topic, curators[mask]])
     return out
 
 
@@ -601,19 +600,32 @@ def score_curators(model: TrainedModel, user: int, topic: int) -> np.ndarray:
     n, _, kk = model.shape
     _check_index(user, n, "user")
     _check_index(topic, kk, "topic")
-    a, b = model.topic_factors[topic]
-    return b @ a[user]
+    a, b = model.topic_factors
+    return b[topic] @ a[topic, user]
 
 
 def _top_indices(scores: np.ndarray, k_items: int, exclude: Sequence[int]) -> np.ndarray:
     """Indices of the ``k_items`` highest scores outside ``exclude`` (indices
-    in range); ties break toward the lower index.  Excluded indices are
-    dropped from the sorted order, not masked in the scores, so infinities
-    and NaN (sorted last) cannot collide with a mask value."""
+    in range); ties break toward the lower index.
+
+    Excluded indices are dropped from the candidates, not masked in the
+    scores, so infinities and NaN (sorted last) cannot collide with a mask
+    value.  A partition finds the ``k_items``-th lowest negated score, the
+    cut; the candidates at or above the cut stay in index order, so one
+    stable sort of them ranks ties at the cut, signed zeros and NaN exactly
+    as a stable sort of every candidate would.  A NaN cut keeps every
+    candidate.
+    """
     keep = np.ones(scores.size, dtype=bool)
     keep[np.asarray(list(exclude), dtype=np.int64)] = False
-    order = np.argsort(-scores, kind="stable")
-    return order[keep[order]][:k_items]
+    cand = np.flatnonzero(keep)
+    neg = -scores[cand]
+    if cand.size > k_items:
+        cut = np.partition(neg, k_items - 1)[k_items - 1]
+        if not np.isnan(cut):
+            near = neg <= cut
+            cand, neg = cand[near], neg[near]
+    return cand[np.argsort(neg, kind="stable")[:k_items]]
 
 
 def top_k(

@@ -245,11 +245,12 @@ def masked_loss(model: FactorModel, obs: ObservationTensor, lam: float) -> float
 
 
 def _scatter_rows(index: np.ndarray, contrib: np.ndarray, n_rows: int) -> np.ndarray:
-    # bincount per column: C-speed scatter-add with a fixed summation order
-    out = np.empty((n_rows, contrib.shape[1]))
-    for r in range(contrib.shape[1]):
-        out[:, r] = np.bincount(index, weights=contrib[:, r], minlength=n_rows)
-    return out
+    # one bincount over the flattened (row, column) bins: a C-speed scatter-add
+    # in which each bin gets its additions in cell order
+    rank = contrib.shape[1]
+    bins = (index[:, None] * rank + np.arange(rank)).ravel()
+    out = np.bincount(bins, weights=contrib.ravel(), minlength=n_rows * rank)
+    return out.reshape(n_rows, rank)
 
 
 def scatter_cell_gradient(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairtensor.data import (
+    MAX_DENSE_CELLS,
     SensitiveMap,
     SynthConfig,
     calibrate_bias_strength,
@@ -141,6 +142,14 @@ class TestNegativeSample:
         out = negative_sample(pos, 0.0, seed=1)
         assert out.entry_tuples() == pos.entry_tuples()
 
+    def test_over_dense_bound_is_config_error(self):
+        # an empty tensor of 2**26 cells: the check fires before any draw
+        big = ObservationTensor.from_entries(2**13, 2**12, 2, [])
+        with pytest.raises(ConfigError, match="67108864 dense cells, more than "
+                           "MAX_DENSE_CELLS = 33554432"):
+            negative_sample(big, 0.5, seed=1)
+        assert negative_sample(big, 0.0, seed=1) is big  # no draws, no bound
+
     def test_probability_one_fills_everything(self):
         out = negative_sample(self.positives(), 1.0, seed=1)
         assert out.n_entries == 4
@@ -238,6 +247,13 @@ class TestSynthGenerate:
         )
         base.update(kw)
         return SynthConfig(**base)
+
+    def test_over_dense_bound_is_config_error(self):
+        assert 2**13 * 2**12 == MAX_DENSE_CELLS
+        self.small(n_users=2**13, n_curators=2**12, n_topics=1)  # at the bound
+        with pytest.raises(ConfigError, match="67108864 dense cells, more than "
+                           "MAX_DENSE_CELLS = 33554432"):
+            self.small(n_users=2**13, n_curators=2**12, n_topics=2)
 
     def test_unbiased_groups_balanced(self):
         # with no bias the group positive counts differ only by generator noise

@@ -11,8 +11,8 @@ import pytest
 
 from fairtensor import harness
 from fairtensor.cli import main as cli_main
-from fairtensor.data import SynthConfig
-from fairtensor.errors import ConfigError
+from fairtensor.data import SensitiveMap, SplitDataset, SynthConfig
+from fairtensor.errors import ConfigError, UndefinedMetricError
 from fairtensor.harness import (
     ExperimentConfig,
     evaluate_model,
@@ -277,6 +277,24 @@ class TestEvaluateScopes:
             evaluate_model(model, ds, smap, **args)
 
 
+    def test_full_scope_over_dense_bound_is_config_error(self):
+        # 2**26 cells, twice MAX_DENSE_CELLS, from empty tensors and rank-1
+        # factors, so nothing of that size is allocated
+        shape = (2**13, 2**12, 2)
+        model = TrainedModel(
+            kind="OTC", shape=shape, config=TrainConfig(rank=1), loss_trace=(0.0,),
+            factors=FactorModel(*(np.zeros((size, 1)) for size in shape)),
+        )
+        empty = ObservationTensor.from_entries(*shape, [])
+        ds = SplitDataset(train=empty, test=empty, seed=1)
+        smap = SensitiveMap(groups=np.arange(shape[1]) % 2)
+        with pytest.raises(ConfigError, match="67108864 dense cells, more than "
+                           "MAX_DENSE_CELLS = 33554432"):
+            harness._fairness_metrics(model, ds, smap, 50, "full")
+        with pytest.raises(UndefinedMetricError):  # test scope: no cells, no bound
+            harness._fairness_metrics(model, ds, smap, 50, "test")
+
+
 def reference_positives_by_unit(obs, rank_scope):
     """Per-cell loop: positive ids per unit in cell order."""
     out = {}
@@ -365,6 +383,32 @@ class TestRanking:
         values = evaluate_model(model, ds, smap, k, 50, rank_scope="user")
         assert values["p_at_k"] == p / len(test_pos)
         assert values["r_at_k"] == r / len(test_pos)
+
+
+    @pytest.mark.parametrize("kind, extra", [
+        *((kind, False) for kind in ("OTC", "RTC", "FT", "OMC", "RMC", "FM")),
+        ("FT", True), ("FM", True),
+    ])
+    def test_user_grid_equals_score_curators_rows(self, monkeypatch, kind, extra):
+        cfg = small_synth_config()
+        ds, smap = prepare_run(cfg, run=1)
+        train_cfg = TrainConfig(rank=4, max_iters=5, seed=2, extra_sensitive_cols=extra)
+        model = train_model(kind, ds.train, train_cfg, smap)
+        ranked = []
+        top_indices = harness._top_indices
+
+        def capture(scores, k_items, exclude):
+            ranked.append(scores)
+            return top_indices(scores, k_items, exclude)
+
+        monkeypatch.setattr(harness, "_top_indices", capture)
+        n, m, kk = model.shape
+        for user in range(n):
+            rows = np.stack([score_curators(model, user, t) for t in range(kk)], axis=1)
+            top = harness._user_grid_top(model, user, m * kk, [])
+            want = rows.ravel()
+            assert ranked[-1].view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert top == top_indices(want, m * kk, []).tolist()
 
 
 class TestOracles:
@@ -547,6 +591,26 @@ class TestCli:
         code = cli_main(["evaluate", "--config", str(exp_cfg), "--checkpoint", str(ckpt)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("models, code, message", [
+        ("FT", 2, "does not match the checkpoint's OTC model"),
+        ("FT,RTC", 2, "single kind"),
+        ("OTC", 0, None),
+    ], ids=["wrong-kind", "two-kinds", "matching-kind"])
+    def test_evaluate_checks_model_kind(self, tmp_path, capsys, models, code, message):
+        exp_cfg = self.synth_experiment(tmp_path, "exp")
+        assert cli_main(["train", "--config", str(exp_cfg), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        ckpt = str(tmp_path / "otc_checkpoint.json")
+        got = cli_main(["evaluate", "--config", str(exp_cfg), "--models", models,
+                        "--checkpoint", ckpt])
+        captured = capsys.readouterr()
+        assert got == code
+        if message is None:
+            assert json.loads(captured.out)["model"] == "OTC"
+        else:
+            assert captured.err.startswith("error:") and message in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize("command, block", [
         ("experiment", "train"),

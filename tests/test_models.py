@@ -781,6 +781,16 @@ def ranking_inputs(draw):
     return scores, draw(st.integers(1, m + 3)), exclude
 
 
+@st.composite
+def wide_ranking_inputs(draw):
+    """Up to 400 scores from a small pool, so ties straddle the cut."""
+    m = draw(st.integers(1, 400))
+    pool = st.sampled_from(SPECIAL_SCORES + [0.25, 2.0]) | st.floats(-3.0, 3.0)
+    scores = np.array(draw(st.lists(pool, min_size=m, max_size=m)))
+    exclude = draw(st.lists(st.integers(0, m - 1), max_size=m))
+    return scores, draw(st.integers(1, 20)), exclude
+
+
 class TestTopIndices:
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(ranking_inputs())
@@ -793,6 +803,29 @@ class TestTopIndices:
         scores = np.array([0.0, np.nan, -0.0, np.inf, 0.0, -np.inf, np.nan])
         assert _top_indices(scores, 7, [4]).tolist() == [3, 0, 2, 5, 1, 6]
         assert _top_indices(scores, 7, [3, 3, 0, 6, 1]).tolist() == [2, 4, 5]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(wide_ranking_inputs())
+    def test_wide_grids_equal_reference(self, case):
+        scores, k_items, exclude = case
+        got = _top_indices(scores, k_items, exclude)
+        assert got.tolist() == reference_top_indices(scores, k_items, exclude).tolist()
+
+    @pytest.mark.parametrize("fill", ["constant", "signed zeros"])
+    def test_all_equal_user_grid_keeps_lowest_ids(self, fill):
+        # one user's m*K = 252 * 10 cells, every score tied at the cut
+        scores = np.full(2520, 0.5) if fill == "constant" else np.tile([0.0, -0.0], 1260)
+        exclude = [0, 3, 3, 7, 11, 12, 2519, 1000]
+        kept = [c for c in range(2520) if c not in exclude]
+        assert _top_indices(scores, 15, exclude).tolist() == kept[:15]
+
+    def test_nan_cut_keeps_every_candidate(self):
+        # two finite scores survive the exclusions, fewer than k_items, so
+        # the cut is NaN and the NaNs fill the list in index order
+        scores = np.array([np.nan, 1.0, np.nan, 2.0, np.nan, np.nan, 0.5, np.nan, -1.0])
+        got = _top_indices(scores, 5, [6, 8])
+        assert got.tolist() == [3, 1, 0, 2, 4]
+        assert got.tolist() == reference_top_indices(scores, 5, [6, 8]).tolist()
 
 
 def assert_same_model(a, b):
