@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import SynthConfig, export_synthetic, synth_generate
-from .errors import FairtensorError, check_fields
+from .errors import FairtensorError, check_fields, read_json
 from .harness import (
     ExperimentConfig,
     evaluate_model,
@@ -47,9 +47,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_synth(args) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    doc = read_json(args.config, "config")
     # accept either a bare SynthConfig or an ExperimentConfig with a synth block
-    if "synth" in doc and isinstance(doc["synth"], dict):
+    if isinstance(doc, dict) and isinstance(doc.get("synth"), dict):
         doc = doc["synth"]
     cfg = SynthConfig(**check_fields(SynthConfig, doc, "synth"))
     if args.seed is not None:

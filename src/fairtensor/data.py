@@ -3,8 +3,9 @@
 File formats
 ------------
 interactions CSV : header ``user_id,curator_id,topic_id``; one positive link
-    per row (implicit feedback, rating 1.0); UTF-8.
+    per row (implicit feedback, rating 1.0).
 sensitive CSV : header ``curator_id,group``; group is 0 or 1.
+Both are UTF-8, with or without a byte-order mark.
 
 External string ids are mapped to dense indices in first-appearance order,
 which keeps the mapping independent of locale and collation.  All randomised
@@ -124,18 +125,24 @@ class SplitDataset:
 
 def _csv_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """(line number, row) of each nonblank data row of a CSV file, numbered
-    from 2; the first row must be ``header``."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        if tuple(h.strip() for h in first) != header:
-            raise ParseError(f"expected header {','.join(header)}", line_number=1)
-        for line_no, row in enumerate(reader, start=2):
-            if row:
-                yield line_no, row
+    from 2; the first row must be ``header``.  A file that cannot be opened
+    or is not UTF-8 is an error naming ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:  # a BOM is dropped
+            reader = csv.reader(handle)
+            try:
+                first = next(reader)
+            except StopIteration:
+                raise EmptyDatasetError(f"{path}: file is empty") from None
+            if tuple(h.strip() for h in first) != header:
+                raise ParseError(f"expected header {','.join(header)}", line_number=1)
+            for line_no, row in enumerate(reader, start=2):
+                if row:
+                    yield line_no, row
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
 
 
 def load_interactions(path: str | Path) -> tuple[list[InteractionRecord], IdMaps]:

@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the config-field checks."""
+"""Exception types shared across the package, the config-field checks and
+the one reader of JSON input files."""
 
 import functools
+import json
 import types
 import typing
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import Mapping
 
 
@@ -38,6 +41,17 @@ class ConfigError(FairtensorError, ValueError):
 
 class UndefinedMetricError(FairtensorError, ValueError):
     """A metric has no defined value for the given inputs."""
+
+
+def read_json(path: str | Path, what: str):
+    """The parsed JSON document in the UTF-8 file ``path``; a file that
+    cannot be read or is not JSON is a :class:`ConfigError` naming ``what``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ConfigError(f"{what} {path} is not JSON: {exc}") from None
 
 
 _type_hints = functools.cache(typing.get_type_hints)  # resolving them costs ~0.2 ms

@@ -11,9 +11,9 @@ requested model on the train side and evaluates it on the test side:
   positives.  With ``rank_scope="user"`` the unit is a user: every
   (curator, topic) cell of the user is ranked, the user's training
   positives are excluded, and ties break toward the lower cell id
-  ``j * K + t``.  A user's m*K scores are one batched matrix-vector
-  product.  Ranking a unit partitions its m or m*K scores at the k-th and
-  stable-sorts only the candidates at or above that cut;
+  ``j * K + t``.  Both scopes score a unit with ``models._user_scores``,
+  one gemv per topic, as :func:`score_curators` does; ranking partitions
+  the m or m*K scores at the k-th and stable-sorts those at or above it;
 * fairness: predicted scores of the test cells (or of every cell, with
   ``fairness_scope="full"``) are grouped by curator group for MAD and KS.
   Full scope makes one batched (K x n x m) product, read in (user, curator,
@@ -53,7 +53,9 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, FairtensorError, UndefinedMetricError, check_fields, check_types
+from .errors import (
+    ConfigError, FairtensorError, UndefinedMetricError, check_fields, check_types, read_json
+)
 from .metrics import (
     GroupedScores,
     MetricsReport,
@@ -71,10 +73,10 @@ from .models import (
     TrainedModel,
     _objective,
     _top_indices,
+    _user_scores,
     ortho_penalty,
     parity_penalty,
     predict_cells,
-    top_k,
     train_ft,
     train_model,
     train_otc,
@@ -173,7 +175,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path, "config"))
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -235,31 +237,19 @@ def _positives_by_unit(obs: ObservationTensor, rank_scope: str) -> dict:
     return {unit: items[a:b] for unit, a, b in zip(units, bounds, bounds[1:])}
 
 
-def _user_grid_top(model: TrainedModel, user: int, k_items: int, exclude: list[int]) -> list[int]:
-    """Top cell ids ``j * K + t`` of one user; ties break toward the lower id.
-
-    The (m x K) grid is one batched matrix-vector product: numpy runs it as
-    one gemv per topic, the kernel :func:`score_curators` runs, so each
-    column equals that topic's :func:`score_curators` row bit for bit.
-    """
-    a, b = model.topic_factors
-    grid = np.matmul(b, a[:, user, :, None])[..., 0].T
-    return _top_indices(grid.ravel(), k_items, exclude).tolist()
-
-
 def _quality_metrics(
     model: TrainedModel, ds: SplitDataset, k: int, rank_scope: str
 ) -> dict[str, float]:
-    """P/R/F1@k of the model's top-k lists against the test positives."""
+    """P/R/F1@k of the top-k lists of every unit, ranked from :func:`_user_scores`
+    over the unit's topics, against the test positives."""
     test_pos = _positives_by_unit(ds.test, rank_scope)
     train_pos = _positives_by_unit(ds.train, rank_scope)
     tops: dict = {}
     for unit in sorted(test_pos):
-        exclude = train_pos.get(unit, [])
-        if rank_scope == "user_topic":
-            tops[unit] = top_k(model, *divmod(unit, ds.test.n_topics), k, exclude=exclude)
-        else:
-            tops[unit] = _user_grid_top(model, unit, k, exclude)
+        user, t = (unit, None) if rank_scope == "user" else divmod(unit, ds.test.n_topics)
+        topics = slice(None) if t is None else slice(t, t + 1)
+        scores = _user_scores(model, user, topics)
+        tops[unit] = _top_indices(scores, k, train_pos.get(unit, [])).tolist()
     p = precision_at_k(tops, test_pos, k)
     r = recall_at_k(tops, test_pos, k)
     return {"p_at_k": p, "r_at_k": r, "f1_at_k": f1_at_k(p, r)}

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import SensitiveMap
-from .errors import ConfigError, _fits, check_fields, check_types
+from .errors import ConfigError, _fits, check_fields, check_types, read_json
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
@@ -160,11 +160,14 @@ class TrainedModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if not all(_fits(int, d) or isinstance(d, np.integer) for d in self.shape):
+            raise ValueError(f"dimensions must be ints, got {self.shape}")
         if self.kind in TENSOR_KINDS:
             if self.factors is None or self.loss_trace is None:
                 raise ValueError("tensor kinds need factors and a loss trace")
             if self.factors.shape != self.shape:
                 raise ValueError(f"factors of shape {self.factors.shape} in a {self.shape} model")
+            fs, traces = [self.factors], [self.loss_trace]
         else:
             if self.slices is None or self.slice_traces is None:
                 raise ValueError("matrix kinds need slices and slice traces")
@@ -173,6 +176,17 @@ class TrainedModel:
             n, m, _ = self.shape
             if any(sl.shape != (n, m, 1) for sl in self.slices):
                 raise ValueError(f"every slice of a {self.shape} model must have shape {(n, m, 1)}")
+            fs, traces = self.slices, self.slice_traces
+        # the column layout train_model gives this kind under this config
+        width, cols = self.config.fair_layout() if self.is_fair else (self.config.rank, ())
+        for f in fs:
+            if (f.rank, f.sensitive_cols) != (width, cols):
+                raise ValueError(
+                    f"{self.kind} factors of width {f.rank} with sensitive_cols "
+                    f"{list(f.sensitive_cols)}; the config gives {width} with {list(cols)}"
+                )
+        if not all(isinstance(v, float) and math.isfinite(v) for t in traces for v in t):
+            raise ValueError("loss traces must hold finite floats")
 
     @property
     def is_fair(self) -> bool:
@@ -595,13 +609,20 @@ def predict_cells(
     return out
 
 
+def _user_scores(model: TrainedModel, user: int, topics: slice) -> np.ndarray:
+    """Scores of one user's cells under a slice of topics, cell ``j * width + t`` for
+    curator j and the slice's t-th topic; every ranking reads these.  numpy runs the
+    batched product as one gemv per topic, so topic t gives ``B[t] @ A[t, user]``."""
+    a, b = model.topic_factors
+    return np.matmul(b[topics], a[topics, user, :, None])[..., 0].T.ravel()
+
+
 def score_curators(model: TrainedModel, user: int, topic: int) -> np.ndarray:
-    """Predicted scores of every curator for one (user, topic) pair."""
+    """Every curator's score for one (user, topic) pair: one topic of :func:`_user_scores`."""
     n, _, kk = model.shape
     _check_index(user, n, "user")
     _check_index(topic, kk, "topic")
-    a, b = model.topic_factors
-    return b[topic] @ a[topic, user]
+    return _user_scores(model, user, slice(topic, topic + 1))
 
 
 def _top_indices(scores: np.ndarray, k_items: int, exclude: Sequence[int]) -> np.ndarray:
@@ -708,14 +729,9 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     An unreadable, malformed or inconsistent checkpoint, or one of another
     ``format_version``, is a :class:`ConfigError`.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ConfigError(f"checkpoint {path} is not JSON: {exc}") from None
+    doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if not _fits(int, version) or version != CHECKPOINT_VERSION:  # true == 1.0 == 1
         raise ConfigError(
             f"checkpoint {path}: format_version {version!r} is not {CHECKPOINT_VERSION}"
         )

@@ -79,6 +79,12 @@ class TestLoadInteractions:
         with pytest.raises(EmptyDatasetError):
             load_interactions(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "i.csv"
+        path.write_bytes(b"\xef\xbb\xbfuser_id,curator_id,topic_id\nu1,c1,t1\n")
+        records, maps = load_interactions(path)
+        assert len(records) == 1 and maps.users == {"u1": 0}
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "i.csv", "a,b,c\nu,c,t\n")
         with pytest.raises(ParseError, match="line 1"):

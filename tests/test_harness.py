@@ -308,6 +308,22 @@ def reference_positives_by_unit(obs, rank_scope):
     return out
 
 
+TOP_INDICES = harness._top_indices
+
+
+def capture_top_indices(monkeypatch):
+    """(scores, k_items, exclude, result) of each ranking the harness makes."""
+    calls = []
+
+    def capture(scores, k_items, exclude):
+        top = TOP_INDICES(scores, k_items, exclude)
+        calls.append((scores, k_items, list(exclude), top))
+        return top
+
+    monkeypatch.setattr(harness, "_top_indices", capture)
+    return calls
+
+
 def small_synth_config(**kw):
     base = dict(
         synth=SynthConfig(
@@ -353,9 +369,10 @@ class TestRanking:
             loss_trace=(0.0,),
         )
 
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_user_scope_matches_brute_force(self, tied):
-        cfg = small_synth_config(rank_scope="user")
+    def brute_force_case(self, monkeypatch, rank_scope, tied):
+        """Every unit's ranked list, exclusions and P/R@k against a sort of
+        :func:`score_curators` values over the unit's cells."""
+        cfg = small_synth_config(rank_scope=rank_scope)
         ds, smap = prepare_run(cfg, run=1)
         if tied:
             model = self.tied_model(ds.train.shape)
@@ -363,52 +380,78 @@ class TestRanking:
             model = train_model("OTC", ds.train, cfg.train_config_for("OTC", 1), smap)
         _, m, kk = model.shape
         k = cfg.k
+        per_user = rank_scope == "user"
+
+        def unit_of(i, t):
+            return i if per_user else i * kk + t
+
+        def item_of(j, t):
+            return j * kk + t if per_user else j
+
         train_pos = {(i, j, t) for i, j, t, v in ds.train.entry_tuples() if v == 1.0}
         test_pos: dict = {}
         for i, j, t, v in ds.test.entry_tuples():
             if v == 1.0:
-                test_pos.setdefault(i, set()).add(j * kk + t)
+                test_pos.setdefault(unit_of(i, t), set()).add(item_of(j, t))
+        calls = capture_top_indices(monkeypatch)
+        values = evaluate_model(model, ds, smap, k, 50, rank_scope=rank_scope)
+        assert len(calls) == len(test_pos)
         p = r = 0.0
-        for i in sorted(test_pos):
+        for unit, (_, k_items, exclude, top) in zip(sorted(test_pos), calls):
+            i, topics = (unit, range(kk)) if per_user else (unit // kk, [unit % kk])
             ranked = sorted(
-                (-float(score_curators(model, i, t)[j]), j, t)
-                for j in range(m) for t in range(kk) if (i, j, t) not in train_pos
+                (-float(score_curators(model, i, t)[j]), item_of(j, t))
+                for j in range(m) for t in topics if (i, j, t) not in train_pos
             )
-            expected = [j * kk + t for _, j, t in ranked[:k]]
-            exclude = [j * kk + t for (u, j, t) in sorted(train_pos) if u == i]
-            assert harness._user_grid_top(model, i, k, exclude) == expected
-            hits = len(set(expected) & test_pos[i])
+            expected = [item for _, item in ranked[:k]]
+            assert k_items == k
+            assert exclude == sorted(item_of(j, t) for (u, j, t) in train_pos
+                                     if u == i and t in topics)
+            assert top.tolist() == expected
+            hits = len(set(expected) & test_pos[unit])
             p += hits / k
-            r += hits / len(test_pos[i])
-        values = evaluate_model(model, ds, smap, k, 50, rank_scope="user")
+            r += hits / len(test_pos[unit])
         assert values["p_at_k"] == p / len(test_pos)
         assert values["r_at_k"] == r / len(test_pos)
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_user_scope_matches_brute_force(self, monkeypatch, tied):
+        self.brute_force_case(monkeypatch, "user", tied)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_user_topic_scope_matches_brute_force(self, monkeypatch, tied):
+        self.brute_force_case(monkeypatch, "user_topic", tied)
 
     @pytest.mark.parametrize("kind, extra", [
         *((kind, False) for kind in ("OTC", "RTC", "FT", "OMC", "RMC", "FM")),
         ("FT", True), ("FM", True),
     ])
     def test_user_grid_equals_score_curators_rows(self, monkeypatch, kind, extra):
+        # both scopes rank the scores of one expression; each unit's must
+        # equal, bit for bit, one gemv per topic over topic_factors and the
+        # score_curators rows of its topics, in cell id order.  At rank 8 a
+        # product summed in another order (an einsum) differs in every case;
+        # at rank 4 it often gave the same bits
         cfg = small_synth_config()
         ds, smap = prepare_run(cfg, run=1)
-        train_cfg = TrainConfig(rank=4, max_iters=5, seed=2, extra_sensitive_cols=extra)
+        train_cfg = TrainConfig(rank=8, max_iters=5, seed=2, extra_sensitive_cols=extra)
         model = train_model(kind, ds.train, train_cfg, smap)
-        ranked = []
-        top_indices = harness._top_indices
-
-        def capture(scores, k_items, exclude):
-            ranked.append(scores)
-            return top_indices(scores, k_items, exclude)
-
-        monkeypatch.setattr(harness, "_top_indices", capture)
-        n, m, kk = model.shape
-        for user in range(n):
-            rows = np.stack([score_curators(model, user, t) for t in range(kk)], axis=1)
-            top = harness._user_grid_top(model, user, m * kk, [])
-            want = rows.ravel()
-            assert ranked[-1].view(np.int64).tolist() == want.view(np.int64).tolist()
-            assert top == top_indices(want, m * kk, []).tolist()
+        a, b = model.topic_factors
+        kk = model.shape[2]
+        calls = capture_top_indices(monkeypatch)
+        for rank_scope in ("user", "user_topic"):
+            calls.clear()
+            harness._quality_metrics(model, ds, cfg.k, rank_scope)
+            units = sorted(harness._positives_by_unit(ds.test, rank_scope))
+            assert len(calls) == len(units)
+            for unit, (scores, k_items, exclude, top) in zip(units, calls):
+                user, topics = (unit, range(kk)) if rank_scope == "user" else divmod(unit, kk)
+                topics = np.atleast_1d(topics)
+                want = np.stack([b[t] @ a[t, user] for t in topics], axis=1).ravel()
+                rows = np.stack([score_curators(model, user, t) for t in topics], axis=1)
+                assert scores.view(np.int64).tolist() == want.view(np.int64).tolist()
+                assert rows.ravel().view(np.int64).tolist() == want.view(np.int64).tolist()
+                assert top.tolist() == TOP_INDICES(want, k_items, exclude).tolist()
 
 
 class TestOracles:
@@ -674,6 +717,36 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {label} field {field!r} must be {expected}")
+
+    @pytest.mark.parametrize("command, problem, message", [
+        ("experiment", "config not JSON", "config .*experiment.json is not JSON"),
+        ("experiment", "config missing", "cannot read config .*absent.json"),
+        ("synth", "config not JSON", "config .*experiment.json is not JSON"),
+        ("synth", "config missing", "cannot read config .*absent.json"),
+        ("synth", "config not an object", "synth must be a JSON object"),
+        ("experiment", "interactions_csv missing", "cannot read .*interactions.csv"),
+        ("experiment", "sensitive_csv missing", "cannot read .*sensitive.csv"),
+        ("experiment", "CSV not UTF-8", "interactions.csv is not UTF-8"),
+    ], ids=["experiment-not-json", "experiment-no-config", "synth-not-json", "synth-no-config",
+            "synth-not-object", "no-interactions", "no-sensitive", "not-utf8"])
+    def test_file_error_exits_2(self, tmp_path, capsys, command, problem, message):
+        interactions, sensitive = write_toy_dataset(tmp_path)
+        path = self.experiment_config(tmp_path, tmp_path)
+        if problem == "config not JSON":
+            path.write_text('{"repeats": 1,', encoding="utf-8")
+        elif problem == "config missing":
+            path = tmp_path / "absent.json"
+        elif problem == "config not an object":
+            path.write_text("5", encoding="utf-8")
+        elif problem == "CSV not UTF-8":
+            interactions.write_bytes(b"user_id,curator_id,topic_id\nu\xff,c0,t0\n")
+        else:
+            (interactions if problem.startswith("interactions") else sensitive).unlink()
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert re.search(message, err), err
 
     def test_oracle_subcommand_exits_zero(self, src_env):
         proc = subprocess.run(

@@ -863,10 +863,11 @@ class TestCheckpoints:
             assert loaded.factors is None
             assert_same_model(loaded, model)
 
-    def write_broken(self, tmp_path, edit):
-        ds, _ = biased_dataset()
-        path = tmp_path / "otc.json"
-        save_checkpoint(train_otc(ds.train, TrainConfig(rank=2, max_iters=2, seed=2)), path)
+    def write_broken(self, tmp_path, edit, kind="OTC"):
+        ds, smap = biased_dataset()
+        path = tmp_path / f"{kind}.json"
+        save_checkpoint(train_model(kind, ds.train, TrainConfig(rank=3, max_iters=2, seed=2), smap),
+                        path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         edit(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -875,6 +876,8 @@ class TestCheckpoints:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("format_version"), "format_version None"),
         (lambda d: d.update(format_version=0), "format_version 0"),
+        (lambda d: d.update(format_version=True), "format_version True"),
+        (lambda d: d.update(format_version=1.0), "format_version 1.0"),
         (lambda d: d.pop("factors"), "lacks key 'factors'"),
         (lambda d: d["factors"].pop("u_topics"), "lacks key 'u_topics'"),
         (lambda d: d.update(kind="XYZ"), "unknown model kind"),
@@ -882,9 +885,21 @@ class TestCheckpoints:
         (lambda d: d["dimensions"].update(n_users=1), "factors of shape"),
         (lambda d: d["factors"]["u_users"]["data"].__setitem__(0, None), "values must be finite"),
         (lambda d: d["factors"]["u_topics"]["data"].__setitem__(1, np.nan), "must be finite"),
+        # a fair layout other than the config's; (kind, edit) trains that kind
+        (("FT", lambda d: d["factors"].update(sensitive_cols=[])),
+         r"FT factors of width 3 with sensitive_cols \[\]; the config gives 3 with \[1, 2\]"),
+        (("FM", lambda d: d["slices"][1].update(sensitive_cols=[0, 1])),
+         r"FM factors of width 3 with sensitive_cols \[0, 1\]; the config gives 3 with \[1, 2\]"),
+        (lambda d: d["factors"].update(sensitive_cols=[1, 2]),
+         r"OTC factors of width 3 with sensitive_cols \[1, 2\]; the config gives 3 with \[\]"),
+        (lambda d: d.update(loss_trace=["x", None]), "loss traces must hold finite floats"),
+        (("OMC", lambda d: d["slice_traces"][0].__setitem__(0, np.inf)), "finite floats"),
+        (lambda d: d["dimensions"].update(n_users=float(d["dimensions"]["n_users"])),
+         r"dimensions must be ints, got \(60\.0, 30, 3\)"),
     ])
     def test_malformed_checkpoint_is_config_error(self, tmp_path, edit, message):
-        path = self.write_broken(tmp_path, edit)
+        kind, edit = edit if isinstance(edit, tuple) else ("OTC", edit)
+        path = self.write_broken(tmp_path, edit, kind)
         with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
 
