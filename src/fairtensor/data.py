@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,6 +49,11 @@ SENSITIVE_HEADER = ("curator_id", "group")
 # Most cells a step may hold as one dense float64 array: 22 times the paper's
 # 589 x 252 x 10 tensor, 268 MB per array.
 MAX_DENSE_CELLS = 2**25
+# Cells per block of synthetic scores (whole users, at least one) and per
+# chunk of negative-sampling draws: each holds 1 MB of doubles, so neither
+# step's memory grows with the tensor's n*m*K cells.
+SYNTH_BLOCK_CELLS = 2**17
+NEGATIVE_CHUNK_CELLS = 2**17
 
 
 def _check_dense_cells(n_cells: int, what: str) -> None:
@@ -221,8 +226,11 @@ def negative_sample(
 
     Every unobserved cell is independently included as a rating-0.0 entry
     with the given probability.  Cells already present stay untouched, so the
-    output never duplicates a positive.  One uniform draw is made per cell,
-    so a tensor of more than :data:`MAX_DENSE_CELLS` cells is a
+    output never duplicates a positive.  One uniform draw is made per cell, in
+    row-major cell order and in chunks of :data:`NEGATIVE_CHUNK_CELLS` cells,
+    which draw the same doubles as one draw over every cell; each chunk's
+    positives are found by a binary search of the sorted positive ids.  A
+    tensor of more than :data:`MAX_DENSE_CELLS` cells is a
     :class:`ConfigError`.
     """
     if not 0.0 <= probability <= 1.0:
@@ -231,13 +239,17 @@ def negative_sample(
         return positives
     _check_dense_cells(positives.n_cells, "negative sampling")
     rng = np.random.default_rng(seed)
-    draws = rng.random(positives.n_cells)
-    chosen = draws < probability
-    chosen[positives.flat_indices()] = False
-    flat = np.flatnonzero(chosen)
+    pos = positives.flat_indices()  # sorted: the canonical order is row-major
+    found = []
+    for start in range(0, positives.n_cells, NEGATIVE_CHUNK_CELLS):
+        chosen = rng.random(min(NEGATIVE_CHUNK_CELLS, positives.n_cells - start)) < probability
+        lo, hi = np.searchsorted(pos, (start, start + chosen.size))
+        chosen[pos[lo:hi] - start] = False
+        found.append(np.flatnonzero(chosen) + start)
+    flat = np.concatenate(found)
     return ObservationTensor.from_flat(
         positives.shape,
-        np.concatenate([positives.flat_indices(), flat]),
+        np.concatenate([pos, flat]),
         np.concatenate([positives.values, np.zeros(flat.size)]),
     )
 
@@ -271,7 +283,9 @@ class SynthConfig:
     with factor entries uniform in [0, 1); every cell belonging to a group-0
     curator gets ``bias_strength`` added, and the highest-scoring cells
     become positives until ``target_sparsity`` is reached.  The scores are
-    one dense tensor, so its cell count is bounded by :data:`MAX_DENSE_CELLS`.
+    made in blocks of whole users of about :data:`SYNTH_BLOCK_CELLS` cells;
+    only a tie at the positives' cut scores every cell at once, so the cell
+    count is bounded by :data:`MAX_DENSE_CELLS`.
     """
 
     n_users: int
@@ -287,6 +301,8 @@ class SynthConfig:
         check_types(SynthConfig, vars(self), "synth")
         if min(self.n_users, self.n_curators, self.n_topics, self.true_rank) < 1:
             raise ConfigError("dimensions and true_rank must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         _check_dense_cells(self.n_users * self.n_curators * self.n_topics, "synth_generate")
         if not 0.0 < self.group_ratio < 1.0:
             raise ConfigError("group_ratio must lie strictly between 0 and 1")
@@ -305,6 +321,59 @@ def _synth_groups(cfg: SynthConfig) -> np.ndarray:
     return groups
 
 
+def _highest(values: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the ``n`` highest of ``values``, all of them if fewer."""
+    if values.size <= n:
+        return np.arange(values.size)
+    return np.argpartition(values, values.size - n)[values.size - n:]
+
+
+def _top_cells(blocks: Iterable[tuple[int, np.ndarray]], n_top: int) -> np.ndarray | None:
+    """Sorted ids of the ``n_top`` highest values over ``blocks``, pairs of
+    (id of the first value, 1-D values) that together hold at least ``n_top``
+    values; None when more than ``n_top`` values reach the cut, the
+    ``n_top``-th highest, which leaves the choice among its ties open.
+
+    After each block only the ``n_top + 1`` highest (value, id) pairs seen
+    so far are kept.  The ``n_top``-th highest kept value is then the cut
+    over every value, and more than ``n_top`` kept values reach it exactly
+    when more than ``n_top`` values do: a step that dropped a value at the
+    cut kept ``n_top + 1`` values at or above it.
+    """
+    values, ids = np.empty(0), np.empty(0, dtype=np.int64)
+    for first, block in blocks:
+        keep = _highest(block, n_top + 1)
+        values = np.concatenate([values, block[keep]])
+        ids = np.concatenate([ids, keep + first])
+        keep = _highest(values, n_top + 1)
+        values, ids = values[keep], ids[keep]
+    cut = np.partition(values, values.size - n_top)[values.size - n_top]
+    top = values >= cut
+    if np.count_nonzero(top) != n_top:
+        return None
+    return np.sort(ids[top])
+
+
+def _positive_cells(
+    scores: Callable[[slice], np.ndarray], shape: tuple[int, int, int], n_pos: int
+) -> np.ndarray:
+    """Sorted row-major ids of the ``n_pos`` highest-scoring cells, where
+    ``scores(users)`` is the (users, m, K) score block of a slice of users.
+
+    The blocks hold whole users, about :data:`SYNTH_BLOCK_CELLS` cells each.
+    On a tie at the cut every cell is scored at once: dense
+    ``np.argpartition``'s choice among the ties is the reference.
+    """
+    n, m, kk = shape
+    step = max(1, SYNTH_BLOCK_CELLS // (m * kk))
+    blocks = ((a * m * kk, scores(slice(a, a + step)).ravel()) for a in range(0, n, step))
+    flat = _top_cells(blocks, n_pos)
+    if flat is None:
+        dense = scores(slice(None)).ravel()
+        flat = np.sort(np.argpartition(dense, dense.size - n_pos)[dense.size - n_pos:])
+    return flat
+
+
 def synth_generate(
     cfg: SynthConfig,
 ) -> tuple[ObservationTensor, SensitiveMap, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -319,16 +388,18 @@ def synth_generate(
     u3 = rng.random((cfg.n_topics, cfg.true_rank))
     groups = _synth_groups(cfg)
 
-    scores = np.einsum("ir,jr,kr->ijk", u1, u2, u3)
-    scores[:, groups == 0, :] += cfg.bias_strength
+    def scores(users: slice) -> np.ndarray:
+        # a user block's einsum is bit-equal to the same users' rows of the whole
+        block = np.einsum("ir,jr,kr->ijk", u1[users], u2, u3)
+        block[:, groups == 0, :] += cfg.bias_strength
+        return block
 
-    total = scores.size
-    n_pos = math.ceil(cfg.target_sparsity * total)
+    shape = (cfg.n_users, cfg.n_curators, cfg.n_topics)
+    n_pos = math.ceil(cfg.target_sparsity * math.prod(shape))
     if n_pos < 1:
         raise ConfigError("target_sparsity yields no positives")
-    flat = np.argpartition(scores.ravel(), total - n_pos)[total - n_pos:]
-    flat = np.sort(flat)  # a copy, so the full-size argpartition result is freed here
-    obs = ObservationTensor.from_flat(scores.shape, flat, np.ones(flat.size))
+    flat = _positive_cells(scores, shape, n_pos)
+    obs = ObservationTensor.from_flat(shape, flat, np.ones(flat.size))
     return obs, SensitiveMap(groups=groups), (u1, u2, u3)
 
 

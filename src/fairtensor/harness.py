@@ -16,10 +16,13 @@ requested model on the train side and evaluates it on the test side:
   the m or m*K scores at the k-th and stable-sorts those at or above it;
 * fairness: predicted scores of the test cells (or of every cell, with
   ``fairness_scope="full"``) are grouped by curator group for MAD and KS.
-  Full scope makes one batched (K x n x m) product, read in (user, curator,
-  topic) order; with the grouping and KS's sort it holds at most 3*n*m*K
-  floats at once, about 36 MB at the paper's 589 x 252 x 10, and a shape of
-  more than ``MAX_DENSE_CELLS`` cells is a :class:`ConfigError`.
+  Full scope scores one (topic, group) chunk at a time, the n x m_g
+  product of the topic's user rows and the group's curator rows, and
+  :func:`metrics.group_fairness` reads the chunks in two passes.  Beside
+  the model's stacked factors it holds one chunk and its sort, at most n*m
+  floats; at the paper's 589 x 252 x 10 the step peaks at about 2.5 MB
+  where every cell's score takes 11.9 MB.  A shape of more than
+  ``MAX_DENSE_CELLS`` cells is still a :class:`ConfigError`.
 
 Reports carry one row per (model, run), an across-run mean row per model and
 the fully resolved config, and are byte-identical for identical configs.
@@ -57,10 +60,12 @@ from .errors import (
     ConfigError, FairtensorError, UndefinedMetricError, check_fields, check_types, read_json
 )
 from .metrics import (
+    Chunks,
     GroupedScores,
     MetricsReport,
     RunMetrics,
     f1_at_k,
+    group_fairness,
     ks,
     mad,
     precision_at_k,
@@ -144,6 +149,8 @@ class ExperimentConfig:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         _check_evaluation(self.k, self.intervals, self.fairness_scope, self.rank_scope)
         models = tuple(self.models)
         if not models:
@@ -255,25 +262,20 @@ def _quality_metrics(
     return {"p_at_k": p, "r_at_k": r, "f1_at_k": f1_at_k(p, r)}
 
 
-def _grouped_scores(
-    model: TrainedModel,
-    ds: SplitDataset,
-    smap: SensitiveMap,
-    fairness_scope: str,
-) -> GroupedScores:
-    if fairness_scope == "test":
-        cells = ds.test
-        preds = predict_cells(model, cells.users, cells.curators, cells.topics)
-        is0 = smap.groups[cells.curators] == 0
-    else:
-        _check_dense_cells(ds.train.n_cells, "full-scope fairness")
-        # every cell: topic k's (n x m) score matrix is A[k] B[k]^T, one gemm
-        # per topic in one batched product, read with the topic axis last so
-        # the cells run in (user, curator, topic) order
-        a, b = model.topic_factors
-        preds = np.matmul(a, b.transpose(0, 2, 1)).transpose(1, 2, 0)
-        is0 = np.broadcast_to((smap.groups == 0)[None, :, None], preds.shape)
-    return GroupedScores(preds[is0], preds[~is0])
+def _full_scope_chunks(model: TrainedModel, smap: SensitiveMap) -> Chunks:
+    """Every cell's score as (group, scores) chunks: per topic k and group g,
+    the (n x m_g) product ``A[k] @ B_g[k].T`` of :attr:`TrainedModel.topic_factors`,
+    where B_g holds group g's curator rows in curator order."""
+    a, b = model.topic_factors
+    is0 = smap.groups == 0
+    b_groups = (b[:, is0], b[:, ~is0])  # each group's rows, taken once
+
+    def chunks():
+        for topic in range(a.shape[0]):
+            for group, rows in enumerate(b_groups):
+                yield group, a[topic] @ rows[topic].T
+
+    return chunks
 
 
 def _fairness_metrics(
@@ -283,11 +285,19 @@ def _fairness_metrics(
     intervals: int,
     fairness_scope: str,
 ) -> dict[str, float]:
-    """MAD and KS of the model's scores grouped by curator group."""
+    """MAD and KS of the model's scores grouped by curator group: of the
+    test cells, or of every cell, one (topic, group) chunk at a time."""
     if smap is None:
         raise UndefinedMetricError("fairness metrics need a sensitive map")
-    scores = _grouped_scores(model, ds, smap, fairness_scope)
-    return {"mad": mad(scores), "ks": ks(scores, intervals)}
+    if fairness_scope == "test":
+        cells = ds.test
+        preds = predict_cells(model, cells.users, cells.curators, cells.topics)
+        is0 = smap.groups[cells.curators] == 0
+        chunks = GroupedScores(preds[is0], preds[~is0]).chunks
+    else:
+        _check_dense_cells(ds.train.n_cells, "full-scope fairness")
+        chunks = _full_scope_chunks(model, smap)
+    return group_fairness(chunks, intervals)
 
 
 def evaluate_model(
@@ -532,7 +542,7 @@ def _check_gradients() -> OracleCheck:
             problems += [(one_topic, [u1, u2], dict(groups=groups)),
                          (one_topic, [w1, u2], dict(s=s))]
         for train, params, constants in problems:
-            objective = _objective(train, cfg, **constants)
+            objective = _objective(train, cfg, params, **constants)
             numeric = _fd_gradient(lambda: objective(params)[0], params)
             worst = max(worst, _rel_err(objective(params)[1], numeric))
     elapsed = time.perf_counter() - started

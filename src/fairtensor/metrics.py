@@ -8,13 +8,15 @@ Fairness: MAD is the absolute difference between the two groups' mean
 predicted ratings.  KS is the area between the groups' empirical cumulative
 rating distributions, discretised over the common data range [min, max] into
 ``intervals`` equal bins; the boundary count of the last bin includes the
-maximum.  Lower is fairer for both.
+maximum.  Lower is fairer for both.  :func:`group_fairness` computes both
+from scores that arrive in (group, scores) chunks, so no step needs every
+score at once; :func:`mad` and :func:`ks` are its case of one chunk per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "f1_at_k",
     "mad",
     "ks",
+    "group_fairness",
 ]
 
 METRIC_FIELDS = ("p_at_k", "r_at_k", "f1_at_k", "mad", "ks")
@@ -44,9 +47,14 @@ class GroupedScores:
     def __post_init__(self):
         for name in ("group0", "group1"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).ravel()
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite scores")
             object.__setattr__(self, name, arr)
+
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The scores as (group, scores) chunks, one per group."""
+        return iter(((0, self.group0), (1, self.group1)))
+
+
+Chunks = Callable[[], Iterable[tuple[int, np.ndarray]]]
 
 
 def _mean_over_units(top_lists: Mapping, positives: Mapping, k: int, ratio: Callable) -> float:
@@ -88,15 +96,58 @@ def f1_at_k(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def _require_groups(scores: GroupedScores) -> None:
-    if scores.group0.size == 0 or scores.group1.size == 0:
+def _summary(chunks: Chunks) -> tuple[float, float, list[float], list[int]]:
+    """(min, max, per-group sums, per-group sizes) of the chunked scores:
+    the first of the two passes of :func:`group_fairness`."""
+    lo, hi, sums, sizes = np.inf, -np.inf, [0.0, 0.0], [0, 0]
+    for group, scores in chunks():
+        if scores.size == 0:
+            continue
+        low, high = scores.min(), scores.max()  # NaN if any score is NaN
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise UndefinedMetricError(f"group {group} has non-finite scores")
+        lo, hi = min(lo, low), max(hi, high)
+        sums[group] += float(scores.sum())
+        sizes[group] += scores.size
+    if 0 in sizes:
         raise UndefinedMetricError("fairness metrics need scores for both groups")
+    return lo, hi, sums, sizes
+
+
+def _mad(sums: list[float], sizes: list[int]) -> float:
+    return abs(sums[0] / sizes[0] - sums[1] / sizes[1])
+
+
+def group_fairness(chunks: Chunks, intervals: int) -> dict[str, float]:
+    """MAD and KS of scores that arrive in chunks, without holding them all.
+
+    ``chunks()`` yields (group, scores) pairs and is called twice: the first
+    pass finds the common range and each group's sum and size, the second
+    counts each chunk's scores at or below each KS boundary, from one sort
+    of the chunk.  The counts are exact integers, so KS does not depend on
+    the chunking; MAD's sums do, in their low bits.  A non-finite score or
+    an empty group is an :class:`UndefinedMetricError`.
+    """
+    if intervals < 1:
+        raise ValueError("intervals must be >= 1")
+    lo, hi, sums, sizes = _summary(chunks)
+    if hi == lo:
+        return {"mad": _mad(sums, sizes), "ks": 0.0}
+    width = (hi - lo) / intervals
+    bounds = lo + width * np.arange(1, intervals + 1)
+    bounds[-1] = hi  # last boundary is inclusive of the maximum
+    counts = [0, 0]
+    for group, scores in chunks():
+        below = np.searchsorted(np.sort(scores, axis=None), bounds, side="right")
+        counts[group] += int(below.sum())
+    s0, s1 = counts[0] / sizes[0], counts[1] / sizes[1]
+    return {"mad": _mad(sums, sizes), "ks": float((hi - lo) * abs(s0 - s1) / intervals)}
 
 
 def mad(scores: GroupedScores) -> float:
     """Absolute difference of the two groups' mean predicted ratings."""
-    _require_groups(scores)
-    return abs(float(scores.group0.mean()) - float(scores.group1.mean()))
+    _, _, sums, sizes = _summary(scores.chunks)
+    return _mad(sums, sizes)
 
 
 def ks(scores: GroupedScores, intervals: int = 50) -> float:
@@ -107,19 +158,7 @@ def ks(scores: GroupedScores, intervals: int = 50) -> float:
     fraction of group-g ratings at or below the i-th boundary, the statistic
     is | sum_i l*F_0(i) - sum_i l*F_1(i) |.  A degenerate range gives 0.
     """
-    if intervals < 1:
-        raise ValueError("intervals must be >= 1")
-    _require_groups(scores)
-    lo = min(scores.group0.min(), scores.group1.min())
-    hi = max(scores.group0.max(), scores.group1.max())
-    if hi == lo:
-        return 0.0
-    width = (hi - lo) / intervals
-    bounds = lo + width * np.arange(1, intervals + 1)
-    bounds[-1] = hi  # last boundary is inclusive of the maximum
-    s0 = np.searchsorted(np.sort(scores.group0), bounds, side="right").sum() / scores.group0.size
-    s1 = np.searchsorted(np.sort(scores.group1), bounds, side="right").sum() / scores.group1.size
-    return float((hi - lo) * abs(s0 - s1) / intervals)
+    return group_fairness(scores.chunks, intervals)["ks"]
 
 
 @dataclass(frozen=True)

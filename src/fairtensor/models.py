@@ -31,7 +31,10 @@ Gradient descent is full batch with a constant step size.  Each iterate
 makes one prediction, which gives the objective's value, and one scatter per
 free block, which gives its gradient (the parity term's per-cell weights are
 added to the residual first).  Constant blocks, the sensitive features and
-the ones topic row, are never parameters, so they cannot drift.  Training is
+the ones topic row, are never parameters, so they cannot drift.  GD and ALS
+gather the cells' factor rows into buffers allocated once per problem, and
+GD forms its scatter contributions and bins in two more, so no iterate
+allocates an array the size of the cells times the rank.  Training is
 deterministic given (data, config, seed); trained models are immutable.
 """
 
@@ -41,7 +44,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -125,6 +128,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be > 0")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def fair_layout(self) -> tuple[int, tuple[int, ...]]:
         """(total columns, sensitive column indices) for FT/FM."""
@@ -248,18 +253,28 @@ def _converged(prev: float, cur: float, tol: float) -> bool:
     return abs(prev - cur) <= tol * max(abs(prev), 1e-12)
 
 
-def _fit_terms(train: ObservationTensor, factors: list[np.ndarray], lam: float):
-    """(gathered rows, predictions, residuals, masked ridge loss) of the cells.
+def _row_buffers(train: ObservationTensor, widths: Sequence[int]) -> list[np.ndarray]:
+    """One (cells, width) buffer per factor, for :func:`_fit_terms` to gather
+    into; a problem allocates them once, not once per iterate."""
+    return [np.empty((train.n_entries, w)) for w in widths]
+
+
+def _fit_terms(
+    train: ObservationTensor, factors: list[np.ndarray], lam: float, rows: list[np.ndarray]
+):
+    """(predictions, residuals, masked ridge loss) of the cells, with each
+    factor's rows of the cells gathered into its buffer of ``rows``.
 
     A one-topic slice passes no topic factor: it is a constant row of ones,
     so the CP products leave it out, and the ridge covers only the factors
     the model stores.
     """
-    rows = [u[idx] for u, idx in zip(factors, (train.users, train.curators, train.topics))]
+    for u, idx, out in zip(factors, (train.users, train.curators, train.topics), rows):
+        np.take(u, idx, axis=0, out=out, mode="clip")  # "raise" would gather into a copy
     preds = np.einsum(",".join(["er"] * len(rows)) + "->e", *rows)
     resid = preds - train.values
     reg = sum(float(np.sum(u * u)) for u in factors)
-    return rows, preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
+    return preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
 
 
 def _parity_terms(
@@ -282,6 +297,7 @@ Objective = Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]
 def _objective(
     train: ObservationTensor,
     cfg: TrainConfig,
+    params: list[np.ndarray],
     groups: np.ndarray | None = None,
     s: np.ndarray | None = None,
 ) -> Objective:
@@ -292,14 +308,22 @@ def _objective(
     ``s`` (FT/FM) the features join the free curator block as its last two
     columns, where :meth:`TrainConfig.fair_layout` puts them, and the
     orthogonality penalty acts on the free curator block.  Constant blocks
-    get no gradient and no scatter.
+    get no gradient and no scatter.  The free blocks ``params`` fix the
+    shapes of the buffers that every call reuses: the gathered rows, one
+    contribution array and one array of scatter bins, each as wide as the
+    widest free block.
     """
     index = (train.users, train.curators, train.topics)
     is0 = None if groups is None else _group0_cells(train.curators, groups)
+    widths = [p.shape[1] for p in params]
+    features = 0 if s is None else s.shape[1]  # they join the curator block's rows
+    rows = _row_buffers(train, [widths[0], widths[1] + features, *widths[2:]])
+    cells = train.n_entries * max(widths)
+    contrib, bins = np.empty(cells), np.empty(cells, dtype=np.intp)
 
     def objective(params):
         factors = params if s is None else [params[0], np.hstack([params[1], s]), *params[2:]]
-        rows, preds, resid, value = _fit_terms(train, factors, cfg.lam)
+        preds, resid, value = _fit_terms(train, factors, cfg.lam, rows)
         if is0 is not None:
             parity, cell_weights = _parity_terms(preds, is0, cfg.parity_weight)
             value += parity
@@ -307,8 +331,12 @@ def _objective(
         grads = []
         for mode, p in enumerate(params):
             others = [r[:, : p.shape[1]] for other, r in enumerate(rows) if other != mode]
-            contrib = reduce(np.multiply, others, resid[:, None])
-            grads.append(_scatter_rows(index[mode], contrib, p.shape[0]) + cfg.lam * p)
+            c = contrib[: train.n_entries * p.shape[1]].reshape(train.n_entries, p.shape[1])
+            # ((resid * x) * y), the order the factors' and traces' bits depend on
+            np.multiply(resid[:, None], others[0], out=c)
+            for x in others[1:]:
+                np.multiply(c, x, out=c)
+            grads.append(_scatter_rows(index[mode], c, p.shape[0], bins) + cfg.lam * p)
         if s is not None:
             free_cols = range(params[1].shape[1])
             ortho, g_ortho = ortho_penalty(params[1], s, free_cols, cfg.ortho_weight)
@@ -363,30 +391,36 @@ def _als(
         ridge = _MIN_RIDGE
     index = (train.users, train.curators, train.topics)
     factors = list(params)
+    rank = factors[0].shape[1]
+    rows = _row_buffers(train, [rank] * len(factors))
     plans = []
     for mode, u in enumerate(factors):
         order = np.argsort(index[mode], kind="stable")
         starts = np.searchsorted(index[mode][order], np.arange(u.shape[0] + 1))
-        rows = np.flatnonzero(np.diff(starts))
-        runs = list(zip(starts[rows].tolist(), starts[rows + 1].tolist()))
+        nonempty = np.flatnonzero(np.diff(starts))
+        runs = list(zip(starts[nonempty].tolist(), starts[nonempty + 1].tolist()))
         others = [(other, index[other][order]) for other in range(len(factors)) if other != mode]
-        plans.append((rows, runs, others, train.values[order]))
-    trace = [_fit_terms(train, factors, ridge)[3]]
+        gram, rhs = np.empty((len(runs), rank, rank)), np.empty((len(runs), rank))
+        plans.append((nonempty, runs, others, train.values[order], gram, rhs))
+    trace = [_fit_terms(train, factors, ridge, rows)[2]]
     for _ in range(cfg.max_iters):
-        for mode, (rows, runs, others, y) in enumerate(plans):
-            zs = reduce(np.multiply, [factors[other][idx] for other, idx in others])
-            rank = zs.shape[1]
-            gram = np.empty((len(runs), rank, rank))
-            rhs = np.empty((len(runs), rank))
+        for mode, (nonempty, runs, others, y, gram, rhs) in enumerate(plans):
+            # the design: the product of the other modes' rows, in this mode's cell
+            # order; this mode's row buffer is free until the next _fit_terms
+            gathered = [np.take(factors[other], idx, axis=0, out=rows[other], mode="clip")
+                        for other, idx in others]
+            z = gathered[0]
+            for g in gathered[1:]:
+                z = np.multiply(z, g, out=rows[mode])
             for t, (a, b) in enumerate(runs):
-                z = zs[a:b]  # a view: z.T @ z stays BLAS syrk, as for a copy
-                np.matmul(z.T, z, out=gram[t])
-                np.matmul(z.T, y[a:b], out=rhs[t])
+                za = z[a:b]  # a view: za.T @ za stays BLAS syrk, as for a copy
+                np.matmul(za.T, za, out=gram[t])
+                np.matmul(za.T, y[a:b], out=rhs[t])
             gram += ridge * np.eye(rank)
             factors[mode] = np.zeros((factors[mode].shape[0], rank))
             # a 2-D right-hand side would be read as one matrix, not a stack
-            factors[mode][rows] = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        trace.append(_fit_terms(train, factors, ridge)[3])
+            factors[mode][nonempty] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        trace.append(_fit_terms(train, factors, ridge, rows)[2])
         if _converged(trace[-2], trace[-1], cfg.tol):
             break
     return factors, trace
@@ -464,10 +498,10 @@ def _fit(
     if kind in ("OTC", "OMC"):
         return _als(train, params, cfg)
     if kind in ("RTC", "RMC"):
-        return _descend(params, _objective(train, cfg, groups=sensitive.groups), cfg)
+        return _descend(params, _objective(train, cfg, params, groups=sensitive.groups), cfg)
     s = sensitive.matrix
     params = [params[0], params[1][:, : -s.shape[1]], *params[2:]]
-    params, trace = _descend(params, _objective(train, cfg, s=s), cfg)
+    params, trace = _descend(params, _objective(train, cfg, params, s=s), cfg)
     params[1] = np.hstack([remove_span_component(params[1], s), s])
     return params, trace
 

@@ -244,12 +244,23 @@ def masked_loss(model: FactorModel, obs: ObservationTensor, lam: float) -> float
     return 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
 
 
-def _scatter_rows(index: np.ndarray, contrib: np.ndarray, n_rows: int) -> np.ndarray:
-    # one bincount over the flattened (row, column) bins: a C-speed scatter-add
-    # in which each bin gets its additions in cell order
+def _scatter_rows(
+    index: np.ndarray, contrib: np.ndarray, n_rows: int, bins: np.ndarray | None = None
+) -> np.ndarray:
+    """Row sums ``out[index[e]] += contrib[e]`` of a (cells, rank) array.
+
+    One bincount over the flattened (row, column) bins ``index * rank +
+    column``: a C-speed scatter-add in which each bin gets its additions in
+    cell order.  The bins are written into ``bins``, an intp buffer of at
+    least ``contrib.size`` entries, when one is given.
+    """
     rank = contrib.shape[1]
-    bins = (index[:, None] * rank + np.arange(rank)).ravel()
-    out = np.bincount(bins, weights=contrib.ravel(), minlength=n_rows * rank)
+    if bins is None:
+        bins = np.empty(contrib.size, dtype=np.intp)
+    cell_bins = bins[: contrib.size].reshape(contrib.shape)
+    np.multiply(index[:, None], rank, out=cell_bins)
+    np.add(cell_bins, np.arange(rank), out=cell_bins)
+    out = np.bincount(cell_bins.ravel(), weights=contrib.ravel(), minlength=n_rows * rank)
     return out.reshape(n_rows, rank)
 
 

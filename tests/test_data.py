@@ -1,10 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairtensor import data
 from fairtensor.data import (
     MAX_DENSE_CELLS,
     SensitiveMap,
@@ -26,6 +30,29 @@ from fairtensor.errors import (
     SplitError,
 )
 from fairtensor.tensor_core import ObservationTensor
+
+
+# derandomized and bounded, so every run draws the same examples
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+
+def dense_top(values, n_top):
+    """The reference selection: sorted ids of one ``np.argpartition`` of
+    every value, whose choice among ties at the cut reports hold."""
+    flat = np.ravel(values)
+    return np.sort(np.argpartition(flat, flat.size - n_top)[flat.size - n_top:])
+
+
+def one_draw_negative_sample(positives, probability, seed):
+    """The reference sample: one uniform draw over every cell at once."""
+    chosen = np.random.default_rng(seed).random(positives.n_cells) < probability
+    chosen[positives.flat_indices()] = False
+    flat = np.flatnonzero(chosen)
+    return ObservationTensor.from_flat(
+        positives.shape,
+        np.concatenate([positives.flat_indices(), flat]),
+        np.concatenate([positives.values, np.zeros(flat.size)]),
+    )
 
 
 def write(tmp_path, name, text):
@@ -187,6 +214,31 @@ class TestNegativeSample:
             with pytest.raises(ConfigError, match=r"probability must lie in \[0, 1\]"):
                 negative_sample(self.positives(), probability, seed=0)
 
+    @PROPERTY
+    @given(st.data())
+    def test_chunks_equal_one_draw(self, data_):
+        # chunks of 1 to more than every cell, so chunk edges fall beside,
+        # between and on positives
+        shape = tuple(data_.draw(st.integers(1, 5)) for _ in range(3))
+        total = math.prod(shape)
+        flat = data_.draw(st.lists(st.integers(0, total - 1), unique=True, max_size=total))
+        pos = ObservationTensor.from_flat(shape, np.array(flat, dtype=np.int64),
+                                          np.ones(len(flat)))
+        probability = data_.draw(st.sampled_from([0.05, 0.5, 1.0]))
+        seed = data_.draw(st.integers(0, 2**32 - 1))
+        chunk = data_.draw(st.integers(1, total + 2))
+        with mock.patch.object(data, "NEGATIVE_CHUNK_CELLS", chunk):
+            got = negative_sample(pos, probability, seed)
+        want = one_draw_negative_sample(pos, probability, seed)
+        assert got.entry_tuples() == want.entry_tuples()
+
+    def test_paper_scale_equals_one_draw(self):
+        rng = np.random.default_rng(98)
+        flat = np.sort(rng.choice(589 * 252 * 10, size=16867, replace=False))
+        pos = ObservationTensor.from_flat((589, 252, 10), flat, np.ones(flat.size))
+        got = negative_sample(pos, 0.00113, seed=43)
+        assert got.entry_tuples() == one_draw_negative_sample(pos, 0.00113, 43).entry_tuples()
+
     def test_paper_scale_count_within_three_sigma(self):
         # 16,867 positives in a 589 x 252 x 10 tensor; p = 0.00113
         rng = np.random.default_rng(99)
@@ -299,6 +351,20 @@ class TestSynthGenerate:
         with pytest.raises(ConfigError, match=rf"synth field {field!r} must be \w+, got {got}"):
             self.small(**{field: value})
 
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            self.small(seed=-1)
+
+    @pytest.mark.parametrize("block", [1, 100, 2**17])
+    def test_blocks_give_the_dense_positives(self, block, monkeypatch):
+        monkeypatch.setattr(data, "SYNTH_BLOCK_CELLS", block)
+        for seed, bias in ((0, 0.0), (1, 0.3), (2, 10.0)):
+            cfg = self.small(seed=seed, bias_strength=bias)
+            obs, smap, (u1, u2, u3) = synth_generate(cfg)
+            scores = np.einsum("ir,jr,kr->ijk", u1, u2, u3)
+            scores[:, smap.groups == 0, :] += bias
+            assert np.array_equal(obs.flat_indices(), dense_top(scores, obs.n_entries))
+
     def test_group_ratio_must_leave_both_groups(self):
         with pytest.raises(ConfigError):
             synth_generate(self.small(group_ratio=0.001))
@@ -310,6 +376,43 @@ class TestSynthGenerate:
         n0, n1 = positive_group_counts(obs, smap)
         assert n1 > 0
         assert abs(n0 / n1 - 2.0) <= 0.25
+
+
+class TestTopCells:
+    """The block selection of synth_generate's positives, on values with
+    many ties."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_dense_selection_or_a_tie_at_the_cut(self, data_):
+        values = np.array(data_.draw(st.lists(st.integers(0, 5), min_size=1, max_size=40)),
+                          dtype=np.float64)
+        n_top = data_.draw(st.integers(1, values.size))
+        edges = sorted(data_.draw(st.lists(st.integers(0, values.size), max_size=6)))
+        starts, ends = [0, *edges], [*edges, values.size]
+        got = data._top_cells([(a, values[a:b]) for a, b in zip(starts, ends)], n_top)
+        cut = np.sort(values)[values.size - n_top]
+        if np.count_nonzero(values >= cut) == n_top:
+            assert np.array_equal(got, dense_top(values, n_top))
+        else:
+            assert got is None
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 10**6])
+    def test_ties_fall_back_to_dense_argpartition(self, block, monkeypatch):
+        monkeypatch.setattr(data, "SYNTH_BLOCK_CELLS", block)
+        scores = np.random.default_rng(3).integers(0, 4, size=(9, 5, 3)).astype(np.float64)
+        calls = []
+
+        def score_users(users):
+            calls.append(users)
+            return scores[users].copy()
+
+        for n_pos in range(1, scores.size + 1):
+            calls.clear()
+            got = data._positive_cells(score_users, scores.shape, n_pos)
+            assert np.array_equal(got, dense_top(scores, n_pos)), n_pos
+            tied = np.count_nonzero(scores >= np.sort(scores, axis=None)[-n_pos]) != n_pos
+            assert (calls[-1] == slice(None)) == tied, n_pos
 
 
 class TestExportSynthetic:

@@ -4,14 +4,16 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairtensor import harness
+from fairtensor import data, harness
 from fairtensor.cli import main as cli_main
-from fairtensor.data import SensitiveMap, SplitDataset, SynthConfig
+from fairtensor.data import SensitiveMap, SplitDataset, SynthConfig, synth_generate
 from fairtensor.errors import ConfigError, UndefinedMetricError
 from fairtensor.harness import (
     ExperimentConfig,
@@ -24,6 +26,7 @@ from fairtensor.models import (
     TrainConfig,
     TrainedModel,
     load_checkpoint,
+    save_checkpoint,
     score_curators,
     train_model,
 )
@@ -293,6 +296,46 @@ class TestEvaluateScopes:
             harness._fairness_metrics(model, ds, smap, 50, "full")
         with pytest.raises(UndefinedMetricError):  # test scope: no cells, no bound
             harness._fairness_metrics(model, ds, smap, 50, "test")
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while ``fn()`` runs, after one
+    untraced call fills the package's one-time caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """No step holds the n*m*K cells at once: each peaks below half of
+    their n*m*K*8 bytes."""
+
+    @pytest.mark.parametrize("shape, block", [
+        ((200, 100, 10), 2**13),  # the module's 2**17-cell block is most of this tensor
+        ((589, 252, 10), None),
+    ], ids=["200x100x10", "paper-shape"])
+    def test_synth_generate(self, shape, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(data, "SYNTH_BLOCK_CELLS", block)
+        cfg = SynthConfig(*shape, true_rank=4, bias_strength=0.1, target_sparsity=0.01, seed=1)
+        assert traced_peak(lambda: synth_generate(cfg)) < math.prod(shape) * 8 / 2
+
+    def test_full_scope_fairness(self):
+        shape = (200, 100, 10)
+        rng = np.random.default_rng(2)
+        model = TrainedModel(
+            kind="OTC", shape=shape, config=TrainConfig(rank=20), loss_trace=(0.0,),
+            factors=FactorModel(*(rng.random((size, 20)) for size in shape)),
+        )
+        empty = ObservationTensor.from_entries(*shape, [])
+        ds = SplitDataset(train=empty, test=empty, seed=1)
+        smap = SensitiveMap(groups=np.arange(shape[1]) % 2)
+        peak = traced_peak(lambda: harness._fairness_metrics(model, ds, smap, 50, "full"))
+        assert peak < math.prod(shape) * 8 / 2
 
 
 def reference_positives_by_unit(obs, rank_scope):
@@ -618,6 +661,62 @@ class TestCli:
         assert cli_main(["experiment", "--config", str(exp_cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, edit, flag", [
+        ("synth", {"seed": -1}, []),
+        ("experiment", {"base_seed": -5}, []),
+        ("experiment", {}, ["--seed", "-5"]),
+        ("synth", {}, ["--seed", "-5"]),
+        ("experiment", {"model_overrides": {"OTC": {"seed": -3}}}, []),
+    ], ids=["synth-seed", "base_seed", "experiment-seed-flag", "synth-seed-flag",
+            "override-seed"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, edit, flag):
+        if command == "synth":
+            path = self.synth_config(tmp_path)
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps(dict(doc, **edit)), encoding="utf-8")
+        else:
+            path = self.synth_experiment(tmp_path, "exp", **edit)
+        out = tmp_path / "out"
+        code = cli_main([command, "--config", str(path), "--out", str(out), *flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "seed must be >= 0" in err
+        assert not out.exists()
+
+    def scaled_checkpoint(self, tmp_path, exp_cfg):
+        """An OTC checkpoint whose user and curator factors are scaled by
+        1e200, so its scores overflow to infinities."""
+        assert cli_main(["train", "--config", str(exp_cfg), "--out", str(tmp_path)]) == 0
+        ckpt = tmp_path / "otc_checkpoint.json"
+        model = load_checkpoint(ckpt)
+        f = model.factors
+        scaled = FactorModel(f.u_users * 1e200, f.u_curators * 1e200, f.u_topics)
+        save_checkpoint(replace(model, factors=scaled), ckpt)
+        return ckpt
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scope", ["test", "full"])
+    def test_evaluate_non_finite_scores_exits_2(self, tmp_path, capsys, scope):
+        exp_cfg = self.synth_experiment(tmp_path, "exp", fairness_scope=scope)
+        ckpt = self.scaled_checkpoint(tmp_path, exp_cfg)
+        capsys.readouterr()
+        code = cli_main(["evaluate", "--config", str(exp_cfg), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "non-finite scores" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scope", ["test", "full"])
+    def test_experiment_non_finite_scores_is_an_error_row(self, tmp_path, monkeypatch, scope):
+        exp_cfg = self.synth_experiment(tmp_path, "exp", fairness_scope=scope)
+        scaled = load_checkpoint(self.scaled_checkpoint(tmp_path, exp_cfg))
+        monkeypatch.setattr(harness, "train_model", lambda *args: scaled)
+        out = tmp_path / "report"
+        assert cli_main(["experiment", "--config", str(exp_cfg), "--out", str(out)]) == 1
+        (row,) = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+        assert row["mad"] is None and row["ks"] is None
+        assert row["error"].startswith("fairness: group ") and "non-finite scores" in row["error"]
 
     @pytest.mark.parametrize("problem", ["missing", "truncated", "other shape"])
     def test_evaluate_bad_checkpoint_exits_2(self, tmp_path, capsys, problem):

@@ -16,8 +16,8 @@ from fairtensor.data import (
     synth_generate,
 )
 from fairtensor.errors import ConfigError
-from fairtensor.harness import _grouped_scores
-from fairtensor.metrics import GroupedScores, ks
+from fairtensor.harness import _full_scope_chunks
+from fairtensor.metrics import GroupedScores, group_fairness, ks, mad
 from fairtensor.models import (
     TrainConfig,
     TrainedModel,
@@ -28,6 +28,7 @@ from fairtensor.models import (
     _fit_terms,
     _init_factors,
     _objective,
+    _row_buffers,
     _top_indices,
     load_checkpoint,
     ortho_penalty,
@@ -149,13 +150,14 @@ def reference_als(train, params, cfg):
     """ALS built on :func:`_als_rows`, with ``_als``'s sweep order and stop rule."""
     index = (train.users, train.curators, train.topics)
     factors = list(params)
-    trace = [_fit_terms(train, factors, cfg.lam)[3]]
+    rows = _row_buffers(train, [u.shape[1] for u in factors])
+    trace = [_fit_terms(train, factors, cfg.lam, rows)[2]]
     for _ in range(cfg.max_iters):
         for mode in range(len(factors)):
             others = [u[index[other]] for other, u in enumerate(factors) if other != mode]
             factors[mode] = _als_rows(index[mode], reduce(np.multiply, others),
                                       train.values, factors[mode].shape[0], cfg.lam)
-        trace.append(_fit_terms(train, factors, cfg.lam)[3])
+        trace.append(_fit_terms(train, factors, cfg.lam, rows)[2])
         if _converged(trace[-2], trace[-1], cfg.tol):
             break
     return factors, trace
@@ -309,7 +311,7 @@ class TestTrainRtc:
         rng = np.random.default_rng(3)
         params = [rng.random((d, 4)) for d in ds.train.shape]
         cfg = TrainConfig(rank=4, lam=0.01, parity_weight=2.5)
-        value, grads = _objective(ds.train, cfg, groups=smap.groups)(params)
+        value, grads = _objective(ds.train, cfg, params, groups=smap.groups)(params)
         model = FactorModel(*params)
         parity, g_parity = parity_penalty(model, ds.train, smap.groups, 2.5)
         assert value == masked_loss(model, ds.train, 0.01) + parity
@@ -448,7 +450,8 @@ class TestTrainFt:
         u1, u2, u3 = (rng.random((d, 6)) for d in ds.train.shape)
         u2[:, 4:] = s
         cfg = TrainConfig(rank=6, lam=0.01, ortho_weight=1.0)
-        value, grads = _objective(ds.train, cfg, s=s)([u1, u2[:, :4], u3])
+        params = [u1, u2[:, :4], u3]
+        value, grads = _objective(ds.train, cfg, params, s=s)(params)
         model = FactorModel(u1, u2, u3)
         ortho, g_ortho = ortho_penalty(u2, s, range(4), 1.0)
         assert value == masked_loss(model, ds.train, 0.01) + ortho
@@ -654,12 +657,28 @@ class TestScoringPath:
             for i, j, k in zip(users[:50], curators[:50], topics[:50]):
                 assert abs(predict(model, i, j, k) - ref[i, j, k]) <= bound[i, j, k]
 
-            full = _grouped_scores(model, ds, smap, "full")
-            for got_g, sel in ((full.group0, is0), (full.group1, ~is0)):
-                # (user, curator, topic) order within each group
-                want, scale = ref[:, sel, :].ravel(), bound[:, sel, :].ravel()
+            chunks = list(_full_scope_chunks(model, smap)())
+            assert [g for g, _ in chunks] == [0, 1] * kk
+            for (group, got_g), k in zip(chunks, np.repeat(np.arange(kk), 2)):
+                # topic k's (user, curator) scores of the group's curators, in index order
+                sel = is0 if group == 0 else ~is0
+                want, scale = ref[:, sel, k], bound[:, sel, k]
                 assert got_g.shape == want.shape
                 assert np.all(np.abs(got_g - want) <= scale), model.kind
+
+    def test_full_scope_chunks_match_dense_fairness(self):
+        """MAD/KS of the chunks against one dense GroupedScores of every cell,
+        for every kind: KS bit-equal, MAD within 1e-12*|v| + 1e-15."""
+        ds, smap, trained = self.trained()
+        is0 = np.broadcast_to((smap.groups == 0)[None, :, None], ds.train.shape)
+        for model in trained:
+            a, b = model.topic_factors
+            dense = np.matmul(a, b.transpose(0, 2, 1)).transpose(1, 2, 0)
+            scores = GroupedScores(dense[is0], dense[~is0])
+            got = group_fairness(_full_scope_chunks(model, smap), 50)
+            assert got["ks"] == ks(scores, 50), model.kind
+            want = mad(scores)
+            assert abs(got["mad"] - want) <= 1e-12 * abs(want) + 1e-15, model.kind
 
 
 class TestPredictAndTopK:

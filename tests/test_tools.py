@@ -1,9 +1,12 @@
 """Smoke tests of tools/report_hashes.py on fairbench's tiny workloads."""
 
 import importlib.util
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +44,47 @@ def test_failed_child_is_reported(tmp_path, monkeypatch):
 def test_root_without_package_exits_2(tmp_path, capsys):
     assert tool.main(["--root", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_against_root_without_package_exits_2(tmp_path, capsys):
+    assert tool.main(["--against", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_same_root_twice_has_no_differences(tmp_path):
+    workloads = [fb.tiny(name) for name in fb.bench.WORKLOADS]
+    runs = [tool.report_hashes(fb.bench, workloads, [3], ROOT, tmp_path / side)
+            for side in ("a", "b")]
+    assert runs[0][1] == runs[1][1] == []
+    assert tool.compare(runs[0][0], runs[1][0], tmp_path / "a", tmp_path / "b") == ([], [])
+    # a changed hash is looked into: equal metrics give zero differences
+    changed = [line[:-1] + "x" for line in runs[1][0]]
+    diffs, problems = tool.compare(runs[0][0], changed, tmp_path / "a", tmp_path / "b")
+    assert problems == [] and len(diffs) == len(workloads) * len(tool.METRIC_FIELDS)
+    assert all(line.endswith("abs 0.000e+00 rel 0.000e+00") for line in diffs)
+
+
+def report(mad=0.25, ks=0.5, error=None):
+    row = {"model": "FT", "run": 1, "seed": 1, "p_at_k": 0.1, "r_at_k": 0.2,
+           "f1_at_k": 0.125, "mad": mad, "ks": ks, "error": error}
+    means = {"FT": {f: row[f] for f in tool.METRIC_FIELDS}}
+    return {"k": 15, "intervals": 50, "config": {}, "rows": [row], "means": means}
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (dict(mad=0.25 + 2e-13), None),  # 8e-13 relative: within 1e-12 * |v| + 1e-15
+    (dict(mad=0.25 + 1e-12), "FT 1 mad"),
+    (dict(ks=0.5 + 1e-16), "FT 1 ks"),
+    (dict(mad=None, ks=None, error="fairness: x"), "outside their metric values"),
+], ids=["mad-within", "mad-beyond", "ks", "error"])
+def test_metric_differences(tmp_path, edit, problem):
+    path, reference = tmp_path / "change.json", tmp_path / "parent.json"
+    path.write_text(json.dumps(report(**edit)), encoding="utf-8")
+    reference.write_text(json.dumps(report()), encoding="utf-8")
+    lines, problems = tool.metric_differences(path, reference)
+    if problem is None:
+        assert problems == []
+        assert lines[3].startswith("diff mad abs 2.0")
+        assert lines[4] == "diff ks abs 0.000e+00 rel 0.000e+00"
+    else:
+        assert problems and problem in problems[0]
