@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -51,7 +51,7 @@ SENSITIVE_HEADER = ("curator_id", "group")
 MAX_DENSE_CELLS = 2**25
 # Cells per block of synthetic scores (whole users, at least one) and per
 # chunk of negative-sampling draws: each holds 1 MB of doubles, so neither
-# step's memory grows with the tensor's n*m*K cells.
+# step's memory grows with the tensor's n*m*K cells, ties or no ties.
 SYNTH_BLOCK_CELLS = 2**17
 NEGATIVE_CHUNK_CELLS = 2**17
 
@@ -282,9 +282,9 @@ class SynthConfig:
     Ground-truth scores come from a random CP model of rank ``true_rank``
     with factor entries uniform in [0, 1); every cell belonging to a group-0
     curator gets ``bias_strength`` added, and the highest-scoring cells
-    become positives until ``target_sparsity`` is reached.  The scores are
-    made in blocks of whole users of about :data:`SYNTH_BLOCK_CELLS` cells;
-    only a tie at the positives' cut scores every cell at once, so the cell
+    become positives until ``target_sparsity`` is reached; among cells tied
+    at the cut the lowest row-major ids win.  The scores are made in blocks
+    of whole users of about :data:`SYNTH_BLOCK_CELLS` cells, and the cell
     count is bounded by :data:`MAX_DENSE_CELLS`.
     """
 
@@ -306,8 +306,8 @@ class SynthConfig:
         _check_dense_cells(self.n_users * self.n_curators * self.n_topics, "synth_generate")
         if not 0.0 < self.group_ratio < 1.0:
             raise ConfigError("group_ratio must lie strictly between 0 and 1")
-        if self.bias_strength < 0.0:
-            raise ConfigError("bias_strength must be >= 0")
+        if not 0.0 <= self.bias_strength < math.inf:
+            raise ConfigError("bias_strength must be finite and >= 0")
         if not 0.0 < self.target_sparsity <= 1.0:
             raise ConfigError("target_sparsity must lie in (0, 1]")
 
@@ -321,57 +321,32 @@ def _synth_groups(cfg: SynthConfig) -> np.ndarray:
     return groups
 
 
-def _highest(values: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the ``n`` highest of ``values``, all of them if fewer."""
-    if values.size <= n:
-        return np.arange(values.size)
-    return np.argpartition(values, values.size - n)[values.size - n:]
-
-
-def _top_cells(blocks: Iterable[tuple[int, np.ndarray]], n_top: int) -> np.ndarray | None:
+def _top_cells(blocks: Iterable[tuple[int, np.ndarray]], n_top: int) -> np.ndarray:
     """Sorted ids of the ``n_top`` highest values over ``blocks``, pairs of
-    (id of the first value, 1-D values) that together hold at least ``n_top``
-    values; None when more than ``n_top`` values reach the cut, the
-    ``n_top``-th highest, which leaves the choice among its ties open.
+    (id of the first value, 1-D finite values) in id order that together
+    hold at least ``n_top`` values; ties at the cut go to the lowest ids.
 
-    After each block only the ``n_top + 1`` highest (value, id) pairs seen
-    so far are kept.  The ``n_top``-th highest kept value is then the cut
-    over every value, and more than ``n_top`` kept values reach it exactly
-    when more than ``n_top`` values do: a step that dropped a value at the
-    cut kept ``n_top + 1`` values at or above it.
+    Kept values stay in id order; past ``n_top`` they are cut back to those
+    above the ``n_top``-th highest, the cut, then the first ids at the cut.
+    Before the first cut a block adds its values at or above its own
+    ``n_top``-th highest, after it those above the cut (one at the cut has a
+    higher id than every kept one): one block and ``n_top`` values are held.
     """
-    values, ids = np.empty(0), np.empty(0, dtype=np.int64)
+    values, ids, cut = np.empty(0), np.empty(0, dtype=np.int64), -math.inf
     for first, block in blocks:
-        keep = _highest(block, n_top + 1)
+        if cut == -math.inf and block.size > n_top:
+            keep = np.flatnonzero(block >= np.partition(block, -n_top)[-n_top])
+        else:
+            keep = np.flatnonzero(block > cut)
         values = np.concatenate([values, block[keep]])
         ids = np.concatenate([ids, keep + first])
-        keep = _highest(values, n_top + 1)
-        values, ids = values[keep], ids[keep]
-    cut = np.partition(values, values.size - n_top)[values.size - n_top]
-    top = values >= cut
-    if np.count_nonzero(top) != n_top:
-        return None
-    return np.sort(ids[top])
-
-
-def _positive_cells(
-    scores: Callable[[slice], np.ndarray], shape: tuple[int, int, int], n_pos: int
-) -> np.ndarray:
-    """Sorted row-major ids of the ``n_pos`` highest-scoring cells, where
-    ``scores(users)`` is the (users, m, K) score block of a slice of users.
-
-    The blocks hold whole users, about :data:`SYNTH_BLOCK_CELLS` cells each.
-    On a tie at the cut every cell is scored at once: dense
-    ``np.argpartition``'s choice among the ties is the reference.
-    """
-    n, m, kk = shape
-    step = max(1, SYNTH_BLOCK_CELLS // (m * kk))
-    blocks = ((a * m * kk, scores(slice(a, a + step)).ravel()) for a in range(0, n, step))
-    flat = _top_cells(blocks, n_pos)
-    if flat is None:
-        dense = scores(slice(None)).ravel()
-        flat = np.sort(np.argpartition(dense, dense.size - n_pos)[dense.size - n_pos:])
-    return flat
+        if values.size > n_top:
+            cut = np.partition(values, -n_top)[-n_top]
+            top = values > cut
+            top[np.flatnonzero(values == cut)[: n_top - np.count_nonzero(top)]] = True
+            top = np.flatnonzero(top)  # two integer gathers beat two boolean ones
+            values, ids = values[top], ids[top]
+    return ids
 
 
 def synth_generate(
@@ -388,17 +363,21 @@ def synth_generate(
     u3 = rng.random((cfg.n_topics, cfg.true_rank))
     groups = _synth_groups(cfg)
 
-    def scores(users: slice) -> np.ndarray:
-        # a user block's einsum is bit-equal to the same users' rows of the whole
-        block = np.einsum("ir,jr,kr->ijk", u1[users], u2, u3)
-        block[:, groups == 0, :] += cfg.bias_strength
-        return block
-
     shape = (cfg.n_users, cfg.n_curators, cfg.n_topics)
     n_pos = math.ceil(cfg.target_sparsity * math.prod(shape))
     if n_pos < 1:
         raise ConfigError("target_sparsity yields no positives")
-    flat = _positive_cells(scores, shape, n_pos)
+    n, m, kk = shape
+    step = max(1, SYNTH_BLOCK_CELLS // (m * kk))  # whole users per block
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for a in range(0, n, step):
+            # a user block's einsum is bit-equal to the same users' rows of the whole
+            block = np.einsum("ir,jr,kr->ijk", u1[a:a + step], u2, u3)
+            block[:, groups == 0, :] += cfg.bias_strength
+            yield a * m * kk, block.ravel()
+
+    flat = _top_cells(blocks(), n_pos)
     obs = ObservationTensor.from_flat(shape, flat, np.ones(flat.size))
     return obs, SensitiveMap(groups=groups), (u1, u2, u3)
 

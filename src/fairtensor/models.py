@@ -418,8 +418,10 @@ def _als(
                 np.matmul(za.T, y[a:b], out=rhs[t])
             gram += ridge * np.eye(rank)
             factors[mode] = np.zeros((factors[mode].shape[0], rank))
-            # a 2-D right-hand side would be read as one matrix, not a stack
-            factors[mode][nonempty] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+            try:  # a 2-D right-hand side would be read as one matrix, not a stack
+                factors[mode][nonempty] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                raise ConfigError(f"ALS solve is singular at lam={cfg.lam}; raise lam") from None
         trace.append(_fit_terms(train, factors, ridge, rows)[2])
         if _converged(trace[-2], trace[-1], cfg.tol):
             break
@@ -619,9 +621,7 @@ def train_model(
 
 def predict(model: TrainedModel, i: int, j: int, k: int) -> float:
     """Predicted score of one (user, curator, topic) cell."""
-    _check_indices(model.shape, *np.atleast_1d(i, j, k))
-    a, b = model.topic_factors
-    return float(np.dot(a[k, i], b[k, j]))
+    return float(predict_cells(model, [i], [j], [k])[0])
 
 
 def predict_cells(
@@ -631,16 +631,12 @@ def predict_cells(
     topics: np.ndarray,
 ) -> np.ndarray:
     """Vectorised :func:`predict` over parallel index arrays."""
-    users = np.asarray(users, dtype=np.int64)
-    curators = np.asarray(curators, dtype=np.int64)
-    topics = np.asarray(topics, dtype=np.int64)
+    users, curators, topics = (np.asarray(x) for x in (users, curators, topics))
+    if any(x.size and x.dtype.kind not in "iu" for x in (users, curators, topics)):
+        raise IndexError("cell indices must be integers")  # a cast would turn 0.5 into 0
     _check_indices(model.shape, users, curators, topics)
-    out = np.empty(users.size)
     a, b = model.topic_factors
-    for topic in np.unique(topics):
-        mask = topics == topic
-        out[mask] = np.einsum("er,er->e", a[topic, users[mask]], b[topic, curators[mask]])
-    return out
+    return np.einsum("er,er->e", a[topics, users], b[topics, curators])
 
 
 def _user_scores(model: TrainedModel, user: int, topics: slice) -> np.ndarray:

@@ -37,10 +37,11 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=
 
 
 def dense_top(values, n_top):
-    """The reference selection: sorted ids of one ``np.argpartition`` of
-    every value, whose choice among ties at the cut reports hold."""
+    """The reference selection: sorted ids of the first ``n_top`` of one
+    stable sort of every value, highest first, so ties at the cut go to the
+    lowest ids."""
     flat = np.ravel(values)
-    return np.sort(np.argpartition(flat, flat.size - n_top)[flat.size - n_top:])
+    return np.sort(np.argsort(-flat, kind="stable")[:n_top])
 
 
 def one_draw_negative_sample(positives, probability, seed):
@@ -384,35 +385,32 @@ class TestTopCells:
 
     @PROPERTY
     @given(st.data())
-    def test_dense_selection_or_a_tie_at_the_cut(self, data_):
+    def test_lowest_ids_win_ties_at_the_cut(self, data_):
         values = np.array(data_.draw(st.lists(st.integers(0, 5), min_size=1, max_size=40)),
                           dtype=np.float64)
         n_top = data_.draw(st.integers(1, values.size))
         edges = sorted(data_.draw(st.lists(st.integers(0, values.size), max_size=6)))
         starts, ends = [0, *edges], [*edges, values.size]
         got = data._top_cells([(a, values[a:b]) for a, b in zip(starts, ends)], n_top)
-        cut = np.sort(values)[values.size - n_top]
-        if np.count_nonzero(values >= cut) == n_top:
-            assert np.array_equal(got, dense_top(values, n_top))
-        else:
-            assert got is None
+        assert np.array_equal(got, dense_top(values, n_top))
 
     @pytest.mark.parametrize("block", [1, 7, 64, 10**6])
-    def test_ties_fall_back_to_dense_argpartition(self, block, monkeypatch):
+    def test_synth_ties_go_to_the_lowest_cells(self, block, monkeypatch):
+        # near 1e15 doubles are 0.125 apart, so group 0's biased scores take
+        # only a few values: most cuts inside group 0 fall among ties
         monkeypatch.setattr(data, "SYNTH_BLOCK_CELLS", block)
-        scores = np.random.default_rng(3).integers(0, 4, size=(9, 5, 3)).astype(np.float64)
-        calls = []
-
-        def score_users(users):
-            calls.append(users)
-            return scores[users].copy()
-
-        for n_pos in range(1, scores.size + 1):
-            calls.clear()
-            got = data._positive_cells(score_users, scores.shape, n_pos)
-            assert np.array_equal(got, dense_top(scores, n_pos)), n_pos
-            tied = np.count_nonzero(scores >= np.sort(scores, axis=None)[-n_pos]) != n_pos
-            assert (calls[-1] == slice(None)) == tied, n_pos
+        shape, bias = (9, 5, 3), 1e15
+        ties = 0
+        for n_pos in range(1, math.prod(shape) + 1):
+            cfg = SynthConfig(*shape, true_rank=1, bias_strength=bias,
+                              target_sparsity=n_pos / math.prod(shape), seed=3)
+            obs, smap, (u1, u2, u3) = synth_generate(cfg)
+            n = obs.n_entries  # the ceil of a rounded product: n_pos or one more
+            scores = np.einsum("ir,jr,kr->ijk", u1, u2, u3)
+            scores[:, smap.groups == 0, :] += bias
+            assert np.array_equal(obs.flat_indices(), dense_top(scores, n)), n
+            ties += np.count_nonzero(scores >= np.sort(scores, axis=None)[-n]) > n
+        assert ties > 20
 
 
 class TestExportSynthetic:

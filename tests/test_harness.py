@@ -314,14 +314,15 @@ class TestBoundedMemory:
     """No step holds the n*m*K cells at once: each peaks below half of
     their n*m*K*8 bytes."""
 
-    @pytest.mark.parametrize("shape, block", [
-        ((200, 100, 10), 2**13),  # the module's 2**17-cell block is most of this tensor
-        ((589, 252, 10), None),
-    ], ids=["200x100x10", "paper-shape"])
-    def test_synth_generate(self, shape, block, monkeypatch):
+    @pytest.mark.parametrize("shape, block, bias", [
+        ((200, 100, 10), 2**13, 0.1),  # the module's 2**17-cell block is most of this tensor
+        ((589, 252, 10), None, 0.1),
+        ((589, 252, 10), None, 1e15),  # group 0's scores tie in 0.125 steps near 1e15
+    ], ids=["200x100x10", "paper-shape", "paper-shape-ties"])
+    def test_synth_generate(self, shape, block, bias, monkeypatch):
         if block is not None:
             monkeypatch.setattr(data, "SYNTH_BLOCK_CELLS", block)
-        cfg = SynthConfig(*shape, true_rank=4, bias_strength=0.1, target_sparsity=0.01, seed=1)
+        cfg = SynthConfig(*shape, true_rank=4, bias_strength=bias, target_sparsity=0.01, seed=1)
         assert traced_peak(lambda: synth_generate(cfg)) < math.prod(shape) * 8 / 2
 
     def test_full_scope_fairness(self):
@@ -683,6 +684,53 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and "seed must be >= 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    @pytest.mark.parametrize("bias", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_non_finite_bias_strength_exits_2(self, tmp_path, capsys, command, bias):
+        synth = json.loads(self.synth_config(tmp_path).read_text(encoding="utf-8"))
+        synth["bias_strength"] = bias  # json writes NaN and Infinity, and reads them back
+        if command == "synth":
+            path = tmp_path / "synth.json"
+            path.write_text(json.dumps(synth), encoding="utf-8")
+        else:
+            path = self.synth_experiment(tmp_path, "exp", synth=synth)
+        out = tmp_path / "out"
+        code = cli_main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "bias_strength must be finite and >= 0" in err
+        assert not out.exists()
+
+    def singular_als_experiment(self, tmp_path):
+        """OTC and OMC at rank 8 with a ridge too small to keep ALS's normal
+        equations solvable on a 20 x 12 x 3 synth."""
+        synth = dict(n_users=20, n_curators=12, n_topics=3, seed=1, bias_strength=0.1,
+                     target_sparsity=0.2)
+        return self.synth_experiment(
+            tmp_path, "exp", synth=synth, negative_probability=0.05,
+            models=["OTC", "OMC"], train={"rank": 8, "lam": 1e-16},
+        )
+
+    def test_singular_als_is_a_training_failed_row(self, tmp_path):
+        out = tmp_path / "report"
+        code = cli_main(["experiment", "--config", str(self.singular_als_experiment(tmp_path)),
+                         "--out", str(out)])
+        assert code == 1
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+        errors = {row["model"]: row["error"] for row in rows if row["run"] == 1}
+        message = "ALS solve is singular at lam=1e-16; raise lam"
+        assert errors["OTC"] == f"training failed: {message}"
+        assert re.fullmatch(rf"training failed: topic \d+: {message}", errors["OMC"])
+
+    @pytest.mark.parametrize("kind", ["OTC", "OMC"])
+    def test_train_singular_als_exits_2(self, tmp_path, capsys, kind):
+        exp_cfg = self.singular_als_experiment(tmp_path)
+        out = tmp_path / "ckpt"
+        assert cli_main(["train", "--config", str(exp_cfg), "--models", kind,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.rstrip().endswith("raise lam")
 
     def scaled_checkpoint(self, tmp_path, exp_cfg):
         """An OTC checkpoint whose user and curator factors are scaled by

@@ -666,6 +666,14 @@ class TestScoringPath:
                 assert got_g.shape == want.shape
                 assert np.all(np.abs(got_g - want) <= scale), model.kind
 
+    def test_predict_is_predict_cells(self):
+        ds, _, trained = self.trained()
+        cells = np.unravel_index(np.arange(ds.train.n_cells), ds.train.shape)
+        for model in trained:
+            got = predict_cells(model, *cells)
+            for e, (i, j, k) in enumerate(zip(*cells)):
+                assert predict(model, i, j, k) == got[e], (model.kind, i, j, k)
+
     def test_full_scope_chunks_match_dense_fairness(self):
         """MAD/KS of the chunks against one dense GroupedScores of every cell,
         for every kind: KS bit-equal, MAD within 1e-12*|v| + 1e-15."""
@@ -715,6 +723,20 @@ class TestPredictAndTopK:
             predict(model, 1, 0, 0)
         with pytest.raises(IndexError):
             predict(model, 0, 0, -1)
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1"])
+    def test_non_integer_index_rejected(self, bad):
+        model = TrainedModel(
+            kind="OTC",
+            shape=(2, 2, 2),
+            config=TrainConfig(rank=1),
+            factors=FactorModel(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1))),
+            loss_trace=(0.0,),
+        )
+        with pytest.raises(IndexError, match="cell indices must be integers"):
+            predict(model, bad, 0, 0)
+        with pytest.raises(IndexError, match="cell indices must be integers"):
+            predict_cells(model, [0], [0], [bad])
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("bad", [-1, 2])
