@@ -10,7 +10,6 @@ harness.
 
 from .data import (
     IdMaps,
-    InteractionRecord,
     SensitiveMap,
     SplitDataset,
     SynthConfig,
@@ -19,7 +18,6 @@ from .data import (
     load_interactions,
     load_sensitive,
     negative_sample,
-    records_to_tensor,
     split,
     synth_generate,
 )
@@ -65,11 +63,7 @@ from .models import (
     save_checkpoint,
     score_curators,
     top_k,
-    train_ft,
-    train_matrix,
     train_model,
-    train_otc,
-    train_rtc,
 )
 from .tensor_core import (
     FactorModel,

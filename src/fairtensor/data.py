@@ -28,13 +28,11 @@ from .errors import ConfigError, EmptyDatasetError, ParseError, SplitError, chec
 from .tensor_core import ObservationTensor
 
 __all__ = [
-    "InteractionRecord",
     "IdMaps",
     "SensitiveMap",
     "SplitDataset",
     "SynthConfig",
     "load_interactions",
-    "records_to_tensor",
     "load_sensitive",
     "negative_sample",
     "split",
@@ -63,15 +61,6 @@ def _check_dense_cells(n_cells: int, what: str) -> None:
         raise ConfigError(
             f"{what} needs {n_cells} dense cells, more than MAX_DENSE_CELLS = {MAX_DENSE_CELLS}"
         )
-
-
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One positive user -> curator link under a topic."""
-
-    user_id: str
-    curator_id: str
-    topic_id: str
 
 
 @dataclass(frozen=True)
@@ -150,44 +139,30 @@ def _csv_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, 
         raise ParseError(f"{path} is not UTF-8: {exc}") from None
 
 
-def load_interactions(path: str | Path) -> tuple[list[InteractionRecord], IdMaps]:
-    """Read an interactions CSV into records plus stable id->index maps.
+def load_interactions(path: str | Path) -> tuple[ObservationTensor, IdMaps]:
+    """Read an interactions CSV into its positive-feedback observation tensor
+    (every rating 1.0) plus stable id->index maps.
 
-    Duplicate (user, curator, topic) triples collapse to a single record.
-    Raises :class:`ParseError` with the line number for malformed rows and
-    :class:`EmptyDatasetError` when no data rows are present.
+    Each row's ids are mapped to indices as it is read; duplicate (user,
+    curator, topic) rows collapse to one entry.  Raises :class:`ParseError`
+    with the line number for malformed rows and :class:`EmptyDatasetError`
+    when no data rows are present.
     """
-    records: list[InteractionRecord] = []
-    seen: set[tuple[str, str, str]] = set()
+    cells: dict[tuple[int, int, int], None] = {}  # insertion-ordered set
     users: dict[str, int] = {}
     curators: dict[str, int] = {}
     topics: dict[str, int] = {}
     for line_no, row in _csv_rows(path, INTERACTIONS_HEADER):
         if len(row) != 3 or any(not f.strip() for f in row):
             raise ParseError(f"expected 3 nonempty fields, got {row!r}", line_number=line_no)
-        triple = (row[0].strip(), row[1].strip(), row[2].strip())
-        if triple in seen:
-            continue
-        seen.add(triple)
-        records.append(InteractionRecord(*triple))
-        for value, table in zip(triple, (users, curators, topics)):
-            table.setdefault(value, len(table))
-    if not records:
+        tables = (users, curators, topics)
+        cells[tuple(t.setdefault(f.strip(), len(t)) for f, t in zip(row, tables))] = None
+    if not cells:
         raise EmptyDatasetError(f"{path}: no interaction rows")
-    return records, IdMaps(users=users, curators=curators, topics=topics)
-
-
-def records_to_tensor(records: list[InteractionRecord], maps: IdMaps) -> ObservationTensor:
-    """Positive-feedback observation tensor (all ratings 1.0)."""
-    return ObservationTensor.from_entries(
-        len(maps.users),
-        len(maps.curators),
-        len(maps.topics),
-        (
-            (maps.users[r.user_id], maps.curators[r.curator_id], maps.topics[r.topic_id], 1.0)
-            for r in records
-        ),
+    obs = ObservationTensor.from_entries(
+        len(users), len(curators), len(topics), ((*cell, 1.0) for cell in cells)
     )
+    return obs, IdMaps(users=users, curators=curators, topics=topics)
 
 
 def load_sensitive(path: str | Path, curator_index: Mapping[str, int]) -> SensitiveMap:
@@ -284,8 +259,8 @@ class SynthConfig:
     curator gets ``bias_strength`` added, and the highest-scoring cells
     become positives until ``target_sparsity`` is reached; among cells tied
     at the cut the lowest row-major ids win.  The scores are made in blocks
-    of whole users of about :data:`SYNTH_BLOCK_CELLS` cells, and the cell
-    count is bounded by :data:`MAX_DENSE_CELLS`.
+    of whole users of about :data:`SYNTH_BLOCK_CELLS` cells; the cells and
+    the factor draws are each bounded by :data:`MAX_DENSE_CELLS`.
     """
 
     n_users: int
@@ -304,6 +279,8 @@ class SynthConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         _check_dense_cells(self.n_users * self.n_curators * self.n_topics, "synth_generate")
+        dims = self.n_users + self.n_curators + self.n_topics
+        _check_dense_cells(dims * self.true_rank, "synth_generate's factor draw")
         if not 0.0 < self.group_ratio < 1.0:
             raise ConfigError("group_ratio must lie strictly between 0 and 1")
         if not 0.0 <= self.bias_strength < math.inf:

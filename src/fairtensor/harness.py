@@ -52,7 +52,6 @@ from .data import (
     load_interactions,
     load_sensitive,
     negative_sample,
-    records_to_tensor,
     split,
     synth_generate,
 )
@@ -82,9 +81,7 @@ from .models import (
     ortho_penalty,
     parity_penalty,
     predict_cells,
-    train_ft,
     train_model,
-    train_otc,
 )
 from .tensor_core import FactorModel, ObservationTensor, masked_gradient, masked_loss
 
@@ -104,6 +101,7 @@ def _check_evaluation(k: int, intervals: int, fairness_scope: str, rank_scope: s
     check_types(ExperimentConfig, {"k": k, "intervals": intervals}, "evaluation")
     if k < 1 or intervals < 1:
         raise ConfigError("k and intervals must be >= 1")
+    _check_dense_cells(intervals, "the KS boundary array")
     if fairness_scope not in ("test", "full"):
         raise ConfigError("fairness_scope must be 'test' or 'full'")
     if rank_scope not in ("user_topic", "user"):
@@ -200,8 +198,7 @@ def _load_source(cfg: ExperimentConfig) -> tuple[ObservationTensor, SensitiveMap
     if cfg.synth is not None:
         obs, smap, _ = synth_generate(cfg.synth)
         return obs, smap
-    records, maps = load_interactions(cfg.interactions_csv)
-    obs = records_to_tensor(records, maps)
+    obs, maps = load_interactions(cfg.interactions_csv)
     smap = None
     if cfg.sensitive_csv is not None:
         smap = load_sensitive(cfg.sensitive_csv, maps.curators)
@@ -520,11 +517,9 @@ def _check_gradients() -> OracleCheck:
         s = np.zeros((m, 2))
         s[groups == 0, 0] = 1.0
         s[groups == 1, 1] = 1.0
-        wide = np.hstack([u2, s])
-        ns_cols = tuple(range(u2.shape[1]))
         mu = 3.0
-        _, go = ortho_penalty(wide, s, ns_cols, mu)
-        numeric = _fd_gradient(lambda: ortho_penalty(wide, s, ns_cols, mu)[0], [wide])
+        _, go = ortho_penalty(u2, s, mu)
+        numeric = _fd_gradient(lambda: ortho_penalty(u2, s, mu)[0], [u2])
         worst = max(worst, _rel_err([go], numeric))
 
         # the fused objectives the trainers descend: RTC, FT with constant
@@ -561,7 +556,7 @@ def _check_als() -> OracleCheck:
 
     # monotonicity on a sparse random instance
     u1, u2, u3, obs = _random_instance(rng)
-    model = train_otc(obs, TrainConfig(rank=3, lam=0.05, max_iters=60, tol=0.0, seed=1))
+    model = train_model("OTC", obs, TrainConfig(rank=3, lam=0.05, max_iters=60, tol=0.0, seed=1))
     steps = np.diff(model.loss_trace)
     worst_step = float(steps.max()) if steps.size else 0.0
 
@@ -571,8 +566,8 @@ def _check_als() -> OracleCheck:
     g3 = rng.standard_normal((4, 2))
     values = np.einsum("ir,jr,kr->ijk", g1, g2, g3)
     full = _fully_observed(values)
-    fitted = train_otc(
-        full, TrainConfig(rank=2, lam=1e-6, max_iters=2000, tol=1e-14, seed=2)
+    fitted = train_model(
+        "OTC", full, TrainConfig(rank=2, lam=1e-6, max_iters=2000, tol=1e-14, seed=2)
     )
     resid = full.values - predict_cells(fitted, full.users, full.curators, full.topics)
     rmse = float(np.sqrt(np.mean(resid**2)))
@@ -591,10 +586,11 @@ def _check_ft_structure() -> OracleCheck:
         group_ratio=0.5, bias_strength=1.2, target_sparsity=0.08, seed=5,
     )
     ds, smap = prepare_run(ExperimentConfig(synth=cfg, negative_probability=0.008, base_seed=8))
-    model = train_ft(
-        ds.train, smap,
+    model = train_model(
+        "FT", ds.train,
         TrainConfig(rank=6, lam=0.01, ortho_weight=1.0, learning_rate=0.01,
                     max_iters=200, tol=0.0, seed=3),
+        smap,
     )
     f = model.factors
     s = smap.matrix

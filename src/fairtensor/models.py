@@ -4,9 +4,8 @@ Tensor kinds factor the full user x curator x topic tensor.  A matrix kind
 trains its tensor kind's problem on each topic slice, an N x M x 1 tensor
 whose topic factor is a constant row of ones, and stores each slice as the
 (n, m, 1) :class:`FactorModel` it was trained as.  :func:`train_model` is the
-one trainer: it checks the inputs, seeds one generator and fits each problem
-of the kind in turn; ``train_otc``, ``train_rtc``, ``train_ft`` and
-``train_matrix`` each make one call into it.
+one trainer of all six kinds: it checks the inputs, seeds one generator and
+fits each problem of the kind in turn.
 
 =====  ======  =========================================================
 kind   solver  objective
@@ -22,9 +21,9 @@ FM     GD      FT on each topic slice, projection included
 
 The parity penalty is (gamma/2) * (mean0 - mean1)^2 where mean_g is the mean
 predicted score over the training cells whose curator belongs to group g.
-The orthogonality penalty is (mu/2) * ||S^T U_ns||_F^2 on the non-sensitive
-curator-factor columns; after descent those columns are also projected onto
-the orthogonal complement of span(S) exactly.  Fairness-aware kinds predict
+The orthogonality penalty is (mu/2) * ||S^T U_ns||_F^2 on the free
+curator-factor columns U_ns; after descent those columns are also projected
+onto the orthogonal complement of span(S) exactly.  Fairness-aware kinds predict
 from the non-sensitive columns only; all other kinds use every column.
 
 Gradient descent is full batch with a constant step size.  Each iterate
@@ -50,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import SensitiveMap
+from .data import SensitiveMap, _check_dense_cells
 from .errors import ConfigError, _fits, check_fields, check_types, read_json
 from .tensor_core import (
     FactorModel,
@@ -69,10 +68,6 @@ __all__ = [
     "FAIR_KINDS",
     "TrainConfig",
     "TrainedModel",
-    "train_otc",
-    "train_rtc",
-    "train_ft",
-    "train_matrix",
     "train_model",
     "predict",
     "predict_cells",
@@ -94,6 +89,8 @@ GROUP_AWARE_KINDS = ("RTC", "RMC", "FT", "FM")
 CHECKPOINT_VERSION = 1
 _INIT_SCALE = 0.1  # i.i.d. uniform [0, 0.1) init suits implicit 0/1 ratings
 _MIN_RIDGE = 1e-8
+# Cells per chunk of predict_cells' row gathers (5.2 MB of rows at rank 20)
+PREDICT_CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -338,8 +335,7 @@ def _objective(
                 np.multiply(c, x, out=c)
             grads.append(_scatter_rows(index[mode], c, p.shape[0], bins) + cfg.lam * p)
         if s is not None:
-            free_cols = range(params[1].shape[1])
-            ortho, g_ortho = ortho_penalty(params[1], s, free_cols, cfg.ortho_weight)
+            ortho, g_ortho = ortho_penalty(params[1], s, cfg.ortho_weight)
             value += ortho
             grads[1] = grads[1] + g_ortho
         return value, grads
@@ -446,27 +442,16 @@ def parity_penalty(
     return value, scatter_cell_gradient(model, obs, cell_weights)
 
 
-def ortho_penalty(
-    u_curators: np.ndarray,
-    s: np.ndarray,
-    ns_cols: Sequence[int],
-    weight: float,
-) -> tuple[float, np.ndarray]:
-    """Penalty (weight/2) * ||S^T U_ns||_F^2 and its curator-factor gradient.
-
-    The gradient lives on the non-sensitive columns only; any other column
-    gets an exact zero block.
+def ortho_penalty(u: np.ndarray, s: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+    """Penalty (weight/2) * ||S^T U||_F^2 on the free curator block ``u`` and
+    its gradient weight * S S^T U.
 
     Stability: under constant-step descent this term alone contracts only
     when learning_rate * weight * max(group size) < 2, since the per-column
     Hessian is weight * S S^T.
     """
-    cols = np.asarray(list(ns_cols), dtype=np.int64)
-    u_ns = u_curators[:, cols]
-    m = s.T @ u_ns
-    grad = np.zeros_like(u_curators)
-    grad[:, cols] = weight * (s @ m)
-    return 0.5 * weight * float(np.sum(m * m)), grad
+    m = s.T @ u
+    return 0.5 * weight * float(np.sum(m * m)), weight * (s @ m)
 
 
 def remove_span_component(u: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -508,51 +493,6 @@ def _fit(
     return params, trace
 
 
-def train_otc(train: ObservationTensor, cfg: TrainConfig) -> TrainedModel:
-    """Ordinary tensor completion: alternating least squares.
-
-    Each sweep solves every row of every mode exactly (normal equations with
-    a ridge), so the loss trace is non-increasing up to numerical noise:
-    one plan per mode, one stacked solve per mode per sweep; rows without
-    cells are zero.
-    """
-    return train_model("OTC", train, cfg)
-
-
-def train_rtc(
-    train: ObservationTensor, sensitive: SensitiveMap, cfg: TrainConfig
-) -> TrainedModel:
-    """Regularised tensor completion: gradient descent with a parity penalty."""
-    return train_model("RTC", train, cfg, sensitive)
-
-
-def train_ft(
-    train: ObservationTensor, sensitive: SensitiveMap, cfg: TrainConfig
-) -> TrainedModel:
-    """Fair tensor model: constant sensitive columns, orthogonality penalty,
-    and one exact projection after descent.
-
-    The curator factor's last two columns are the group one-hot features, a
-    constant joined to the free curator block: they get no gradient, so they
-    equal the features exactly.  The free blocks descend on the masked loss,
-    whose ridge covers the whole curator factor, plus the orthogonality
-    penalty.  After convergence the free curator columns are projected onto
-    the orthogonal complement of the features, so the fair prediction
-    (non-sensitive columns only) is exactly decoupled from the group
-    indicators.
-    """
-    return train_model("FT", train, cfg, sensitive)
-
-
-def train_matrix(
-    kind: str, train: ObservationTensor, sensitive: SensitiveMap | None, cfg: TrainConfig
-) -> TrainedModel:
-    """Train a matrix kind (OMC, RMC or FM) with :func:`train_model`."""
-    if kind not in MATRIX_KINDS:
-        raise ValueError(f"not a matrix kind: {kind!r}")
-    return train_model(kind, train, cfg, sensitive)
-
-
 def _problems(kind: str, train: ObservationTensor):
     """(error prefix, problem) of each problem a kind trains: the tensor
     itself, or one N x M x 1 slice per topic."""
@@ -585,6 +525,11 @@ def train_model(
     topic order and each stops on its own.  Topics without training entries
     get zero factors (all-zero predictions; FM's keep the features) and an
     empty loss trace; a slice's errors name its topic.
+
+    FT's and FM's ridge covers the whole curator factor, the constant
+    feature columns included.  The kind's factor set, gathered rows and ALS
+    Gram stack are each checked against ``MAX_DENSE_CELLS`` before any is
+    allocated.
     """
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -593,10 +538,15 @@ def train_model(
     _check_sensitive(kind, train, sensitive)
     total, sens_cols = cfg.fair_layout() if kind in FAIR_KINDS else (cfg.rank, ())
     is_tensor = kind in TENSOR_KINDS
+    modes = train.shape if is_tensor else train.shape[:2]  # a slice's ones row is no parameter
+    problems = 1 if is_tensor else train.n_topics
+    _check_dense_cells(problems * sum(modes) * total, f"{kind}'s factor set at width {total}")
+    _check_dense_cells(len(modes) * train.n_entries * total, f"{kind}'s gathered row set")
+    if kind in ("OTC", "OMC"):
+        _check_dense_cells(sum(modes) * total * total, f"{kind}'s ALS Gram stack")
     rng = np.random.default_rng(cfg.seed)
     fitted, traces = [], []
     for prefix, obs in _problems(kind, train):
-        modes = obs.shape if is_tensor else obs.shape[:2]  # a slice's ones row is no parameter
         if obs.n_entries == 0:
             params, trace = [np.zeros((n, total)) for n in modes], []
             if kind == "FM":
@@ -630,13 +580,23 @@ def predict_cells(
     curators: np.ndarray,
     topics: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised :func:`predict` over parallel index arrays."""
+    """Vectorised :func:`predict` over parallel index arrays.
+
+    The cells' factor rows are gathered :data:`PREDICT_CHUNK_CELLS` cells at
+    a time, so memory beside the output does not grow with the cell count;
+    each cell's sum is the same whatever the chunk.
+    """
     users, curators, topics = (np.asarray(x) for x in (users, curators, topics))
     if any(x.size and x.dtype.kind not in "iu" for x in (users, curators, topics)):
         raise IndexError("cell indices must be integers")  # a cast would turn 0.5 into 0
     _check_indices(model.shape, users, curators, topics)
     a, b = model.topic_factors
-    return np.einsum("er,er->e", a[topics, users], b[topics, curators])
+    out = np.empty(users.size)
+    for start in range(0, users.size, PREDICT_CHUNK_CELLS):
+        part = slice(start, start + PREDICT_CHUNK_CELLS)
+        t = topics[part]
+        np.einsum("er,er->e", a[t, users[part]], b[t, curators[part]], out=out[part])
+    return out
 
 
 def _user_scores(model: TrainedModel, user: int, topics: slice) -> np.ndarray:

@@ -211,9 +211,9 @@ def _check_indices(shape: Sequence[int], *index: np.ndarray) -> None:
 
 
 def cp_entry(model: FactorModel, i: int, j: int, k: int) -> float:
-    """Reconstructed score of one cell."""
+    """Reconstructed score of one cell: :func:`cp_entries` of that cell."""
     _check_indices(model.shape, *np.atleast_1d(i, j, k))
-    return float(np.dot(model.u_users[i] * model.u_curators[j], model.u_topics[k]))
+    return float(cp_entries(model, [i], [j], [k])[0])
 
 
 def cp_entries(

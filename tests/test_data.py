@@ -19,7 +19,6 @@ from fairtensor.data import (
     load_sensitive,
     negative_sample,
     positive_group_counts,
-    records_to_tensor,
     split,
     synth_generate,
 )
@@ -69,8 +68,8 @@ class TestLoadInteractions:
             "i.csv",
             "user_id,curator_id,topic_id\nalice,c1,news\nbob,c2,sports\n",
         )
-        records, maps = load_interactions(path)
-        assert len(records) == 2
+        obs, maps = load_interactions(path)
+        assert obs.n_entries == 2
         assert maps.users == {"alice": 0, "bob": 1}
         assert maps.curators == {"c1": 0, "c2": 1}
         assert maps.topics == {"news": 0, "sports": 1}
@@ -78,8 +77,8 @@ class TestLoadInteractions:
     def test_duplicates_collapse(self, tmp_path):
         row = "u,c,t\n"
         path = write(tmp_path, "i.csv", "user_id,curator_id,topic_id\n" + row * 3)
-        records, _ = load_interactions(path)
-        assert len(records) == 1
+        obs, _ = load_interactions(path)
+        assert obs.n_entries == 1
 
     def test_first_appearance_order(self, tmp_path):
         path = write(
@@ -110,25 +109,56 @@ class TestLoadInteractions:
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         path = tmp_path / "i.csv"
         path.write_bytes(b"\xef\xbb\xbfuser_id,curator_id,topic_id\nu1,c1,t1\n")
-        records, maps = load_interactions(path)
-        assert len(records) == 1 and maps.users == {"u1": 0}
+        obs, maps = load_interactions(path)
+        assert obs.n_entries == 1 and maps.users == {"u1": 0}
 
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "i.csv", "a,b,c\nu,c,t\n")
         with pytest.raises(ParseError, match="line 1"):
             load_interactions(path)
 
-    def test_records_to_tensor(self, tmp_path):
+    def test_positive_tensor(self, tmp_path):
         path = write(
             tmp_path,
             "i.csv",
             "user_id,curator_id,topic_id\nu1,c1,t1\nu1,c2,t1\nu2,c1,t2\n",
         )
-        records, maps = load_interactions(path)
-        obs = records_to_tensor(records, maps)
+        obs, _ = load_interactions(path)
         assert obs.shape == (2, 2, 2)
         assert obs.n_entries == 3
         assert np.all(obs.values == 1.0)
+
+    def test_matches_string_triple_reference(self, tmp_path):
+        """3,000 rows with duplicates and space-padded ids against a reference
+        that keeps the first of each stripped string triple, maps its ids in
+        first-appearance order and builds the tensor from the kept rows."""
+        rng = np.random.default_rng(5)
+        pads = ["", " ", "  "]
+        rows = [
+            [pads[p] + f"{name}{v}" + pads[q]
+             for name, v, p, q in zip("uct", ids, rng.integers(0, 3, 3), rng.integers(0, 3, 3))]
+            for ids in zip(rng.integers(0, 60, 3000), rng.integers(0, 40, 3000),
+                           rng.integers(0, 5, 3000))
+        ]
+        path = write(tmp_path, "i.csv", "user_id,curator_id,topic_id\n"
+                     + "".join(",".join(row) + "\n" for row in rows))
+        kept, tables = {}, ({}, {}, {})
+        for row in rows:
+            triple = tuple(f.strip() for f in row)
+            if triple not in kept:
+                kept[triple] = [t.setdefault(v, len(t)) for v, t in zip(triple, tables)]
+        want = ObservationTensor.from_entries(
+            *map(len, tables), [(*cell, 1.0) for cell in kept.values()]
+        )
+        assert len(kept) < len(rows)  # the draw has duplicates
+
+        obs, maps = load_interactions(path)
+        assert obs.shape == want.shape
+        for name in ("users", "curators", "topics", "values"):
+            got, ref = getattr(obs, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        for got, ref in zip((maps.users, maps.curators, maps.topics), tables, strict=True):
+            assert list(got.items()) == list(ref.items())
 
 
 class TestLoadSensitive:
@@ -421,8 +451,8 @@ class TestExportSynthetic:
         )
         obs, smap, _ = synth_generate(cfg)
         paths = export_synthetic(tmp_path, obs, smap, cfg)
-        records, maps = load_interactions(paths["interactions"])
-        assert len(records) == obs.n_entries
+        loaded_obs, maps = load_interactions(paths["interactions"])
+        assert loaded_obs.n_entries == obs.n_entries
         loaded = load_sensitive(paths["sensitive"], maps.curators)
         # groups align through the exported ids
         for cid, j in maps.curators.items():

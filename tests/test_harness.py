@@ -23,6 +23,7 @@ from fairtensor.harness import (
     run_oracles,
 )
 from fairtensor.models import (
+    MODEL_KINDS,
     TrainConfig,
     TrainedModel,
     load_checkpoint,
@@ -701,6 +702,46 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and "bias_strength must be finite and >= 0" in err
         assert not out.exists()
+
+    # sizes that numpy refuses at once, so a missed check fails fast
+    HUGE = [10**12, 2**70]
+
+    @pytest.mark.parametrize("edit", [
+        *({"synth": {"true_rank": v}} for v in HUGE),
+        *({"intervals": v} for v in HUGE),
+    ], ids=["true_rank-1e12", "true_rank-2^70", "intervals-1e12", "intervals-2^70"])
+    def test_oversized_config_exits_2(self, tmp_path, capsys, edit):
+        synth = dict(n_users=20, n_curators=12, n_topics=3, seed=1, target_sparsity=0.2)
+        synth.update(edit.pop("synth", {}))
+        exp_cfg = self.synth_experiment(tmp_path, "exp", synth=synth, **edit)
+        out = tmp_path / "out"
+        assert cli_main(["experiment", "--config", str(exp_cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MAX_DENSE_CELLS" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rank", [10**6, *HUGE], ids=["1e6", "1e12", "2^70"])
+    def test_oversized_rank_is_rejected_before_training(self, tmp_path, capsys, rank):
+        # (20 + 12 + 3) * 10**6 factor cells for a tensor kind, 3 * (20 + 12) *
+        # 10**6 for a matrix kind: each above MAX_DENSE_CELLS before any draw
+        synth = dict(n_users=20, n_curators=12, n_topics=3, seed=1, target_sparsity=0.2)
+        exp_cfg = self.synth_experiment(
+            tmp_path, "exp", synth=synth, models=list(MODEL_KINDS), train={"rank": rank}
+        )
+        out = tmp_path / "report"
+        assert cli_main(["experiment", "--config", str(exp_cfg), "--out", str(out)]) == 1
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+        errors = {row["model"]: row["error"] for row in rows if row["run"] == 1}
+        assert sorted(errors) == sorted(MODEL_KINDS)
+        for kind, error in errors.items():
+            assert error.startswith(f"training failed: {kind}'s factor set"), error
+            assert "MAX_DENSE_CELLS" in error
+        for kind in MODEL_KINDS:
+            capsys.readouterr()
+            assert cli_main(["train", "--config", str(exp_cfg), "--models", kind,
+                             "--out", str(tmp_path / "ckpt")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "MAX_DENSE_CELLS" in err, kind
 
     def singular_als_experiment(self, tmp_path):
         """OTC and OMC at rank 8 with a ridge too small to keep ALS's normal

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import reduce
@@ -15,6 +16,7 @@ from fairtensor.data import (
     split,
     synth_generate,
 )
+from fairtensor import models
 from fairtensor.errors import ConfigError
 from fairtensor.harness import _full_scope_chunks
 from fairtensor.metrics import GroupedScores, group_fairness, ks, mad
@@ -38,11 +40,7 @@ from fairtensor.models import (
     save_checkpoint,
     score_curators,
     top_k,
-    train_ft,
-    train_matrix,
     train_model,
-    train_otc,
-    train_rtc,
 )
 from fairtensor.tensor_core import (
     FactorModel,
@@ -89,7 +87,9 @@ class TestTrainOtc:
             rng.standard_normal((3, 2)),
         )
         full = fully_observed(dense)
-        model = train_otc(full, TrainConfig(rank=2, lam=1e-6, max_iters=2000, tol=1e-14, seed=0))
+        model = train_model(
+            "OTC", full, TrainConfig(rank=2, lam=1e-6, max_iters=2000, tol=1e-14, seed=0)
+        )
         resid = full.values - predict_cells(model, full.users, full.curators, full.topics)
         assert float(np.sqrt(np.mean(resid**2))) < 1e-4
 
@@ -97,14 +97,16 @@ class TestTrainOtc:
         # ridge must stay below the init-scale column products (~1e-2) or the
         # zero fixed point of the one-cell problem attracts
         obs = ObservationTensor.from_entries(1, 1, 1, [(0, 0, 0, 1.0)])
-        model = train_otc(obs, TrainConfig(rank=1, lam=1e-3, max_iters=500, tol=1e-13, seed=0))
+        model = train_model(
+            "OTC", obs, TrainConfig(rank=1, lam=1e-3, max_iters=500, tol=1e-13, seed=0)
+        )
         assert abs(predict(model, 0, 0, 0) - 1.0) < 0.05
 
     def test_deterministic(self):
         ds, _ = biased_dataset()
         cfg = TrainConfig(rank=4, max_iters=20, seed=9)
-        a = train_otc(ds.train, cfg)
-        b = train_otc(ds.train, cfg)
+        a = train_model("OTC", ds.train, cfg)
+        b = train_model("OTC", ds.train, cfg)
         assert np.array_equal(a.factors.u_users, b.factors.u_users)
         assert np.array_equal(a.factors.u_curators, b.factors.u_curators)
         assert np.array_equal(a.factors.u_topics, b.factors.u_topics)
@@ -112,7 +114,9 @@ class TestTrainOtc:
 
     def test_loss_trace_non_increasing(self):
         ds, _ = biased_dataset()
-        model = train_otc(ds.train, TrainConfig(rank=4, lam=0.05, max_iters=40, tol=0.0, seed=3))
+        model = train_model(
+            "OTC", ds.train, TrainConfig(rank=4, lam=0.05, max_iters=40, tol=0.0, seed=3)
+        )
         steps = np.diff(model.loss_trace)
         assert steps.size > 0
         assert float(steps.max()) <= 1e-9
@@ -120,13 +124,13 @@ class TestTrainOtc:
     def test_lam_zero_substituted_with_warning(self):
         obs = ObservationTensor.from_entries(2, 2, 1, [(0, 0, 0, 1.0), (1, 1, 0, 1.0)])
         with pytest.warns(RuntimeWarning, match="singular"):
-            model = train_otc(obs, TrainConfig(rank=1, lam=0.0, max_iters=5, seed=0))
+            model = train_model("OTC", obs, TrainConfig(rank=1, lam=0.0, max_iters=5, seed=0))
         assert all(np.isfinite(v) for v in model.loss_trace)
 
     def test_empty_train_rejected(self):
         obs = ObservationTensor.from_entries(2, 2, 1, [])
         with pytest.raises(ConfigError):
-            train_otc(obs, TrainConfig(rank=1))
+            train_model("OTC", obs, TrainConfig(rank=1))
 
 
 def _als_rows(target_idx, design, values, n_rows, ridge):
@@ -243,7 +247,7 @@ class TestTrainRtc:
         ds, smap = biased_dataset()
         cfg = TrainConfig(rank=4, lam=0.01, parity_weight=0.0,
                           learning_rate=0.005, max_iters=50, tol=1e-5, seed=4)
-        fair = train_rtc(ds.train, smap, cfg)
+        fair = train_model("RTC", ds.train, cfg, smap)
 
         rng = np.random.default_rng(4)
         params = _init_factors(rng, ds.train.shape, 4)
@@ -264,10 +268,11 @@ class TestTrainRtc:
         ds, smap = biased_dataset()
         gaps = []
         for gamma in (0.0, 10.0, 1000.0):
-            model = train_rtc(
-                ds.train, smap,
+            model = train_model(
+                "RTC", ds.train,
                 TrainConfig(rank=6, lam=0.01, parity_weight=gamma,
                             learning_rate=0.005, max_iters=300, tol=0.0, seed=2),
+                smap,
             )
             preds = predict_cells(model, ds.train.users, ds.train.curators, ds.train.topics)
             g = smap.groups[ds.train.curators]
@@ -323,11 +328,11 @@ class TestTrainRtc:
         ds, _ = biased_dataset()
         all_zero = SensitiveMap(groups=np.zeros(30, dtype=int))
         with pytest.raises(ConfigError, match="group"):
-            train_rtc(ds.train, all_zero, TrainConfig(rank=3, max_iters=5))
+            train_model("RTC", ds.train, TrainConfig(rank=3, max_iters=5), all_zero)
 
     def test_loss_decreases(self):
         ds, smap = biased_dataset()
-        model = train_rtc(ds.train, smap, TrainConfig(rank=4, max_iters=50, seed=1))
+        model = train_model("RTC", ds.train, TrainConfig(rank=4, max_iters=50, seed=1), smap)
         assert model.loss_trace[-1] < model.loss_trace[0]
 
     def test_recovers_fully_observed_positive_tensor(self):
@@ -340,10 +345,11 @@ class TestTrainRtc:
         )
         full = fully_observed(dense)
         smap = SensitiveMap(groups=np.array([0, 1, 0, 1]))
-        model = train_rtc(
-            full, smap,
+        model = train_model(
+            "RTC", full,
             TrainConfig(rank=2, lam=1e-6, parity_weight=0.0,
                         learning_rate=0.1, max_iters=20000, tol=0.0, seed=3),
+            smap,
         )
         resid = full.values - predict_cells(model, full.users, full.curators, full.topics)
         assert float(np.sqrt(np.mean(resid**2))) < 1e-3
@@ -366,7 +372,7 @@ class TestTrainFt:
         base = dict(rank=6, lam=0.01, ortho_weight=1.0, learning_rate=0.005,
                     max_iters=400, tol=0.0, seed=seed)
         base.update(kw)
-        return train_ft(ds.train, smap, TrainConfig(**base)), ds, smap
+        return train_model("FT", ds.train, TrainConfig(**base), smap), ds, smap
 
     def test_sensitive_columns_equal_features_bitwise(self):
         model, _, smap = self.train_small()
@@ -403,7 +409,7 @@ class TestTrainFt:
 
     def test_fairer_than_otc_on_biased_data(self):
         model, ds, smap = self.train_small()
-        otc = train_otc(ds.train, TrainConfig(rank=6, lam=0.01, max_iters=200, seed=2))
+        otc = train_model("OTC", ds.train, TrainConfig(rank=6, lam=0.01, max_iters=200, seed=2))
         assert ks(grouped_test_scores(model, ds, smap), 50) < ks(
             grouped_test_scores(otc, ds, smap), 50
         )
@@ -411,7 +417,7 @@ class TestTrainFt:
     def test_rank_too_small_rejected(self):
         ds, smap = biased_dataset()
         with pytest.raises(ConfigError, match="rank"):
-            train_ft(ds.train, smap, TrainConfig(rank=2, max_iters=5))
+            train_model("FT", ds.train, TrainConfig(rank=2, max_iters=5), smap)
 
     def test_extra_sensitive_cols_layout(self):
         model, _, smap = self.train_small(rank=4, extra_sensitive_cols=True, max_iters=20)
@@ -424,19 +430,18 @@ class TestTrainFt:
         rng = np.random.default_rng(8)
         groups = np.array([0, 1, 1, 0, 1])
         s = SensitiveMap(groups=groups).matrix
-        u2 = np.hstack([rng.random((5, 3)), s])
-        ns_cols = (0, 1, 2)
+        u2 = rng.random((5, 3))  # the free block
         mu = 3.0
-        _, analytic = ortho_penalty(u2, s, ns_cols, mu)
+        _, analytic = ortho_penalty(u2, s, mu)
         step = 1e-6
         flat = u2.ravel()
         worst = 0.0
         for t in range(flat.size):
             orig = flat[t]
             flat[t] = orig + step
-            up = ortho_penalty(u2, s, ns_cols, mu)[0]
+            up = ortho_penalty(u2, s, mu)[0]
             flat[t] = orig - step
-            down = ortho_penalty(u2, s, ns_cols, mu)[0]
+            down = ortho_penalty(u2, s, mu)[0]
             flat[t] = orig
             worst = max(worst, abs((up - down) / (2 * step) - analytic.ravel()[t]))
         assert worst < 1e-5
@@ -453,11 +458,11 @@ class TestTrainFt:
         params = [u1, u2[:, :4], u3]
         value, grads = _objective(ds.train, cfg, params, s=s)(params)
         model = FactorModel(u1, u2, u3)
-        ortho, g_ortho = ortho_penalty(u2, s, range(4), 1.0)
+        ortho, g_ortho = ortho_penalty(u2[:, :4], s, 1.0)
         assert value == masked_loss(model, ds.train, 0.01) + ortho
         g1, g2, g3 = masked_gradient(model, ds.train, 0.01)
         assert np.array_equal(grads[0], g1)
-        assert np.array_equal(grads[1], (g2 + g_ortho)[:, :4])
+        assert np.array_equal(grads[1], g2[:, :4] + g_ortho)
         assert np.array_equal(grads[2], g3)
 
     def test_recovers_ft_generated_tensor(self):
@@ -465,10 +470,11 @@ class TestTrainFt:
         smap = SensitiveMap(groups=np.array([0, 1, 0, 1]))
         dense = ft_style_ground_truth(rng, 4, 4, 3, smap)
         full = fully_observed(dense)
-        model = train_ft(
-            full, smap,
+        model = train_model(
+            "FT", full,
             TrainConfig(rank=4, lam=1e-6, ortho_weight=1.0,
                         learning_rate=0.12, max_iters=30000, tol=0.0, seed=3),
+            smap,
         )
         pred_all = cp_entries(model.factors, full.users, full.curators, full.topics)
         assert float(np.sqrt(np.mean((full.values - pred_all) ** 2))) < 1e-3
@@ -484,7 +490,7 @@ class TestTrainMatrix:
             np.zeros(int(mask.sum()), dtype=int), ds.train.values[mask],
         )
         cfg = TrainConfig(rank=4, max_iters=30, seed=5)
-        whole = train_matrix("OMC", single, None, cfg)
+        whole = train_model("OMC", single, cfg)
         rng = np.random.default_rng(cfg.seed)
         params, trace = _fit("OTC", single, None, cfg, _init_factors(rng, single.shape[:2], 4))
         sl = whole.slices[0]
@@ -503,7 +509,7 @@ class TestTrainMatrix:
         )
         cfg = TrainConfig(rank=5, ortho_weight=1.0, learning_rate=0.005,
                           max_iters=50, tol=0.0, seed=5)
-        whole = train_matrix("FM", single, smap, cfg)
+        whole = train_model("FM", single, cfg, smap)
         rng = np.random.default_rng(cfg.seed)
         params, _ = _fit("FT", single, smap, cfg, _init_factors(rng, single.shape[:2], 5))
         sl = whole.slices[0]
@@ -514,11 +520,12 @@ class TestTrainMatrix:
 
     def test_fm_fairer_than_omc_on_biased_data(self):
         ds, smap = biased_dataset()
-        omc = train_matrix("OMC", ds.train, None, TrainConfig(rank=6, max_iters=200, seed=2))
-        fm = train_matrix(
-            "FM", ds.train, smap,
+        omc = train_model("OMC", ds.train, TrainConfig(rank=6, max_iters=200, seed=2))
+        fm = train_model(
+            "FM", ds.train,
             TrainConfig(rank=6, ortho_weight=1.0, learning_rate=0.005,
                         max_iters=400, tol=0.0, seed=2),
+            smap,
         )
         assert ks(grouped_test_scores(fm, ds, smap), 50) < ks(
             grouped_test_scores(omc, ds, smap), 50
@@ -528,7 +535,7 @@ class TestTrainMatrix:
         obs = ObservationTensor.from_entries(
             3, 3, 2, [(0, 0, 0, 1.0), (1, 1, 0, 1.0), (2, 2, 0, 0.0)]
         )
-        model = train_matrix("OMC", obs, None, TrainConfig(rank=2, max_iters=10, seed=0))
+        model = train_model("OMC", obs, TrainConfig(rank=2, max_iters=10, seed=0))
         assert model.slice_traces[1] == ()
         for i in range(3):
             for j in range(3):
@@ -537,8 +544,8 @@ class TestTrainMatrix:
     def test_empty_slice_fm_keeps_features(self):
         obs = ObservationTensor.from_entries(3, 4, 2, [(0, 0, 0, 1.0), (1, 1, 0, 1.0)])
         smap = SensitiveMap(groups=np.array([0, 1, 0, 1]))
-        model = train_matrix(
-            "FM", obs, smap, TrainConfig(rank=4, max_iters=10, tol=0.0, seed=0)
+        model = train_model(
+            "FM", obs, TrainConfig(rank=4, max_iters=10, tol=0.0, seed=0), smap
         )
         empty = model.slices[1]
         assert np.array_equal(empty.u_curators[:, [2, 3]], smap.matrix)
@@ -551,7 +558,7 @@ class TestTrainMatrix:
         )
         smap = SensitiveMap(groups=np.array([0, 0, 1, 1]))
         with pytest.raises(ConfigError, match="topic 0"):
-            train_matrix("RMC", obs, smap, TrainConfig(rank=2, max_iters=5))
+            train_model("RMC", obs, TrainConfig(rank=2, max_iters=5), smap)
 
     def test_fm_one_group_map_rejected(self):
         obs = ObservationTensor.from_entries(
@@ -559,13 +566,14 @@ class TestTrainMatrix:
         )
         smap = SensitiveMap(groups=np.zeros(4, dtype=int))
         with pytest.raises(ConfigError, match="one group"):
-            train_matrix("FM", obs, smap, TrainConfig(rank=3, max_iters=5))
+            train_model("FM", obs, TrainConfig(rank=3, max_iters=5), smap)
 
     def test_fm_predictions_ignore_sensitive_columns_bitwise(self):
         ds, smap = biased_dataset()
-        model = train_matrix(
-            "FM", ds.train, smap,
+        model = train_model(
+            "FM", ds.train,
             TrainConfig(rank=5, learning_rate=0.005, max_iters=50, tol=0.0, seed=2),
+            smap,
         )
         probe = ds.test
         before = predict_cells(model, probe.users, probe.curators, probe.topics)
@@ -584,8 +592,8 @@ class TestTrainMatrix:
         full = ObservationTensor.from_entries(
             5, 6, 1, [(i, j, 0, float(dm[i, j])) for i in range(5) for j in range(6)]
         )
-        model = train_matrix(
-            "OMC", full, None, TrainConfig(rank=2, lam=1e-6, max_iters=2000, tol=1e-14, seed=3)
+        model = train_model(
+            "OMC", full, TrainConfig(rank=2, lam=1e-6, max_iters=2000, tol=1e-14, seed=3)
         )
         resid = full.values - predict_cells(model, full.users, full.curators, full.topics)
         assert float(np.sqrt(np.mean(resid**2))) < 1e-3
@@ -593,8 +601,8 @@ class TestTrainMatrix:
     def test_deterministic(self):
         ds, smap = biased_dataset()
         cfg = TrainConfig(rank=4, max_iters=20, seed=7)
-        a = train_matrix("RMC", ds.train, smap, cfg)
-        b = train_matrix("RMC", ds.train, smap, cfg)
+        a = train_model("RMC", ds.train, cfg, smap)
+        b = train_model("RMC", ds.train, cfg, smap)
         for sa, sb in zip(a.slices, b.slices):
             assert np.array_equal(sa.u_users, sb.u_users)
             assert np.array_equal(sa.u_curators, sb.u_curators)
@@ -687,6 +695,43 @@ class TestScoringPath:
             assert got["ks"] == ks(scores, 50), model.kind
             want = mad(scores)
             assert abs(got["mad"] - want) <= 1e-12 * abs(want) + 1e-15, model.kind
+
+
+class TestPredictCellsChunks:
+    """predict_cells gathers PREDICT_CHUNK_CELLS cells' rows at a time."""
+
+    def random_cells(self, shape, n_cells, seed=6):
+        rng = np.random.default_rng(seed)
+        return tuple(rng.integers(0, d, n_cells) for d in shape)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 2**14, 2**16])
+    def test_chunks_equal_one_einsum(self, chunk, monkeypatch):
+        ds, smap = biased_dataset()
+        cells = self.random_cells(ds.train.shape, 20_000)
+        users, curators, topics = cells
+        for kind in ("OTC", "FM"):
+            model = train_model(kind, ds.train, TrainConfig(rank=20, max_iters=2, seed=1), smap)
+            a, b = model.topic_factors
+            want = np.einsum("er,er->e", a[topics, users], b[topics, curators])
+            monkeypatch.setattr(models, "PREDICT_CHUNK_CELLS", chunk)
+            assert predict_cells(model, *cells).tobytes() == want.tobytes(), kind
+
+    def test_peak_is_one_chunk_of_rows(self):
+        ds, _ = biased_dataset()
+        rank = 8
+        model = train_model("OTC", ds.train, TrainConfig(rank=rank, max_iters=2, seed=1))
+        n_cells = 200_000
+        cells = self.random_cells(ds.train.shape, n_cells)
+        predict_cells(model, *cells)  # fills the topic_factors cache
+        tracemalloc.start()
+        try:
+            predict_cells(model, *cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and one chunk's two (cells, rank) gathers, 1.6 + 2.1 MB;
+        # gathering every cell's rows at once takes 25.6 MB
+        assert peak < 2 * n_cells * rank * 8 / 4
 
 
 class TestPredictAndTopK:
@@ -953,8 +998,8 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_slice_of_wrong_shape_rejected(self):
-        model = train_matrix("OMC", biased_dataset()[0].train, None,
-                             TrainConfig(rank=2, max_iters=2, seed=0))
+        model = train_model("OMC", biased_dataset()[0].train,
+                            TrainConfig(rank=2, max_iters=2, seed=0))
         sl = model.slices[0]
         two_topics = replace(sl, u_topics=np.ones((2, 2)))
         with pytest.raises(ValueError, match="must have shape"):
@@ -962,7 +1007,7 @@ class TestCheckpoints:
 
     def test_predictions_survive_round_trip(self, tmp_path):
         ds, _ = biased_dataset()
-        model = train_otc(ds.train, TrainConfig(rank=3, max_iters=10, seed=2))
+        model = train_model("OTC", ds.train, TrainConfig(rank=3, max_iters=10, seed=2))
         path = tmp_path / "otc.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -1012,7 +1057,8 @@ class TestTrainModelDispatch:
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ConfigError, match="diverged"):
-                train_rtc(
-                    ds.train, smap,
+                train_model(
+                    "RTC", ds.train,
                     TrainConfig(rank=4, parity_weight=1e9, learning_rate=0.5, max_iters=50, seed=0),
+                    smap,
                 )
