@@ -24,7 +24,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, ParseError, SplitError, check_types
+from .errors import (
+    ConfigError, EmptyDatasetError, ParseError, SplitError, _check_dense_cells, check_types
+)
 from .tensor_core import ObservationTensor
 
 __all__ = [
@@ -44,23 +46,11 @@ __all__ = [
 INTERACTIONS_HEADER = ("user_id", "curator_id", "topic_id")
 SENSITIVE_HEADER = ("curator_id", "group")
 
-# Most cells a step may hold as one dense float64 array: 22 times the paper's
-# 589 x 252 x 10 tensor, 268 MB per array.
-MAX_DENSE_CELLS = 2**25
 # Cells per block of synthetic scores (whole users, at least one) and per
 # chunk of negative-sampling draws: each holds 1 MB of doubles, so neither
 # step's memory grows with the tensor's n*m*K cells, ties or no ties.
 SYNTH_BLOCK_CELLS = 2**17
 NEGATIVE_CHUNK_CELLS = 2**17
-
-
-def _check_dense_cells(n_cells: int, what: str) -> None:
-    """Raise :class:`ConfigError` when ``what`` would allocate a dense array
-    of more than :data:`MAX_DENSE_CELLS` cells."""
-    if n_cells > MAX_DENSE_CELLS:
-        raise ConfigError(
-            f"{what} needs {n_cells} dense cells, more than MAX_DENSE_CELLS = {MAX_DENSE_CELLS}"
-        )
 
 
 @dataclass(frozen=True)

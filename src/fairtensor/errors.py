@@ -1,11 +1,11 @@
-"""Exception types shared across the package, the config-field checks and
-the one reader of JSON input files."""
+"""Exception types shared across the package, the config-field checks, the
+bound on dense allocations and the one reader of JSON input files."""
 
 import functools
 import json
 import types
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -41,6 +41,20 @@ class ConfigError(FairtensorError, ValueError):
 
 class UndefinedMetricError(FairtensorError, ValueError):
     """A metric has no defined value for the given inputs."""
+
+
+# Most cells a step may hold as one dense float64 array: 22 times the paper's
+# 589 x 252 x 10 tensor, 268 MB per array.
+MAX_DENSE_CELLS = 2**25
+
+
+def _check_dense_cells(n_cells: int, what: str) -> None:
+    """Raise :class:`ConfigError` when ``what`` would allocate a dense array
+    of more than :data:`MAX_DENSE_CELLS` cells."""
+    if n_cells > MAX_DENSE_CELLS:
+        raise ConfigError(
+            f"{what} needs {n_cells} dense cells, more than MAX_DENSE_CELLS = {MAX_DENSE_CELLS}"
+        )
 
 
 def read_json(path: str | Path, what: str):
@@ -80,14 +94,18 @@ def _type_name(t) -> str:
 
 def check_fields(cls, doc, what: str) -> Mapping:
     """``doc`` if it is a mapping whose keys all name fields of the dataclass
-    ``cls``; otherwise a :class:`ConfigError` naming ``what``.  The values
-    are left to :func:`check_types`, which the config classes run on
-    construction."""
+    ``cls`` and that holds every field without a default; otherwise a
+    :class:`ConfigError` naming ``what``.  The values are left to
+    :func:`check_types`, which the config classes run on construction."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {what} field(s): {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{what} lacks required field(s): {missing}")
     return doc
 
 

@@ -48,7 +48,6 @@ from .data import (
     SensitiveMap,
     SplitDataset,
     SynthConfig,
-    _check_dense_cells,
     load_interactions,
     load_sensitive,
     negative_sample,
@@ -56,7 +55,8 @@ from .data import (
     synth_generate,
 )
 from .errors import (
-    ConfigError, FairtensorError, UndefinedMetricError, check_fields, check_types, read_json
+    ConfigError, FairtensorError, UndefinedMetricError, _check_dense_cells, check_fields,
+    check_types, read_json,
 )
 from .metrics import (
     Chunks,

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import UndefinedMetricError
+from .errors import UndefinedMetricError, _check_dense_cells
 
 __all__ = [
     "GroupedScores",
@@ -126,10 +126,12 @@ def group_fairness(chunks: Chunks, intervals: int) -> dict[str, float]:
     counts each chunk's scores at or below each KS boundary, from one sort
     of the chunk.  The counts are exact integers, so KS does not depend on
     the chunking; MAD's sums do, in their low bits.  A non-finite score or
-    an empty group is an :class:`UndefinedMetricError`.
+    an empty group is an :class:`UndefinedMetricError`; ``intervals`` above
+    ``MAX_DENSE_CELLS`` boundaries is a :class:`ConfigError`.
     """
     if intervals < 1:
         raise ValueError("intervals must be >= 1")
+    _check_dense_cells(intervals, "the KS boundary array")
     lo, hi, sums, sizes = _summary(chunks)
     if hi == lo:
         return {"mad": _mad(sums, sizes), "ks": 0.0}

@@ -33,8 +33,15 @@ added to the residual first).  Constant blocks, the sensitive features and
 the ones topic row, are never parameters, so they cannot drift.  GD and ALS
 gather the cells' factor rows into buffers allocated once per problem, and
 GD forms its scatter contributions and bins in two more, so no iterate
-allocates an array the size of the cells times the rank.  Training is
-deterministic given (data, config, seed); trained models are immutable.
+allocates an array the size of the cells times the rank.
+
+ALS orders each mode's cells once per problem by (row length, row), so the
+rows of one length are one slab of the design.  A half-sweep makes one
+batched Gram product and one right-hand-side product per distinct row
+length, not one pair per row, then one stacked solve; each row's Gram is
+still its own BLAS syrk over its own cells, so the factors do not depend on
+the batching.  Training is deterministic given (data, config, seed); trained
+models are immutable.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import SensitiveMap, _check_dense_cells
-from .errors import ConfigError, _fits, check_fields, check_types, read_json
+from .data import SensitiveMap
+from .errors import ConfigError, _check_dense_cells, _fits, check_fields, check_types, read_json
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
@@ -373,9 +380,17 @@ def _als(
 
     Each sweep solves every row of every free block exactly (normal equations
     with a ridge), so the loss trace is non-increasing up to numerical noise.
-    One plan per mode, built once, sorts the cells by that mode's row, so each
-    row's cells are one contiguous run of the design; then one stacked solve
-    per mode per sweep solves every nonempty row.  Rows without cells are zero.
+    One plan per mode, built once, sorts the cells by (row length, row), the
+    cells of a row kept in cell order.  Each row's cells are then one
+    contiguous run of the design, and the rows of one length L one contiguous
+    slab, read as a (rows, L, rank) stack without a copy or padding.  Per
+    sweep, each distinct length makes one batched product for its rows'
+    Grams and one for their right-hand sides.  numpy's matmul loop makes, for
+    each row, the call a per-row product makes (BLAS syrk for a Gram, gemv
+    for a right-hand side) on the same operands and strides, so the bits do
+    not depend on the batching; a padded gemm would change them.  One
+    stacked solve per mode then solves every nonempty row.  Rows without
+    cells are zero.
     """
     ridge = cfg.lam
     if ridge == 0:
@@ -388,19 +403,25 @@ def _als(
     index = (train.users, train.curators, train.topics)
     factors = list(params)
     rank = factors[0].shape[1]
+    ridge_eye = ridge * np.eye(rank)
     rows = _row_buffers(train, [rank] * len(factors))
     plans = []
     for mode, u in enumerate(factors):
-        order = np.argsort(index[mode], kind="stable")
-        starts = np.searchsorted(index[mode][order], np.arange(u.shape[0] + 1))
-        nonempty = np.flatnonzero(np.diff(starts))
-        runs = list(zip(starts[nonempty].tolist(), starts[nonempty + 1].tolist()))
+        counts = np.bincount(index[mode], minlength=u.shape[0])
+        order = np.lexsort((index[mode], counts[index[mode]]))  # stable: rows keep cell order
+        nonempty = np.flatnonzero(counts)
+        nonempty = nonempty[np.argsort(counts[nonempty], kind="stable")]
+        lengths, n_rows = np.unique(counts[nonempty], return_counts=True)
+        buckets, r0, c0 = [], 0, 0  # (first row, end row, first cell, end cell, length)
+        for length, n in zip(lengths.tolist(), n_rows.tolist()):
+            buckets.append((r0, r0 + n, c0, c0 + n * length, length))
+            r0, c0 = r0 + n, c0 + n * length
         others = [(other, index[other][order]) for other in range(len(factors)) if other != mode]
-        gram, rhs = np.empty((len(runs), rank, rank)), np.empty((len(runs), rank))
-        plans.append((nonempty, runs, others, train.values[order], gram, rhs))
+        gram, rhs = np.empty((nonempty.size, rank, rank)), np.empty((nonempty.size, rank, 1))
+        plans.append((nonempty, buckets, others, train.values[order], gram, rhs))
     trace = [_fit_terms(train, factors, ridge, rows)[2]]
     for _ in range(cfg.max_iters):
-        for mode, (nonempty, runs, others, y, gram, rhs) in enumerate(plans):
+        for mode, (nonempty, buckets, others, y, gram, rhs) in enumerate(plans):
             # the design: the product of the other modes' rows, in this mode's cell
             # order; this mode's row buffer is free until the next _fit_terms
             gathered = [np.take(factors[other], idx, axis=0, out=rows[other], mode="clip")
@@ -408,14 +429,15 @@ def _als(
             z = gathered[0]
             for g in gathered[1:]:
                 z = np.multiply(z, g, out=rows[mode])
-            for t, (a, b) in enumerate(runs):
-                za = z[a:b]  # a view: za.T @ za stays BLAS syrk, as for a copy
-                np.matmul(za.T, za, out=gram[t])
-                np.matmul(za.T, y[a:b], out=rhs[t])
-            gram += ridge * np.eye(rank)
+            for r0, r1, c0, c1, length in buckets:
+                zb = z[c0:c1].reshape(r1 - r0, length, rank)  # a view of one slab
+                zt = zb.transpose(0, 2, 1)  # both operands view one buffer: syrk per row
+                np.matmul(zt, zb, out=gram[r0:r1])
+                np.matmul(zt, y[c0:c1].reshape(r1 - r0, length, 1), out=rhs[r0:r1])
+            gram += ridge_eye
             factors[mode] = np.zeros((factors[mode].shape[0], rank))
-            try:  # a 2-D right-hand side would be read as one matrix, not a stack
-                factors[mode][nonempty] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+            try:
+                factors[mode][nonempty] = np.linalg.solve(gram, rhs)[..., 0]
             except np.linalg.LinAlgError:
                 raise ConfigError(f"ALS solve is singular at lam={cfg.lam}; raise lam") from None
         trace.append(_fit_terms(train, factors, ridge, rows)[2])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fairtensor import data
 from fairtensor.data import (
-    MAX_DENSE_CELLS,
     SensitiveMap,
     SynthConfig,
     calibrate_bias_strength,
@@ -23,6 +22,7 @@ from fairtensor.data import (
     synth_generate,
 )
 from fairtensor.errors import (
+    MAX_DENSE_CELLS,
     ConfigError,
     EmptyDatasetError,
     ParseError,

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -948,6 +948,51 @@ class TestCli:
         lines = [l for l in proc.stdout.strip().splitlines() if l]
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
+
+
+# Every config field gets each of these; a field that only sets run length
+# skips the huge ones, which would run long rather than fail.
+HOSTILE_VALUES = [None, True, "x", -1, 0, 1.5, 10**6, 10**12, 2**70,
+                  math.nan, math.inf, -math.inf, [], {}]
+HUGE_VALUES = (10**6, 10**12, 2**70)
+RUN_LENGTH_FIELDS = ("repeats", "max_iters")
+SWEEP_BASE = {
+    "synth": dict(n_users=20, n_curators=12, n_topics=3, true_rank=2,
+                  bias_strength=0.2, target_sparsity=0.2, seed=3),
+    "negative_probability": 0.05, "repeats": 1, "k": 3, "intervals": 10,
+    "models": list(MODEL_KINDS), "train": {"rank": 4, "max_iters": 3},
+}
+SWEEP_FIELDS = [
+    *((f.name,) for f in fields(ExperimentConfig)),
+    *(("synth", f.name) for f in fields(SynthConfig)),
+    *(("train", f.name) for f in fields(TrainConfig)),
+    *(("model_overrides", "FM", f.name) for f in fields(TrainConfig)),
+]
+
+
+class TestHostileConfigSweep:
+    """Every config field set to each hostile value, through ``fairtensor
+    experiment`` in-process on a tiny synth: the run exits 0 or 1, or 2 with
+    an ``error:`` line, and no exception escapes ``main``."""
+
+    @pytest.mark.parametrize("path", SWEEP_FIELDS, ids=".".join)
+    def test_field_takes_every_hostile_value(self, tmp_path, capsys, path):
+        values = [v for v in HOSTILE_VALUES
+                  if not (path[-1] in RUN_LENGTH_FIELDS and v in HUGE_VALUES)]
+        bad = []
+        for value in values:
+            doc = json.loads(json.dumps(SWEEP_BASE))
+            node = doc
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            code = cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2) or (code == 2 and not err.startswith("error:")):
+                bad.append(f"{value!r}: exit {code}, {err[:200]!r}")
+        assert not bad, bad
 
 
 def test_package_has_no_assert():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtensor.errors import UndefinedMetricError
+from fairtensor.errors import ConfigError, UndefinedMetricError
 from fairtensor.metrics import (
     GroupedScores,
     MetricsReport,
@@ -140,6 +140,12 @@ class TestKs:
     def test_empty_group(self):
         with pytest.raises(UndefinedMetricError):
             ks(GroupedScores([1.0], []), 50)
+
+    @pytest.mark.parametrize("intervals", [10**12, 2**70])
+    def test_oversized_intervals_rejected(self, intervals):
+        # numpy refuses both sizes at once, so a missing check allocates nothing
+        with pytest.raises(ConfigError, match="MAX_DENSE_CELLS"):
+            ks(GroupedScores([0.0, 1.0], [1.0, 2.0]), intervals)
 
     def test_swap_symmetric(self):
         rng = np.random.default_rng(2)

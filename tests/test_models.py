@@ -190,6 +190,41 @@ def als_problems(draw, min_lam=1e-3):
     return train, params, cfg
 
 
+def _mid_size(one_topic):
+    """About 1,000 random cells of 120 x 40 x 3: 120 users in 14 or 15
+    buckets, the largest of about 20 rows."""
+    shape = (120, 40, 1 if one_topic else 3)
+    flat = np.random.default_rng(8).choice(np.prod(shape), 1000, replace=False)
+    cells = sorted(zip(*(i.tolist() for i in np.unravel_index(flat, shape))))
+    return shape, cells, lambda c: np.bincount(c[0]).max() >= 16
+
+
+def _one_length(one_topic):
+    """Every cell observed: each mode's rows all have one length."""
+    shape = (9, 6, 1 if one_topic else 3)
+    cells = [(i, j, k) for i in range(9) for j in range(6) for k in range(shape[2])]
+    return shape, cells, lambda c: all(np.unique(x).size == 1 for x in c)
+
+
+def _all_lengths(one_topic):
+    """The triangle j <= i in topic 0: user i has i + 1 cells, curator j has
+    12 - j, so no two users' or curators' rows have one length."""
+    shape = (12, 12, 1 if one_topic else 2)
+    cells = [(i, j, 0) for i in range(12) for j in range(i + 1)]
+    return shape, cells, lambda c: all(np.unique(x).size == x.size for x in c[:2])
+
+
+def _ones_and_empty(one_topic):
+    """Even users and curators have one cell each, odd ones none, and
+    (for the tensor) topic 2 none."""
+    shape = (10, 10, 1 if one_topic else 3)
+    cells = [(i, i, 0 if one_topic else i // 2 % 2) for i in range(0, 10, 2)]
+    return shape, cells, lambda c: all(set(x[::2]) == {1} and set(x[1::2]) == {0} for x in c[:2])
+
+
+BUCKET_CASES = {"mid_size": _mid_size, "one_length": _one_length,
+                "all_lengths": _all_lengths, "ones_and_empty": _ones_and_empty}
+
 ALS_PROPERTY = settings(derandomize=True, deadline=None, max_examples=80, database=None)
 
 
@@ -224,6 +259,27 @@ class TestAlsKernel:
                 # ||aug^+|| <= 1/sqrt(lam): a stable solve's error is relative to this scale
                 scale = np.linalg.norm(want) + np.linalg.norm(y) / np.sqrt(cfg.lam)
                 assert np.linalg.norm(out[mode][row] - want) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("one_topic", [False, True])
+    @pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+    def test_bucket_plans_bit_equal_to_reference(self, case, one_topic):
+        shape, cells, lengths = BUCKET_CASES[case](one_topic)
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=len(cells)).tolist()
+        train = ObservationTensor.from_entries(
+            *shape, [(i, j, k, v) for (i, j, k), v in zip(cells, values)]
+        )
+        index = (train.users, train.curators, train.topics)
+        counts = [np.bincount(index[mode], minlength=shape[mode]) for mode in range(3)]
+        assert lengths(counts), f"{case} does not have the row lengths it is named for"
+        free = shape[:2] if one_topic else shape
+        params = [rng.uniform(0.0, 1.0, size=(d, 5)) for d in free]
+        cfg = TrainConfig(rank=5, lam=0.05, max_iters=3, tol=0.0)
+        got, got_trace = _als(train, params, cfg)
+        want, want_trace = reference_als(train, params, cfg)
+        assert got_trace == want_trace
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("one_topic", [False, True])
     def test_rows_without_cells_are_zero(self, one_topic):
