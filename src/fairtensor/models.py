@@ -30,18 +30,24 @@ Gradient descent is full batch with a constant step size.  Each iterate
 makes one prediction, which gives the objective's value, and one scatter per
 free block, which gives its gradient (the parity term's per-cell weights are
 added to the residual first).  Constant blocks, the sensitive features and
-the ones topic row, are never parameters, so they cannot drift.  GD and ALS
-gather the cells' factor rows into buffers allocated once per problem, and
-GD forms its scatter contributions and bins in two more, so no iterate
-allocates an array the size of the cells times the rank.
+the ones topic row, are never parameters, so they cannot drift.
 
-ALS orders each mode's cells once per problem by (row length, row), so the
+Both solvers build a plan once per problem, so an iterate does only
+arithmetic.  GD and ALS gather the cells' factor rows into buffers the plan
+allocates, and GD forms its scatter contributions and bins in two more, so
+no iterate allocates an array the size of the cells times the rank.  GD's
+plan also holds each free block's scatter bins, stored in the narrowest
+integer type that holds them (1.3 MB at paper shape, against 6.2 MB as
+intp).  ALS's plan orders each mode's cells by (row length, row), so the
 rows of one length are one slab of the design.  A half-sweep makes one
 batched Gram product and one right-hand-side product per distinct row
-length, not one pair per row, then one stacked solve; each row's Gram is
-still its own BLAS syrk over its own cells, so the factors do not depend on
-the batching.  Training is deterministic given (data, config, seed); trained
-models are immutable.
+length, through views the plan built, then one stacked solve; each row's
+Gram is still its own BLAS syrk over its own cells, so the factors do not
+depend on the batching.  A mode whose two other modes have fewer row pairs
+than the problem has cells takes each cell's design row from a table of
+those pairs' products, formed once per half-sweep.  The plans change no
+bit of any factor or trace.  Training is deterministic given (data, config,
+seed); trained models are immutable.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .errors import ConfigError, _check_dense_cells, _fits, check_fields, check_
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
+    _cell_bins,
     _check_index,
     _check_indices,
     _scatter_rows,
@@ -312,18 +319,30 @@ def _objective(
     ``s`` (FT/FM) the features join the free curator block as its last two
     columns, where :meth:`TrainConfig.fair_layout` puts them, and the
     orthogonality penalty acts on the free curator block.  Constant blocks
-    get no gradient and no scatter.  The free blocks ``params`` fix the
-    shapes of the buffers that every call reuses: the gathered rows, one
-    contribution array and one array of scatter bins, each as wide as the
-    widest free block.
+    get no gradient and no scatter.
+
+    The free blocks ``params`` fix a plan that every call reuses, so a call
+    does only arithmetic.  It holds the gathered rows, one contribution
+    buffer and one intp bins buffer, each as wide as the widest free block,
+    and each block's scatter bins, built once.  The bins are stored in the
+    narrowest unsigned type that holds the block's row count times its
+    width (uint16, uint16 and uint8 at paper shape): three intp copies
+    would hold four to eight times the bytes, about the size of the row
+    buffers again.  A call widens one block's bins into the intp buffer,
+    which bincount reads without a cast.  After the first block's scatter,
+    ``resid * a`` (a the first block's rows) is formed once in place of
+    those rows; the later blocks' contributions ``(resid * a) * c`` and
+    ``(resid * a) * b`` start from it, in the order the kernels multiply.
     """
     index = (train.users, train.curators, train.topics)
     is0 = None if groups is None else _group0_cells(train.curators, groups)
+    n = train.n_entries
     widths = [p.shape[1] for p in params]
     features = 0 if s is None else s.shape[1]  # they join the curator block's rows
     rows = _row_buffers(train, [widths[0], widths[1] + features, *widths[2:]])
-    cells = train.n_entries * max(widths)
-    contrib, bins = np.empty(cells), np.empty(cells, dtype=np.intp)
+    contrib, wide = np.empty(n * max(widths)), np.empty(n * max(widths), dtype=np.intp)
+    bins = [_cell_bins(idx, p.shape[1], wide).astype(np.min_scalar_type(p.size))
+            for idx, p in zip(index, params)]
 
     def objective(params):
         factors = params if s is None else [params[0], np.hstack([params[1], s]), *params[2:]]
@@ -334,13 +353,21 @@ def _objective(
             resid = resid + cell_weights
         grads = []
         for mode, p in enumerate(params):
-            others = [r[:, : p.shape[1]] for other, r in enumerate(rows) if other != mode]
-            c = contrib[: train.n_entries * p.shape[1]].reshape(train.n_entries, p.shape[1])
+            w = p.shape[1]
+            if mode == 1:  # the first block's rows are free after its scatter
+                np.multiply(resid[:, None], rows[0], out=rows[0])
             # ((resid * x) * y), the order the factors' and traces' bits depend on
-            np.multiply(resid[:, None], others[0], out=c)
+            head = resid[:, None] if mode == 0 else rows[0][:, :w]
+            others = [r[:, :w] for other, r in enumerate(rows) if other not in (0, mode)]
+            c = contrib[: n * w].reshape(n, w)
+            if others:
+                np.multiply(head, others[0], out=c)
+            else:  # a one-topic slice's curator block: resid * a is its contribution
+                np.copyto(c, head)
             for x in others[1:]:
                 np.multiply(c, x, out=c)
-            grads.append(_scatter_rows(index[mode], c, p.shape[0], bins) + cfg.lam * p)
+            np.copyto(wide[: c.size], bins[mode])
+            grads.append(_scatter_rows(index[mode], c, p.shape[0], wide[: c.size]) + cfg.lam * p)
         if s is not None:
             ortho, g_ortho = ortho_penalty(params[1], s, cfg.ortho_weight)
             value += ortho
@@ -356,20 +383,23 @@ def _descend(
     """Full-batch constant-step gradient descent with a relative-change stop.
 
     One objective call per iterate; ``trace[0]`` is the value at ``params``.
+    Overflow and invalid values raise no numpy warning: a diverging run
+    surfaces once, as the non-finite loss that stops it.
     """
-    value, grads = objective(params)
-    trace = [value]
-    for _ in range(cfg.max_iters):
-        params = [p - cfg.learning_rate * g for p, g in zip(params, grads)]
+    with np.errstate(over="ignore", invalid="ignore"):
         value, grads = objective(params)
-        trace.append(value)
-        if not math.isfinite(value):
-            raise ConfigError(
-                "gradient descent diverged (non-finite loss); lower "
-                "learning_rate or the penalty weight"
-            )
-        if _converged(trace[-2], trace[-1], cfg.tol):
-            break
+        trace = [value]
+        for _ in range(cfg.max_iters):
+            params = [p - cfg.learning_rate * g for p, g in zip(params, grads)]
+            value, grads = objective(params)
+            trace.append(value)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    "gradient descent diverged (non-finite loss); lower "
+                    "learning_rate or the penalty weight"
+                )
+            if _converged(trace[-2], trace[-1], cfg.tol):
+                break
     return params, trace
 
 
@@ -383,14 +413,24 @@ def _als(
     One plan per mode, built once, sorts the cells by (row length, row), the
     cells of a row kept in cell order.  Each row's cells are then one
     contiguous run of the design, and the rows of one length L one contiguous
-    slab, read as a (rows, L, rank) stack without a copy or padding.  Per
-    sweep, each distinct length makes one batched product for its rows'
+    slab, read as a (rows, L, rank) stack without a copy or padding.  The
+    design is a buffer that the mode fills every half-sweep, so the plan
+    also builds each length's Gram, right-hand-side and design views once.
+    Per sweep, each distinct length makes one batched product for its rows'
     Grams and one for their right-hand sides.  numpy's matmul loop makes, for
     each row, the call a per-row product makes (BLAS syrk for a Gram, gemv
     for a right-hand side) on the same operands and strides, so the bits do
     not depend on the batching; a padded gemm would change them.  One
     stacked solve per mode then solves every nonempty row.  Rows without
     cells are zero.
+
+    A cell's design row is the product of the other modes' rows.  When a
+    mode has two other modes whose row counts multiply to fewer than the
+    cells, the half-sweep forms every pair's product once, a table such as
+    the curator x topic table of the user mode, and takes one table row per
+    cell through a flat index of the plan; otherwise it gathers each other
+    mode's rows and multiplies them.  Both give each element the same one
+    product.
     """
     ridge = cfg.lam
     if ridge == 0:
@@ -412,28 +452,40 @@ def _als(
         nonempty = np.flatnonzero(counts)
         nonempty = nonempty[np.argsort(counts[nonempty], kind="stable")]
         lengths, n_rows = np.unique(counts[nonempty], return_counts=True)
-        buckets, r0, c0 = [], 0, 0  # (first row, end row, first cell, end cell, length)
-        for length, n in zip(lengths.tolist(), n_rows.tolist()):
-            buckets.append((r0, r0 + n, c0, c0 + n * length, length))
-            r0, c0 = r0 + n, c0 + n * length
-        others = [(other, index[other][order]) for other in range(len(factors)) if other != mode]
+        others = [other for other in range(len(factors)) if other != mode]
+        sizes = [factors[other].shape[0] for other in others]
+        table, gathers = None, [(other, index[other][order]) for other in others]
+        if len(others) == 2 and sizes[0] * sizes[1] < train.n_entries:
+            table, gathers = (*others, gathers[0][1] * sizes[1] + gathers[1][1]), []
+        # the design buffer: a one-topic slice's design is the other mode's rows
+        z = rows[mode] if len(others) > 1 else rows[others[0]]
+        y = train.values[order]
         gram, rhs = np.empty((nonempty.size, rank, rank)), np.empty((nonempty.size, rank, 1))
-        plans.append((nonempty, buckets, others, train.values[order], gram, rhs))
+        buckets, r0, c0 = [], 0, 0  # (zt, zb, y, gram, rhs) views of each row length
+        for length, n in zip(lengths.tolist(), n_rows.tolist()):
+            span = slice(c0, c0 + n * length)
+            zb = z[span].reshape(n, length, rank)  # a view of one slab
+            zt = zb.transpose(0, 2, 1)  # both operands view one buffer: syrk per row
+            yb = y[span].reshape(n, length, 1)
+            buckets.append((zt, zb, yb, gram[r0 : r0 + n], rhs[r0 : r0 + n]))
+            r0, c0 = r0 + n, c0 + n * length
+        plans.append((nonempty, table, gathers, buckets, gram, rhs))
     trace = [_fit_terms(train, factors, ridge, rows)[2]]
     for _ in range(cfg.max_iters):
-        for mode, (nonempty, buckets, others, y, gram, rhs) in enumerate(plans):
-            # the design: the product of the other modes' rows, in this mode's cell
-            # order; this mode's row buffer is free until the next _fit_terms
+        for mode, (nonempty, table, gathers, buckets, gram, rhs) in enumerate(plans):
+            # the design, in this mode's cell order; this mode's row buffer is
+            # free until the next _fit_terms
+            if table is not None:
+                o1, o2, cells = table
+                pairs = (factors[o1][:, None, :] * factors[o2][None, :, :]).reshape(-1, rank)
+                np.take(pairs, cells, axis=0, out=rows[mode], mode="clip")
             gathered = [np.take(factors[other], idx, axis=0, out=rows[other], mode="clip")
-                        for other, idx in others]
-            z = gathered[0]
-            for g in gathered[1:]:
-                z = np.multiply(z, g, out=rows[mode])
-            for r0, r1, c0, c1, length in buckets:
-                zb = z[c0:c1].reshape(r1 - r0, length, rank)  # a view of one slab
-                zt = zb.transpose(0, 2, 1)  # both operands view one buffer: syrk per row
-                np.matmul(zt, zb, out=gram[r0:r1])
-                np.matmul(zt, y[c0:c1].reshape(r1 - r0, length, 1), out=rhs[r0:r1])
+                        for other, idx in gathers]
+            if len(gathered) == 2:
+                np.multiply(*gathered, out=rows[mode])
+            for zt, zb, yb, g, r in buckets:
+                np.matmul(zt, zb, out=g)
+                np.matmul(zt, yb, out=r)
             gram += ridge_eye
             factors[mode] = np.zeros((factors[mode].shape[0], rank))
             try:

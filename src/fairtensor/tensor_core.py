@@ -23,6 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import _fits
+
 __all__ = [
     "ObservationTensor",
     "FactorModel",
@@ -175,6 +177,8 @@ class FactorModel:
         object.__setattr__(self, "u_users", mats[0])
         object.__setattr__(self, "u_curators", mats[1])
         object.__setattr__(self, "u_topics", mats[2])
+        if not all(_fits(int, c) or isinstance(c, np.integer) for c in self.sensitive_cols):
+            raise ValueError(f"sensitive_cols must be ints, got {list(self.sensitive_cols)}")
         cols = tuple(sorted(int(c) for c in self.sensitive_cols))
         if cols:
             if len(cols) != 2 or cols[0] == cols[1]:
@@ -244,23 +248,32 @@ def masked_loss(model: FactorModel, obs: ObservationTensor, lam: float) -> float
     return 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
 
 
+def _cell_bins(index: np.ndarray, rank: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Flat (row, column) bins ``index * rank + column`` of a (cells, rank)
+    array, in cell order; written into the intp buffer ``out`` when given."""
+    size = index.size * rank
+    bins = np.empty(size, dtype=np.intp) if out is None else out[:size]
+    cell_bins = bins.reshape(index.size, rank)
+    np.multiply(index[:, None], rank, out=cell_bins)
+    np.add(cell_bins, np.arange(rank), out=cell_bins)
+    return bins
+
+
 def _scatter_rows(
     index: np.ndarray, contrib: np.ndarray, n_rows: int, bins: np.ndarray | None = None
 ) -> np.ndarray:
     """Row sums ``out[index[e]] += contrib[e]`` of a (cells, rank) array.
 
-    One bincount over the flattened (row, column) bins ``index * rank +
-    column``: a C-speed scatter-add in which each bin gets its additions in
-    cell order.  The bins are written into ``bins``, an intp buffer of at
-    least ``contrib.size`` entries, when one is given.
+    One bincount over the flattened (row, column) bins of :func:`_cell_bins`:
+    a C-speed scatter-add in which each bin gets its additions in cell
+    order.  A caller that scatters by the same index every iterate passes
+    those bins prebuilt as ``bins`` (intp, ``contrib.size`` entries); without
+    them the scatter builds its own from ``index``.
     """
     rank = contrib.shape[1]
     if bins is None:
-        bins = np.empty(contrib.size, dtype=np.intp)
-    cell_bins = bins[: contrib.size].reshape(contrib.shape)
-    np.multiply(index[:, None], rank, out=cell_bins)
-    np.add(cell_bins, np.arange(rank), out=cell_bins)
-    out = np.bincount(cell_bins.ravel(), weights=contrib.ravel(), minlength=n_rows * rank)
+        bins = _cell_bins(index, rank)
+    out = np.bincount(bins, weights=contrib.ravel(), minlength=n_rows * rank)
     return out.reshape(n_rows, rank)
 
 

@@ -995,6 +995,51 @@ class TestHostileConfigSweep:
         assert not bad, bad
 
 
+
+def checkpoint_paths(node, path=()):
+    """Every key path of a checkpoint document, into the first item of each
+    nonempty list: the fields and sub-fields that a sweep sets."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from checkpoint_paths(value, (*path, key))
+    elif isinstance(node, list) and node:
+        yield (*path, 0)
+        yield from checkpoint_paths(node[0], (*path, 0))
+
+
+class TestHostileCheckpointSweep:
+    """Every field of a trained checkpoint set to each hostile value, through
+    ``fairtensor evaluate`` in-process on the config sweep's tiny synth: the
+    run exits 0, or 2 with an ``error:`` line, and no exception escapes
+    ``main``."""
+
+    @pytest.mark.parametrize("kind", ["OTC", "FM"])
+    def test_every_field_takes_every_hostile_value(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SWEEP_BASE, "models": [kind]}), encoding="utf-8")
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        checkpoint = tmp_path / f"{kind.lower()}_checkpoint.json"
+        trained = json.loads(checkpoint.read_text(encoding="utf-8"))
+        paths = list(checkpoint_paths(trained))
+        assert len(paths) >= 30
+        capsys.readouterr()
+        bad = []
+        for path in paths:
+            for value in HOSTILE_VALUES:
+                doc = json.loads(json.dumps(trained))
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+                code = cli_main(["evaluate", "--config", str(cfg),
+                                 "--checkpoint", str(checkpoint)])
+                err = capsys.readouterr().err
+                if code not in (0, 2) or (code == 2 and not err.startswith("error:")):
+                    bad.append(f"{path} = {value!r}: exit {code}, {err[:200]!r}")
+        assert not bad, bad
+
 def test_package_has_no_assert():
     """Checks that guard results must raise: ``python -O`` strips asserts."""
     package = Path(harness.__file__).parent

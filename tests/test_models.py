@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -30,6 +31,7 @@ from fairtensor.models import (
     _fit_terms,
     _init_factors,
     _objective,
+    _parity_terms,
     _row_buffers,
     _top_indices,
     load_checkpoint,
@@ -45,6 +47,7 @@ from fairtensor.models import (
 from fairtensor.tensor_core import (
     FactorModel,
     ObservationTensor,
+    _scatter_rows,
     cp_entries,
     masked_gradient,
     masked_loss,
@@ -222,8 +225,33 @@ def _ones_and_empty(one_topic):
     return shape, cells, lambda c: all(set(x[::2]) == {1} and set(x[1::2]) == {0} for x in c[:2])
 
 
+def _design_edge(one_topic):
+    """12 cells of 4 x 3 x 3: the user mode's 3 x 3 curator-topic pairs are
+    fewer than the cells, so it takes its design rows from a table; the
+    curator and topic modes' 4 x 3 pairs equal the cells, so they gather.
+    The one-topic slice observes every cell of 4 x 3."""
+    shape = (4, 3, 1 if one_topic else 3)
+    cells = [(i, j, 0 if one_topic else (i * j) % 3) for i in range(4) for j in range(3)]
+    if one_topic:
+        return shape, cells, lambda c: c[0].sum() == 12
+    return shape, cells, lambda c: c[1].size * c[2].size < c[0].sum() == c[0].size * c[1].size
+
+
+def _dense_topics(one_topic):
+    """Every cell of 3 x 2 x 8 but user 2's last five topics: every mode,
+    the topics too, has fewer row pairs of its other modes than cells, so
+    each takes its design rows from a table, and topic rows differ in length."""
+    shape = (3, 2, 1 if one_topic else 8)
+    cells = [(i, j, k) for i in range(3) for j in range(2) for k in range(shape[2])
+             if not (i == 2 and k >= 3)]
+    if one_topic:
+        return shape, cells, lambda c: c[0].sum() == 6
+    return shape, cells, lambda c: c[0].size * c[1].size < c[0].sum() and np.unique(c[2]).size > 1
+
+
 BUCKET_CASES = {"mid_size": _mid_size, "one_length": _one_length,
-                "all_lengths": _all_lengths, "ones_and_empty": _ones_and_empty}
+                "all_lengths": _all_lengths, "ones_and_empty": _ones_and_empty,
+                "design_edge": _design_edge, "dense_topics": _dense_topics}
 
 ALS_PROPERTY = settings(derandomize=True, deadline=None, max_examples=80, database=None)
 
@@ -296,6 +324,82 @@ class TestAlsKernel:
         for u, rows in zip(out, empty, strict=True):
             assert u[rows].tobytes() == np.zeros((len(rows), 2)).tobytes()
             assert np.all(np.delete(u, rows, axis=0) != 0.0)
+
+
+def reference_objective(train, cfg, params, groups=None, s=None):
+    """``_objective`` without a plan: each call builds its scatter bins and
+    multiplies every block's contribution by the residual afresh."""
+    index = (train.users, train.curators, train.topics)
+    is0 = None if groups is None else groups[train.curators] == 0
+    widths = [p.shape[1] for p in params]
+    features = 0 if s is None else s.shape[1]
+    rows = _row_buffers(train, [widths[0], widths[1] + features, *widths[2:]])
+
+    def objective(params):
+        factors = params if s is None else [params[0], np.hstack([params[1], s]), *params[2:]]
+        preds, resid, value = _fit_terms(train, factors, cfg.lam, rows)
+        if is0 is not None:
+            parity, cell_weights = _parity_terms(preds, is0, cfg.parity_weight)
+            value += parity
+            resid = resid + cell_weights
+        grads = []
+        for mode, p in enumerate(params):
+            others = [r[:, : p.shape[1]] for other, r in enumerate(rows) if other != mode]
+            c = resid[:, None] * others[0]
+            for x in others[1:]:
+                c = c * x
+            grads.append(_scatter_rows(index[mode], c, p.shape[0]) + cfg.lam * p)
+        if s is not None:
+            ortho, g_ortho = ortho_penalty(params[1], s, cfg.ortho_weight)
+            value += ortho
+            grads[1] = grads[1] + g_ortho
+        return value, grads
+
+    return objective
+
+
+# (shape, one-topic slice, rank, widest scatter bins): a block's bins are
+# stored in the narrowest type that holds its rows times its width
+OBJECTIVE_CASES = {
+    "tensor_uint8": ((6, 5, 3), False, 4, np.uint8),
+    "tensor_uint16": ((70, 40, 3), False, 5, np.uint16),
+    "tensor_uint32": ((14000, 9, 4), False, 5, np.uint32),
+    "slice_uint8": ((8, 6, 1), True, 4, np.uint8),
+    "slice_uint16": ((9, 3000, 1), True, 5, np.uint16),
+    "slice_uint32": ((17000, 9, 1), True, 4, np.uint32),
+}
+
+
+class TestObjectivePlan:
+    @pytest.mark.parametrize("term", ["plain", "parity", "ortho"])
+    @pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
+    def test_descent_bit_equal_to_per_call_reference(self, case, term):
+        shape, one_topic, rank, widest = OBJECTIVE_CASES[case]
+        rng = np.random.default_rng(sorted(OBJECTIVE_CASES).index(case))
+        flat = rng.choice(np.prod(shape), min(60, np.prod(shape) // 2), replace=False)
+        cells = set(zip(*(i.tolist() for i in np.unravel_index(flat, shape))))
+        cells |= {(0, 0, 0), (0, 1, 0)}  # both curator groups have cells
+        train = ObservationTensor.from_entries(
+            *shape, [(i, j, k, float(v)) for (i, j, k), v in
+                     zip(sorted(cells), rng.normal(size=len(cells)))]
+        )
+        groups = np.arange(shape[1]) % 2
+        s = np.eye(2)[groups] if term == "ortho" else None
+        free = shape[:2] if one_topic else shape
+        params = [rng.uniform(0.0, 0.5, size=(d, rank)) for d in free]
+        if s is not None:  # the FT/FM split: the curator block is two columns narrower
+            params[1] = params[1][:, :-2]
+        assert max(np.min_scalar_type(p.size) for p in params) == widest
+        cfg = TrainConfig(rank=rank, lam=0.01, parity_weight=10.0, ortho_weight=0.5)
+        extra = {"parity": {"groups": groups}, "ortho": {"s": s}}.get(term, {})
+        got_fn = _objective(train, cfg, params, **extra)
+        want_fn = reference_objective(train, cfg, params, **extra)
+        for _ in range(5):
+            (got, got_grads), (want, want_grads) = got_fn(params), want_fn(params)
+            assert math.isfinite(want) and got == want
+            for g, w in zip(got_grads, want_grads, strict=True):
+                assert g.tobytes() == w.tobytes()
+            params = [p - 0.01 * g for p, g in zip(params, want_grads)]
 
 
 class TestTrainRtc:

@@ -96,6 +96,20 @@ class TestObservationTensor:
         assert back.entry_tuples() == obs.entry_tuples()
 
 
+class TestFactorModel:
+    @pytest.mark.parametrize("cols", [(1, np.int64(2)), [np.int32(2), 1], (2, 1)])
+    def test_integer_sensitive_cols_sorted(self, cols):
+        ones = np.ones((2, 3))
+        assert FactorModel(ones, ones, ones, sensitive_cols=cols).sensitive_cols == (1, 2)
+
+    @pytest.mark.parametrize("bad", [2.9, 2.0, np.inf, -np.inf, np.nan, True, "2", None])
+    def test_non_integer_sensitive_col_rejected(self, bad):
+        # int(c) would turn 2.9 into 2 and end in OverflowError on inf
+        ones = np.ones((2, 3))
+        with pytest.raises(ValueError, match="sensitive_cols must be ints"):
+            FactorModel(ones, ones, ones, sensitive_cols=(1, bad))
+
+
 class TestCpEntry:
     def test_single_term_product(self):
         model = FactorModel(np.array([[2.0]]), np.array([[3.0]]), np.array([[4.0]]))
