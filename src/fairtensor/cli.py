@@ -4,7 +4,8 @@ Subcommands:
   synth       write a synthetic biased dataset (two CSVs + JSON sidecar)
   train       train one model and write its JSON checkpoint
   evaluate    evaluate a checkpoint on the config's test split
-  experiment  run the full pipeline and write report.csv / report.json
+  experiment  run the full pipeline and write report.csv / report.json; one
+              'failed: <model> run <r>: <reason>' line per error row goes to stderr
   oracle      run the built-in verification suite; nonzero exit on failure
 """
 
@@ -109,6 +110,9 @@ def _cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
     report = run_experiment(cfg, out_dir=args.out)
     sys.stdout.write(report.to_csv())
+    for row in report.rows:
+        if row.error is not None:
+            print(f"failed: {row.model} run {row.run}: {row.error}", file=sys.stderr)
     return 0 if report.complete() else 1
 
 

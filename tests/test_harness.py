@@ -1,10 +1,13 @@
 import ast
 import json
 import math
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -203,14 +206,7 @@ class TestRunExperiment:
         assert not report.complete()
 
     def test_evaluation_error_row_keeps_other_models(self, tmp_path, monkeypatch):
-        fairness_metrics = harness._fairness_metrics
-
-        def fail_for_ft(model, *args):
-            if model.kind == "FT":
-                raise ConfigError("scope too large")
-            return fairness_metrics(model, *args)
-
-        monkeypatch.setattr(harness, "_fairness_metrics", fail_for_ft)
+        fail_ft_fairness(monkeypatch)
         report = run_experiment(toy_config(tmp_path, models=("OTC", "FT")))
         by_model = {r.model: r for r in report.rows}
         assert by_model["FT"].error == "fairness: scope too large"
@@ -239,6 +235,130 @@ class TestRunExperiment:
         assert report.complete()
         means = report.model_means()
         assert means["FT"]["ks"] < means["OTC"]["ks"]
+
+
+def fail_ft_fairness(monkeypatch):
+    """Make FT's fairness metrics fail, as in an evaluation error row."""
+    fairness_metrics = harness._fairness_metrics
+
+    def fail_for_ft(model, *args):
+        if model.kind == "FT":
+            raise ConfigError("scope too large")
+        return fairness_metrics(model, *args)
+
+    monkeypatch.setattr(harness, "_fairness_metrics", fail_for_ft)
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    return path
+
+
+DIVERGING_RTC = {"RTC": {"learning_rate": 1e6}}
+
+
+class TestWorkerProcesses:
+    """``run_experiment`` runs its (model, run) pairs in forked workers."""
+
+    @pytest.mark.parametrize("jobs", [True, False, 1.5, 0, -1, "2"])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs must be an int >= 1"):
+            harness._worker_count(jobs, 4)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 10**6, 2**70])
+    def test_worker_count_capped_at_pairs_and_cores(self, jobs, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        assert harness._worker_count(jobs, 12) == min(jobs, 3)
+        assert harness._worker_count(jobs, 2) == min(jobs, 2)
+
+    def test_default_is_one_per_usable_core(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 5)
+        assert harness._worker_count(None, 12) == 5
+        assert harness._worker_count(None, 4) == 4
+
+    def test_usable_cores_is_the_affinity_set(self):
+        assert harness._usable_cores() == len(os.sched_getaffinity(0))
+
+    def test_bad_jobs_rejected_before_any_work(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_load_source", None)  # must not be reached
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(toy_config(tmp_path), jobs=0)
+
+    def test_reports_byte_identical_at_one_and_two_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        fail_ft_fairness(monkeypatch)
+        cfg = toy_config(tmp_path, models=MODEL_KINDS, repeats=2,
+                         model_overrides=DIVERGING_RTC)
+        for jobs in (1, 2):
+            report = run_experiment(cfg, out_dir=tmp_path / f"jobs{jobs}", jobs=jobs)
+            assert multiprocessing.active_children() == []
+        for name in ("report.csv", "report.json"):
+            one, two = (tmp_path / f"jobs{jobs}" / name for jobs in (1, 2))
+            assert one.read_bytes() == two.read_bytes()
+        rows = report.rows
+        assert len(rows) == 12
+        failed = [(r.model, r.run) for r in rows if r.error is not None]
+        assert failed == [("FT", 1), ("FT", 2), ("RTC", 1), ("RTC", 2)]
+        assert all(r.error == "fairness: scope too large" for r in rows if r.model == "FT")
+        assert all("diverged" in r.error for r in rows if r.model == "RTC")
+
+    def test_worker_warning_reaches_stderr_not_the_callers_record(self, tmp_path, monkeypatch):
+        cfg = toy_config(tmp_path, models=("OTC", "FT"), model_overrides={"OTC": {"lam": 0.0}})
+        path = write_config(tmp_path, cfg)
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairtensor", "experiment", "--config", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" in proc.stderr and "singular" in proc.stderr
+
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        for jobs, caught in ((1, 1), (2, 0)):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                run_experiment(cfg, jobs=jobs)
+            assert sum("singular" in str(w.message) for w in record) == caught
+
+    def test_import_loads_no_pool_module(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        code = ("import sys, fairtensor; print(sorted(m for m in sys.modules "
+                "if m.startswith(('concurrent', 'multiprocessing'))))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_pairs_run_in_submission_order(self):
+        pids = []
+        pairs = [("OTC", 1), ("FT", 1), ("OTC", 2)]
+        for workers in (1, 2):
+            rows = harness._run_pairs(lambda kind, run: (kind, run, os.getpid()), pairs, workers)
+            assert [row[:2] for row in rows] == pairs
+            pids.append({row[2] for row in rows})
+        assert pids[0] == {os.getpid()}
+        assert os.getpid() not in pids[1]
+
+    def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        parent = os.getpid()
+        run_one_model = harness._run_one_model
+
+        def exit_on_ft_run_2(kind, ds, smap, cfg, run):
+            if kind == "FT" and run == 2 and os.getpid() != parent:
+                os._exit(3)
+            return run_one_model(kind, ds, smap, cfg, run)
+
+        monkeypatch.setattr(harness, "_run_one_model", exit_on_ft_run_2)
+        cfg = toy_config(tmp_path, models=("OTC", "FT"), repeats=2)
+        path = write_config(tmp_path, cfg)
+        code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: a worker process died")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateScopes:
@@ -549,6 +669,22 @@ class TestCli:
         assert code == 0
         assert (out / "report.csv").exists()
         assert captured.out.startswith("model,run,seed,")
+
+    def test_experiment_names_failed_rows_on_stderr(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path, models=("OTC", "RTC"), repeats=2,
+                         model_overrides=DIVERGING_RTC)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        code = cli_main(["experiment", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (out / "report.csv").read_text(encoding="utf-8")
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+        errors = {(r["model"], r["run"]): r["error"] for r in rows if r["error"]}
+        assert sorted(errors) == [("RTC", 1), ("RTC", 2)]
+        assert captured.err.splitlines() == [
+            f"failed: RTC run {run}: {errors['RTC', run]}" for run in (1, 2)]
+        assert all("diverged" in e for e in errors.values())
 
     def test_train_then_evaluate(self, tmp_path, capsys):
         synth_cfg = self.synth_config(tmp_path)
