@@ -27,12 +27,15 @@ requested model on the train side and evaluates it on the test side:
 The unit of work is one (model, run) pair: train one kind on one run's
 split and score it.  :func:`run_experiment` builds every run's split in the
 calling process, then runs the pairs run-major with the kinds sorted, through
-one worker process per usable core (``os.sched_getaffinity``), capped at the
-number of pairs.  Workers are made with ``fork``, so they inherit the splits,
-the sensitive map and the config instead of receiving pickled copies; only
-``(kind, run)`` goes out and a :class:`RunMetrics` comes back.  At one worker,
-or where ``fork`` does not exist, the pairs run in the calling process and no
-process starts.  To run on one core, pin the process: ``taskset -c 0``.
+worker processes.  There are as many workers as the usable cores
+(``os.sched_getaffinity``) hold at each worker's BLAS thread count, capped at
+the number of pairs: with ``OPENBLAS_NUM_THREADS=1`` one per core, and with
+BLAS threads unset (one per core already) a single one.  Workers are made
+with ``fork``, so they inherit the splits, the sensitive map and the config
+instead of receiving pickled copies; only ``(kind, run)`` goes out and a
+:class:`RunMetrics` comes back.  At one worker, or where ``fork`` does not
+exist, the pairs run in the calling process and no process starts.  To run
+on one core, pin the process: ``taskset -c 0``.
 
 Reports carry one row per (model, run), an across-run mean row per model and
 the fully resolved config, and are byte-identical for identical configs,
@@ -69,7 +72,7 @@ from .data import (
     synth_generate,
 )
 from .errors import (
-    ConfigError, FairtensorError, UndefinedMetricError, _check_dense_cells, _fits, check_fields,
+    ConfigError, FairtensorError, UndefinedMetricError, _check_dense_cells, check_fields,
     check_types, read_json,
 )
 from .metrics import (
@@ -373,13 +376,25 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int | None, n_pairs: int) -> int:
-    """Worker processes for ``n_pairs`` pairs: ``jobs`` (default: one per
-    usable core), capped at the pairs and at the usable cores."""
-    if jobs is not None and not (_fits(int, jobs) and jobs >= 1):
-        raise ConfigError(f"jobs must be an int >= 1, got {jobs!r}")
-    cores = _usable_cores()
-    return min(cores if jobs is None else jobs, n_pairs, cores)
+def _blas_threads() -> int:
+    """Threads each process's OpenBLAS (numpy's bundled BLAS) runs: the first
+    positive of the variables it reads, else one per usable core."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads >= 1:
+            return threads
+    return _usable_cores()
+
+
+def _worker_count(n_pairs: int) -> int:
+    """Worker processes for ``n_pairs`` pairs: as many as the usable cores
+    hold at each worker's BLAS thread count, at least one, capped at the pairs.
+    With BLAS threads unset, OpenBLAS already runs one thread per core, so
+    this is one worker."""
+    return max(1, min(_usable_cores() // _blas_threads(), n_pairs))
 
 
 # In a worker process: runs one (kind, run) pair on the state inherited by fork.
@@ -417,26 +432,28 @@ def _run_pairs(run_pair, pairs: list[tuple[str, int]], workers: int) -> list[Run
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int | None = None
+    cfg: ExperimentConfig, out_dir: str | Path | None = None
 ) -> MetricsReport:
     """Run every (model, run) pair of an experiment and assemble the report.
 
     Every run's split is built here; the pairs, run-major with the kinds
-    sorted, then run in ``jobs`` forked worker processes (default: one per
-    usable core), capped at the number of pairs and the usable cores.  At one
-    worker they run in this process.  The report's bytes do not depend on
-    ``jobs``.  A ``jobs`` that is not an int >= 1 is a :class:`ConfigError`,
-    and a worker that dies is a :class:`FairtensorError`.  A warning raised in
-    a worker, such as ALS's ``lam=0`` ``RuntimeWarning``, is handled there
-    under the filters in force when the pool started: by default it is
-    printed to stderr, and it never reaches a ``warnings.catch_warnings``
-    record of the caller.
+    sorted, then run in forked worker processes: as many as the usable cores
+    hold at each worker's BLAS thread count (``OPENBLAS_NUM_THREADS``, else
+    one per core), capped at the number of pairs.  At one worker they run in
+    this process.  The report's bytes do not depend on the number of workers.
+    A worker that dies is a :class:`FairtensorError`.
+
+    Known limitation: a warning raised in a worker, such as ALS's ``lam=0``
+    ``RuntimeWarning``, is handled there under the filters in force when the
+    pool started.  By default it is printed to stderr, but it does not reach
+    a ``warnings.catch_warnings`` record of the caller, as it does when the
+    pairs run in this process.
 
     With ``out_dir`` the report is also written as report.csv and
     report.json.
     """
     pairs = [(kind, run) for run in range(1, cfg.repeats + 1) for kind in sorted(cfg.models)]
-    workers = _worker_count(jobs, len(pairs))
+    workers = _worker_count(len(pairs))
     positives, smap = _load_source(cfg)
     fair_requested = [m for m in cfg.models if m in GROUP_AWARE_KINDS]
     if fair_requested and smap is None:

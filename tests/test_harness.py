@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -258,43 +257,65 @@ def write_config(tmp_path, cfg):
 DIVERGING_RTC = {"RTC": {"learning_rate": 1e6}}
 
 
+def use_workers(monkeypatch, cores):
+    """Give ``run_experiment`` ``cores`` usable cores at one BLAS thread each,
+    so it runs its pairs in that many workers (in-process at one)."""
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(harness, "_blas_threads", lambda: 1)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 class TestWorkerProcesses:
     """``run_experiment`` runs its (model, run) pairs in forked workers."""
 
-    @pytest.mark.parametrize("jobs", [True, False, 1.5, 0, -1, "2"])
-    def test_bad_jobs_rejected(self, jobs):
-        with pytest.raises(ConfigError, match="jobs must be an int >= 1"):
-            harness._worker_count(jobs, 4)
+    @pytest.mark.parametrize("env, threads", [
+        ({}, 32),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "8"}, 8),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "-1"}, 32),
+    ])
+    def test_blas_threads_read_as_openblas_does(self, env, threads, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 32)
+        for name in BLAS_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert harness._blas_threads() == threads
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3, 10**6, 2**70])
-    def test_worker_count_capped_at_pairs_and_cores(self, jobs, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
-        assert harness._worker_count(jobs, 12) == min(jobs, 3)
-        assert harness._worker_count(jobs, 2) == min(jobs, 2)
-
-    def test_default_is_one_per_usable_core(self, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 5)
-        assert harness._worker_count(None, 12) == 5
-        assert harness._worker_count(None, 4) == 4
+    @pytest.mark.parametrize("cores, blas, pairs, workers", [
+        (32, 32, 18, 1),  # BLAS threads unset: OpenBLAS already fills the cores
+        (32, 1, 18, 18),
+        (32, 4, 18, 8),
+        (2, 1, 18, 2),
+        (2, 8, 18, 1),
+        (3, 1, 2, 2),
+        (2, 1, 10**6, 2),
+        (2, 1, 2**70, 2),
+        (10**6, 1, 12, 12),
+    ])
+    def test_worker_count_bounded_by_cores_blas_and_pairs(self, cores, blas, pairs,
+                                                          workers, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(harness, "_blas_threads", lambda: blas)
+        assert harness._worker_count(pairs) == workers
 
     def test_usable_cores_is_the_affinity_set(self):
         assert harness._usable_cores() == len(os.sched_getaffinity(0))
 
-    def test_bad_jobs_rejected_before_any_work(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_load_source", None)  # must not be reached
-        with pytest.raises(ConfigError, match="jobs"):
-            run_experiment(toy_config(tmp_path), jobs=0)
-
-    def test_reports_byte_identical_at_one_and_two_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    def test_reports_byte_identical_in_process_and_in_two_workers(self, tmp_path, monkeypatch):
         fail_ft_fairness(monkeypatch)
         cfg = toy_config(tmp_path, models=MODEL_KINDS, repeats=2,
                          model_overrides=DIVERGING_RTC)
-        for jobs in (1, 2):
-            report = run_experiment(cfg, out_dir=tmp_path / f"jobs{jobs}", jobs=jobs)
+        for cores in (1, 2):
+            use_workers(monkeypatch, cores)
+            report = run_experiment(cfg, out_dir=tmp_path / f"cores{cores}")
             assert multiprocessing.active_children() == []
         for name in ("report.csv", "report.json"):
-            one, two = (tmp_path / f"jobs{jobs}" / name for jobs in (1, 2))
+            one, two = (tmp_path / f"cores{cores}" / name for cores in (1, 2))
             assert one.read_bytes() == two.read_bytes()
         rows = report.rows
         assert len(rows) == 12
@@ -303,23 +324,19 @@ class TestWorkerProcesses:
         assert all(r.error == "fairness: scope too large" for r in rows if r.model == "FT")
         assert all("diverged" in r.error for r in rows if r.model == "RTC")
 
-    def test_worker_warning_reaches_stderr_not_the_callers_record(self, tmp_path, monkeypatch):
+    def test_worker_warning_reaches_stderr(self, tmp_path):
+        # One BLAS thread, so the pairs run in workers wherever there are two
+        # usable cores, and in-process on one; stderr gets the warning either way.
         cfg = toy_config(tmp_path, models=("OTC", "FT"), model_overrides={"OTC": {"lam": 0.0}})
         path = write_config(tmp_path, cfg)
-        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
         proc = subprocess.run(
             [sys.executable, "-m", "fairtensor", "experiment", "--config", str(path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" in proc.stderr and "singular" in proc.stderr
-
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
-        for jobs, caught in ((1, 1), (2, 0)):
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
-                run_experiment(cfg, jobs=jobs)
-            assert sum("singular" in str(w.message) for w in record) == caught
 
     def test_import_loads_no_pool_module(self):
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
@@ -341,7 +358,7 @@ class TestWorkerProcesses:
         assert os.getpid() not in pids[1]
 
     def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        use_workers(monkeypatch, 2)
         parent = os.getpid()
         run_one_model = harness._run_one_model
 
