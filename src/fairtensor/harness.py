@@ -24,24 +24,37 @@ requested model on the train side and evaluates it on the test side:
   where every cell's score takes 11.9 MB.  A shape of more than
   ``MAX_DENSE_CELLS`` cells is still a :class:`ConfigError`.
 
-The unit of work is one (model, run) pair: train one kind on one run's
-split and score it.  :func:`run_experiment` builds every run's split in the
-calling process, then runs the pairs run-major with the kinds sorted, through
-worker processes.  There are as many workers as the usable cores
+The unit of work is one training problem: the whole tensor of a tensor kind,
+one topic slice of a matrix kind (see :func:`models.train_problem`).
+:func:`run_experiment` builds every run's split in the calling process and
+makes each (model, run) pair's pre-training checks there.  Then each
+problem is a fit job, and each pair gets one evaluation job once its fit jobs
+have returned; a pair that fails its checks keeps its error row and runs no
+job.  The jobs run in worker processes: as many as the usable cores
 (``os.sched_getaffinity``) hold at each worker's BLAS thread count, capped at
-the number of pairs: with ``OPENBLAS_NUM_THREADS=1`` one per core, and with
-BLAS threads unset (one per core already) a single one.  Workers are made
+the number of jobs.  With ``OPENBLAS_NUM_THREADS=1`` that is one per core, and
+with BLAS threads unset (one per core already) a single one.  Workers are made
 with ``fork``, so they inherit the splits, the sensitive map and the config
-instead of receiving pickled copies; only ``(kind, run)`` goes out and a
-:class:`RunMetrics` comes back.  At one worker, or where ``fork`` does not
-exist, the pairs run in the calling process and no process starts.  To run
-on one core, pin the process: ``taskset -c 0``.
+instead of receiving pickled copies.  A fit job writes its factors into its
+pair's array of anonymous shared memory, which every worker maps, and returns
+only its loss trace; the evaluation job reads the pair's factors from there.
+So no factor crosses a pipe or passes through the calling process: when a
+prototype sent them back pickled, the calling process's peak RSS rose from
+40.4 to 47.2 MB on the benchmark's matrix-train workload, and with shared
+memory it read 40.5 MB.  At one worker, or where ``fork`` does not exist, the
+same jobs run in the calling process in the same order and no process
+starts.  To run on one core, pin the process: ``taskset -c 0``.
 
 Reports carry one row per (model, run), an across-run mean row per model and
 the fully resolved config, and are byte-identical for identical configs,
-whatever the number of workers: a pair's result depends only on its seed
-``base_seed + run`` and on the split built before any worker starts, and the
-report orders its rows by (model, run), not by when they finished.
+whatever the number of workers.  A problem's factors depend only on its
+seed ``base_seed + run``, its index and the split built before any worker
+starts: :func:`models.train_problem` replays the init generator through the
+earlier problems' draws, so each slice gets the init it gets in
+:func:`models.train_model`.  A pair's row depends only on its problems'
+factors and traces, and on its lowest failing problem, not on which
+finished first; and the report orders its rows by (model, run), not by
+when they finished.
 
 The module also hosts the built-in verification suite (:func:`run_oracles`):
 finite-difference gradient checks, dense brute-force loss equivalence, ALS
@@ -53,8 +66,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import pickle
+import sys
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -92,13 +109,16 @@ from .models import (
     MODEL_KINDS,
     TrainConfig,
     TrainedModel,
+    _assemble,
     _objective,
     _top_indices,
+    _training_layout,
     _user_scores,
     ortho_penalty,
     parity_penalty,
     predict_cells,
     train_model,
+    train_problem,
 )
 from .tensor_core import FactorModel, ObservationTensor, masked_gradient, masked_loss
 
@@ -342,19 +362,48 @@ def evaluate_model(
     }
 
 
-def _run_one_model(
+def _shared_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of zeros in anonymous shared memory: a process forked
+    after this call writes to the same pages that this process reads."""
+    import mmap  # imported here, as select and signal below: each adds to importing the package
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
+def _fit_problem(
+    kind: str,
+    ds: SplitDataset,
+    smap: SensitiveMap | None,
+    train_cfg: TrainConfig,
+    index: int,
+    out: np.ndarray,
+) -> tuple[float, ...] | ConfigError:
+    """A fit job: train problem ``index`` of one pair and write its factors,
+    the modes' rows one after another, into ``out``.  It returns only the
+    loss trace, or the :class:`ConfigError` that stopped the problem."""
+    try:
+        params, trace = train_problem(kind, ds.train, train_cfg, smap, index)
+    except ConfigError as exc:
+        return exc
+    np.concatenate(params, out=out)
+    return trace
+
+
+def _evaluate_pair(
     kind: str,
     ds: SplitDataset,
     smap: SensitiveMap | None,
     cfg: ExperimentConfig,
     run: int,
+    factors: np.ndarray,
+    traces: tuple[tuple[float, ...], ...],
 ) -> RunMetrics:
-    base = dict(model=kind, run=run, seed=ds.seed)
-    try:
-        model = train_model(kind, ds.train, cfg.train_config_for(kind, ds.seed), smap)
-    except ConfigError as exc:
-        return RunMetrics(**base, error=f"training failed: {exc}")
-
+    """An evaluation job: score the model of one pair's problems' factors,
+    of shape (problems, rows, width), and loss traces."""
+    train_cfg = cfg.train_config_for(kind, ds.seed)
+    bounds = np.cumsum(_training_layout(kind, ds.train, train_cfg, smap).modes)[:-1]
+    model = _assemble(kind, ds.train.shape, train_cfg,
+                      [(np.split(f, bounds), t) for f, t in zip(factors, traces)])
     errors = []
     values: dict[str, float] = {}
     try:
@@ -365,7 +414,63 @@ def _run_one_model(
         values.update(_fairness_metrics(model, ds, smap, cfg.intervals, cfg.fairness_scope))
     except FairtensorError as exc:
         errors.append(f"fairness: {exc}")
-    return RunMetrics(**base, **values, error="; ".join(errors) or None)
+    return RunMetrics(model=kind, run=run, seed=ds.seed, **values, error="; ".join(errors) or None)
+
+
+class _Schedule:
+    """The jobs of an experiment's pairs, and which one runs next.
+
+    Pair ``p`` of ``problems[p]`` problems has one fit job ``("fit", p,
+    index)`` per problem, in problem order.  Once all have returned and none
+    failed, it has one evaluation job ``("eval", p, traces)``.  :meth:`next`
+    gives a ready evaluation before any further fit job, so evaluations do
+    not pile up at the end.  A pair whose fit job fails runs no evaluation,
+    and its fit jobs not yet given out are skipped: those are of higher
+    problems, since they are given out in order.  Its outcome is the error of
+    its lowest failing problem, whichever finished first.  ``outcomes[p]``
+    is the evaluation's result or that error.
+    """
+
+    def __init__(self, problems: list[int]):
+        self.fits = deque((p, index) for p, n in enumerate(problems) for index in range(n))
+        self.evals: deque = deque()
+        self.left = list(problems)  # fit jobs neither returned nor skipped
+        self.traces = [[()] * n for n in problems]
+        self.failed: dict[int, tuple[int, ConfigError]] = {}
+        self.outcomes: list = [None] * len(problems)
+
+    def next(self) -> tuple | None:
+        """The next job to run, or None when none is ready."""
+        if self.evals:
+            p = self.evals.popleft()
+            return ("eval", p, tuple(self.traces[p]))
+        while self.fits:
+            p, index = self.fits.popleft()
+            if p not in self.failed:
+                return ("fit", p, index)
+            self._fit_done(p)
+        return None
+
+    def finish(self, job: tuple, result) -> None:
+        """Record a job's result."""
+        if job[0] == "eval":
+            self.outcomes[job[1]] = result
+            return
+        _, p, index = job
+        if isinstance(result, ConfigError):
+            if p not in self.failed or index < self.failed[p][0]:
+                self.failed[p] = (index, result)
+        else:
+            self.traces[p][index] = result
+        self._fit_done(p)
+
+    def _fit_done(self, p: int) -> None:
+        self.left[p] -= 1
+        if self.left[p] == 0:
+            if p in self.failed:
+                self.outcomes[p] = self.failed[p][1]
+            else:
+                self.evals.append(p)
 
 
 def _usable_cores() -> int:
@@ -389,46 +494,110 @@ def _blas_threads() -> int:
     return _usable_cores()
 
 
-def _worker_count(n_pairs: int) -> int:
-    """Worker processes for ``n_pairs`` pairs: as many as the usable cores
-    hold at each worker's BLAS thread count, at least one, capped at the pairs.
+def _worker_count(n_jobs: int) -> int:
+    """Worker processes for ``n_jobs`` jobs: as many as the usable cores
+    hold at each worker's BLAS thread count, at least one, capped at the jobs.
     With BLAS threads unset, OpenBLAS already runs one thread per core, so
     this is one worker."""
-    return max(1, min(_usable_cores() // _blas_threads(), n_pairs))
+    return max(1, min(_usable_cores() // _blas_threads(), n_jobs))
 
 
-# In a worker process: runs one (kind, run) pair on the state inherited by fork.
-_worker_run_pair = None
+def _serve(run_job, jobs, results) -> None:
+    """A worker's loop: run each job read from ``jobs`` and write back
+    ``(True, result)``, or ``(False, exception)``, until ``jobs`` ends."""
+    while True:
+        try:
+            job = pickle.load(jobs)
+        except EOFError:
+            return
+        try:
+            reply = (True, run_job(job))
+        except Exception as exc:
+            reply = (False, exc)
+        pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+        results.flush()
 
 
-def _init_worker(run_pair) -> None:
-    global _worker_run_pair
-    _worker_run_pair = run_pair
+def _fork_worker(run_job, others: list) -> tuple[int, object, object]:
+    """Fork one worker on the state of this process: its (pid, job writer,
+    result reader).  The worker closes ``others``, the pipe ends of the
+    workers before it, so each worker sees the end of its jobs once this
+    process closes them."""
+    jobs_r, jobs_w = os.pipe()
+    results_r, results_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for f in others:
+                os.close(f.fileno())
+            os.close(jobs_w)
+            os.close(results_r)
+            _serve(run_job, os.fdopen(jobs_r, "rb"), os.fdopen(results_w, "wb"))
+            code = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            sys.stderr.flush()
+            os._exit(code)  # no exit handler or inherited stdout buffer of this process runs
+    os.close(jobs_r)
+    os.close(results_w)
+    return pid, os.fdopen(jobs_w, "wb"), os.fdopen(results_r, "rb")
 
 
-def _call_in_worker(pair: tuple[str, int]) -> RunMetrics:
-    return _worker_run_pair(*pair)
-
-
-def _run_pairs(run_pair, pairs: list[tuple[str, int]], workers: int) -> list[RunMetrics]:
-    """``run_pair(kind, run)`` of each pair, in order: in this process, or in
-    ``workers`` forked worker processes.  ``run_pair`` reaches the workers by
-    fork inheritance, not by pickling."""
+def _run_jobs(run_job, schedule, workers: int) -> None:
+    """Run ``schedule``'s jobs, ``run_job(job)`` each, until none is left:
+    in this process in the order :meth:`_Schedule.next` gives them, or in
+    ``workers`` forked worker processes, one job in flight per worker.
+    ``run_job`` reaches the workers by fork inheritance, not by pickling;
+    only the jobs and their results cross a pipe, and each result goes to
+    ``schedule.finish`` in this process.  A worker that dies is a
+    :class:`FairtensorError`; no worker outlives the call."""
     if workers == 1 or not hasattr(os, "fork"):
-        return [run_pair(*pair) for pair in pairs]
-    # imported here: concurrent.futures.process adds 15-23 ms to importing the package
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+        while (job := schedule.next()) is not None:
+            schedule.finish(job, run_job(job))
+        return
+    import select
+    import signal
 
+    sys.stdout.flush()  # a buffer left at fork would be each worker's too
+    sys.stderr.flush()
+    procs: dict = {}  # result reader -> (pid, job writer)
+    finished = False
     try:
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker, initargs=(run_pair,),
-        ) as pool:
-            return list(pool.map(_call_in_worker, pairs))
-    except BrokenProcessPool as exc:
-        raise FairtensorError(f"a worker process died: {exc}") from None
+        for _ in range(workers):
+            others = [f for results, (_, jobs) in procs.items() for f in (results, jobs)]
+            pid, jobs, results = _fork_worker(run_job, others)
+            procs[results] = (pid, jobs)
+        idle, in_flight = list(procs), {}
+        while True:
+            while idle and (job := schedule.next()) is not None:
+                results = idle.pop()
+                pickle.dump(job, procs[results][1], pickle.HIGHEST_PROTOCOL)
+                procs[results][1].flush()
+                in_flight[results] = job
+            if not in_flight:
+                break
+            for results in select.select(list(in_flight), [], [])[0]:
+                try:
+                    done, result = pickle.load(results)
+                except EOFError:
+                    _, status = os.waitpid(procs.pop(results)[0], 0)
+                    raise FairtensorError(
+                        f"a worker process died (exit code {os.waitstatus_to_exitcode(status)})"
+                    ) from None
+                if not done:
+                    raise result
+                schedule.finish(in_flight.pop(results), result)
+                idle.append(results)
+        finished = True
+    finally:
+        for results, (pid, jobs) in procs.items():
+            jobs.close()  # the end of its jobs: the worker returns
+            results.close()
+            if not finished:
+                os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
 
 
 def run_experiment(
@@ -436,24 +605,26 @@ def run_experiment(
 ) -> MetricsReport:
     """Run every (model, run) pair of an experiment and assemble the report.
 
-    Every run's split is built here; the pairs, run-major with the kinds
-    sorted, then run in forked worker processes: as many as the usable cores
-    hold at each worker's BLAS thread count (``OPENBLAS_NUM_THREADS``, else
-    one per core), capped at the number of pairs.  At one worker they run in
-    this process.  The report's bytes do not depend on the number of workers.
-    A worker that dies is a :class:`FairtensorError`.
+    Every run's split is built here, and every pair's pre-training checks
+    made; a pair that fails them gets its error row and no job.  Each
+    training problem of the other pairs, the whole tensor of a tensor kind
+    or one topic slice of a matrix kind, is a fit job, and each pair then has
+    one evaluation job (see :class:`_Schedule`).  The jobs run in forked
+    worker processes: as many as the usable cores hold at each worker's BLAS
+    thread count (``OPENBLAS_NUM_THREADS``, else one per core), capped at the
+    number of jobs.  At one worker they run in this process.  The report's
+    bytes do not depend on the number of workers.  A worker that dies is a
+    :class:`FairtensorError`.
 
     Known limitation: a warning raised in a worker, such as ALS's ``lam=0``
     ``RuntimeWarning``, is handled there under the filters in force when the
-    pool started.  By default it is printed to stderr, but it does not reach
+    workers were forked.  By default it is printed to stderr, but it does not reach
     a ``warnings.catch_warnings`` record of the caller, as it does when the
-    pairs run in this process.
+    jobs run in this process.
 
     With ``out_dir`` the report is also written as report.csv and
     report.json.
     """
-    pairs = [(kind, run) for run in range(1, cfg.repeats + 1) for kind in sorted(cfg.models)]
-    workers = _worker_count(len(pairs))
     positives, smap = _load_source(cfg)
     fair_requested = [m for m in cfg.models if m in GROUP_AWARE_KINDS]
     if fair_requested and smap is None:
@@ -462,11 +633,41 @@ def run_experiment(
         )
 
     splits = [_run_split(cfg, positives, run) for run in range(1, cfg.repeats + 1)]
+    pairs = [(kind, run) for run in range(1, cfg.repeats + 1) for kind in sorted(cfg.models)]
+    layouts: list = []
+    for kind, run in pairs:
+        ds = splits[run - 1]
+        try:
+            layouts.append(
+                _training_layout(kind, ds.train, cfg.train_config_for(kind, ds.seed), smap)
+            )
+        except ConfigError as exc:
+            layouts.append(exc)
+    # each pair's factors, (problems, rows, width), in memory the workers share
+    factors = [None if isinstance(lay, ConfigError)
+               else _shared_zeros((lay.problems, sum(lay.modes), lay.width)) for lay in layouts]
+    problems = [0 if f is None else f.shape[0] for f in factors]
 
-    def run_pair(kind: str, run: int) -> RunMetrics:
-        return _run_one_model(kind, splits[run - 1], smap, cfg, run)
+    def run_job(job: tuple):
+        kind, run = pairs[job[1]]
+        ds = splits[run - 1]
+        if job[0] == "fit":
+            train_cfg = cfg.train_config_for(kind, ds.seed)
+            return _fit_problem(kind, ds, smap, train_cfg, job[2], factors[job[1]][job[2]])
+        own = factors[job[1]].copy()
+        factors[job[1]] = None  # the pair's last job: unmap its shared factors here
+        return _evaluate_pair(kind, ds, smap, cfg, run, own, job[2])
 
-    rows = _run_pairs(run_pair, pairs, workers)
+    schedule = _Schedule(problems)
+    n_jobs = sum(problems) + sum(1 for n in problems if n)
+    _run_jobs(run_job, schedule, _worker_count(n_jobs))
+    rows = []
+    for (kind, run), layout, outcome in zip(pairs, layouts, schedule.outcomes):
+        error = layout if isinstance(layout, ConfigError) else outcome
+        if isinstance(error, ConfigError):
+            outcome = RunMetrics(model=kind, run=run, seed=splits[run - 1].seed,
+                                 error=f"training failed: {error}")
+        rows.append(outcome)
     report = MetricsReport(
         k=cfg.k, intervals=cfg.intervals, rows=tuple(rows), config=cfg.to_dict()
     )

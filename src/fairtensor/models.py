@@ -4,8 +4,10 @@ Tensor kinds factor the full user x curator x topic tensor.  A matrix kind
 trains its tensor kind's problem on each topic slice, an N x M x 1 tensor
 whose topic factor is a constant row of ones, and stores each slice as the
 (n, m, 1) :class:`FactorModel` it was trained as.  :func:`train_model` is the
-one trainer of all six kinds: it checks the inputs, seeds one generator and
-fits each problem of the kind in turn.
+one trainer of all six kinds: it checks the inputs, fits each problem of the
+kind in turn with :func:`train_problem` and assembles the model.  A problem's
+init comes from one generator that every problem of the kind draws from in
+order, so one problem can also be trained on its own, as the harness does.
 
 =====  ======  =========================================================
 kind   solver  objective
@@ -58,7 +60,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +85,7 @@ __all__ = [
     "TrainConfig",
     "TrainedModel",
     "train_model",
+    "train_problem",
     "predict",
     "predict_cells",
     "score_curators",
@@ -567,38 +570,19 @@ def _fit(
     return params, trace
 
 
-def _problems(kind: str, train: ObservationTensor):
-    """(error prefix, problem) of each problem a kind trains: the tensor
-    itself, or one N x M x 1 slice per topic."""
-    if kind in TENSOR_KINDS:
-        yield "", train
-        return
-    cells = train.flat_indices() // train.n_topics  # each entry's (user, curator) cell
-    shape = (train.n_users, train.n_curators, 1)
-    for topic in range(train.n_topics):
-        mask = train.topics == topic
-        obs = ObservationTensor.from_flat(shape, cells[mask], train.values[mask])
-        yield f"topic {topic}: ", obs
+class _Layout(NamedTuple):
+    """The problems a kind trains on one training set and their factors' shape."""
+
+    problems: int  # 1 for a tensor kind, one per topic for a matrix kind
+    modes: tuple[int, ...]  # each problem's factor row counts: (n, m, K) or (n, m)
+    width: int  # the factors' column count
+    sensitive_cols: tuple[int, ...]
 
 
-def train_model(
-    kind: str,
-    train: ObservationTensor,
-    cfg: TrainConfig,
-    sensitive: SensitiveMap | None = None,
-) -> TrainedModel:
-    """Train one model of ``kind``; every kind goes through this trainer.
-
-    A tensor kind fits one problem, the whole tensor.  A matrix kind fits its
-    tensor kind's problem on every topic slice: each topic becomes an
-    N x M x 1 tensor whose topic factor is a constant row of ones, so OMC
-    runs OTC's ALS over the user and curator modes, RMC descends RTC's
-    objective and FM FT's, projection included.  The ones row joins each
-    slice's :class:`FactorModel` only after training, so no training product
-    multiplies by it.  The slices draw their inits from one generator in
-    topic order and each stops on its own.  Topics without training entries
-    get zero factors (all-zero predictions; FM's keep the features) and an
-    empty loss trace; a slice's errors name its topic.
+def _training_layout(
+    kind: str, train: ObservationTensor, cfg: TrainConfig, sensitive: SensitiveMap | None
+) -> _Layout:
+    """The checks :func:`train_model` makes before it trains, and the layout.
 
     FT's and FM's ridge covers the whole curator factor, the constant
     feature columns included.  The kind's factor set, gathered rows and ALS
@@ -618,25 +602,100 @@ def train_model(
     _check_dense_cells(len(modes) * train.n_entries * total, f"{kind}'s gathered row set")
     if kind in ("OTC", "OMC"):
         _check_dense_cells(sum(modes) * total * total, f"{kind}'s ALS Gram stack")
+    return _Layout(problems, modes, total, sens_cols)
+
+
+def train_problem(
+    kind: str,
+    train: ObservationTensor,
+    cfg: TrainConfig,
+    sensitive: SensitiveMap | None,
+    index: int,
+) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    """Factors and loss trace of problem ``index`` of ``kind``: the tensor
+    itself (index 0) for a tensor kind, topic ``index``'s slice for a matrix
+    kind.  The factors are one (rows, width) array per mode of
+    :attr:`_Layout.modes`; a slice's ones topic row is not among them.
+
+    Every problem draws its init from one generator seeded with
+    ``cfg.seed``, in problem order, and empty slices draw none.  So problem
+    ``index`` replays the generator through the inits of the non-empty
+    problems before it and discards them, and its factors are bit for bit
+    those it gets inside :func:`train_model`.  An empty slice gets zero
+    factors (FM's keep the features) and an empty trace.  A slice's errors
+    name its topic.
+    """
+    n_problems, modes, width, sens_cols = _training_layout(kind, train, cfg, sensitive)
+    if not (_fits(int, index) and 0 <= index < n_problems):
+        raise IndexError(f"{kind} has no problem {index!r} (it has {n_problems})")
     rng = np.random.default_rng(cfg.seed)
-    fitted, traces = [], []
-    for prefix, obs in _problems(kind, train):
-        if obs.n_entries == 0:
-            params, trace = [np.zeros((n, total)) for n in modes], []
-            if kind == "FM":
-                params[1][:, sens_cols] = sensitive.matrix
-        else:
-            try:
-                params, trace = _fit(kind, obs, sensitive, cfg, _init_factors(rng, modes, total))
-            except ConfigError as exc:
-                raise ConfigError(f"{prefix}{exc}") from None
-        if not is_tensor:
-            params = [*params, np.ones((1, total))]
-        fitted.append(FactorModel(*params, sensitive_cols=sens_cols))
-        traces.append(tuple(trace))
-    if is_tensor:
-        return TrainedModel(kind, train.shape, cfg, factors=fitted[0], loss_trace=traces[0])
-    return TrainedModel(kind, train.shape, cfg, slices=tuple(fitted), slice_traces=tuple(traces))
+    obs, prefix = train, ""
+    if kind in MATRIX_KINDS:
+        before = np.count_nonzero(np.bincount(train.topics, minlength=n_problems)[:index])
+        for _ in range(before):
+            _init_factors(rng, modes, width)
+        mask = train.topics == index
+        cells = train.users[mask] * train.n_curators + train.curators[mask]
+        obs = ObservationTensor.from_flat((*modes, 1), cells, train.values[mask])
+        prefix = f"topic {index}: "
+    if obs.n_entries == 0:
+        params = [np.zeros((n, width)) for n in modes]
+        if kind == "FM":
+            params[1][:, sens_cols] = sensitive.matrix
+        return params, ()
+    try:
+        params, trace = _fit(kind, obs, sensitive, cfg, _init_factors(rng, modes, width))
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+    return params, tuple(trace)
+
+
+def _assemble(
+    kind: str,
+    shape: tuple[int, int, int],
+    cfg: TrainConfig,
+    fits: Sequence[tuple[Sequence[np.ndarray], tuple[float, ...]]],
+) -> TrainedModel:
+    """The :class:`TrainedModel` of a kind's problems' (factors, trace), in
+    problem order, as :func:`train_problem` returns them."""
+    sens_cols = cfg.fair_layout()[1] if kind in FAIR_KINDS else ()
+    if kind in TENSOR_KINDS:
+        ((params, trace),) = fits
+        factors = FactorModel(*params, sensitive_cols=sens_cols)
+        return TrainedModel(kind, shape, cfg, factors=factors, loss_trace=trace)
+    slices = tuple(FactorModel(*params, np.ones((1, params[0].shape[1])), sensitive_cols=sens_cols)
+                   for params, _ in fits)
+    traces = tuple(trace for _, trace in fits)
+    return TrainedModel(kind, shape, cfg, slices=slices, slice_traces=traces)
+
+
+def train_model(
+    kind: str,
+    train: ObservationTensor,
+    cfg: TrainConfig,
+    sensitive: SensitiveMap | None = None,
+) -> TrainedModel:
+    """Train one model of ``kind``; every kind goes through this trainer.
+
+    A tensor kind fits one problem, the whole tensor.  A matrix kind fits its
+    tensor kind's problem on every topic slice: each topic becomes an
+    N x M x 1 tensor whose topic factor is a constant row of ones, so OMC
+    runs OTC's ALS over the user and curator modes, RMC descends RTC's
+    objective and FM FT's, projection included.  The ones row joins each
+    slice's :class:`FactorModel` only after training, so no training product
+    multiplies by it.  The slices draw their inits from one generator in
+    topic order and each stops on its own.  Topics without training entries
+    get zero factors (all-zero predictions; FM's keep the features) and an
+    empty loss trace; a slice's errors name its topic, the lowest failing
+    one.
+
+    This is :func:`_training_layout`'s checks, :func:`train_problem` of each
+    problem in turn and :func:`_assemble`: the one training path, which
+    ``harness.run_experiment`` also takes, one problem per job.
+    """
+    layout = _training_layout(kind, train, cfg, sensitive)
+    fits = [train_problem(kind, train, cfg, sensitive, index) for index in range(layout.problems)]
+    return _assemble(kind, train.shape, cfg, fits)
 
 
 # ---------------------------------------------------------------------------

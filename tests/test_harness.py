@@ -1,7 +1,6 @@
 import ast
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -257,6 +256,12 @@ def write_config(tmp_path, cfg):
 DIVERGING_RTC = {"RTC": {"learning_rate": 1e6}}
 
 
+def assert_no_child_process():
+    """No worker is left running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def use_workers(monkeypatch, cores):
     """Give ``run_experiment`` ``cores`` usable cores at one BLAS thread each,
     so it runs its pairs in that many workers (in-process at one)."""
@@ -286,9 +291,10 @@ class TestWorkerProcesses:
             monkeypatch.setenv(name, value)
         assert harness._blas_threads() == threads
 
-    @pytest.mark.parametrize("cores, blas, pairs, workers", [
+    @pytest.mark.parametrize("cores, blas, jobs, workers", [
         (32, 32, 18, 1),  # BLAS threads unset: OpenBLAS already fills the cores
         (32, 1, 18, 18),
+        (8, 1, 11, 8),  # one OMC pair: 10 topic fit jobs and its evaluation
         (32, 4, 18, 8),
         (2, 1, 18, 2),
         (2, 8, 18, 1),
@@ -297,11 +303,11 @@ class TestWorkerProcesses:
         (2, 1, 2**70, 2),
         (10**6, 1, 12, 12),
     ])
-    def test_worker_count_bounded_by_cores_blas_and_pairs(self, cores, blas, pairs,
+    def test_worker_count_bounded_by_cores_blas_and_pairs(self, cores, blas, jobs,
                                                           workers, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
         monkeypatch.setattr(harness, "_blas_threads", lambda: blas)
-        assert harness._worker_count(pairs) == workers
+        assert harness._worker_count(jobs) == workers
 
     def test_usable_cores_is_the_affinity_set(self):
         assert harness._usable_cores() == len(os.sched_getaffinity(0))
@@ -309,20 +315,27 @@ class TestWorkerProcesses:
     def test_reports_byte_identical_in_process_and_in_two_workers(self, tmp_path, monkeypatch):
         fail_ft_fairness(monkeypatch)
         cfg = toy_config(tmp_path, models=MODEL_KINDS, repeats=2,
-                         model_overrides=DIVERGING_RTC)
+                         model_overrides={**DIVERGING_RTC, "RMC": {"learning_rate": 1e6}})
+        ds, smap = prepare_run(cfg, 1)
+        rmc_cfg = cfg.train_config_for("RMC", ds.seed)
+        for topic in range(ds.train.n_topics):  # every RMC slice diverges
+            with pytest.raises(ConfigError, match=f"topic {topic}: gradient descent diverged"):
+                harness.train_problem("RMC", ds.train, rmc_cfg, smap, topic)
         for cores in (1, 2):
             use_workers(monkeypatch, cores)
             report = run_experiment(cfg, out_dir=tmp_path / f"cores{cores}")
-            assert multiprocessing.active_children() == []
+            assert_no_child_process()
         for name in ("report.csv", "report.json"):
             one, two = (tmp_path / f"cores{cores}" / name for cores in (1, 2))
             assert one.read_bytes() == two.read_bytes()
         rows = report.rows
         assert len(rows) == 12
         failed = [(r.model, r.run) for r in rows if r.error is not None]
-        assert failed == [("FT", 1), ("FT", 2), ("RTC", 1), ("RTC", 2)]
+        assert failed == [("FT", 1), ("FT", 2), ("RMC", 1), ("RMC", 2), ("RTC", 1), ("RTC", 2)]
         assert all(r.error == "fairness: scope too large" for r in rows if r.model == "FT")
         assert all("diverged" in r.error for r in rows if r.model == "RTC")
+        assert all(r.error.startswith("training failed: topic 0: gradient descent diverged")
+                   for r in rows if r.model == "RMC")
 
     def test_worker_warning_reaches_stderr(self, tmp_path):
         # One BLAS thread, so the pairs run in workers wherever there are two
@@ -349,32 +362,77 @@ class TestWorkerProcesses:
 
     def test_pairs_run_in_submission_order(self):
         pids = []
-        pairs = [("OTC", 1), ("FT", 1), ("OTC", 2)]
+        problems = [2, 1, 3]  # fit jobs per pair
         for workers in (1, 2):
-            rows = harness._run_pairs(lambda kind, run: (kind, run, os.getpid()), pairs, workers)
-            assert [row[:2] for row in rows] == pairs
-            pids.append({row[2] for row in rows})
+            schedule = harness._Schedule(problems)
+            harness._run_jobs(lambda job: (job[:3], os.getpid()), schedule, workers)
+            # each pair's outcome is its own evaluation, which got its own fits' results
+            assert [o[0][:2] for o in schedule.outcomes] == [("eval", p) for p in range(3)]
+            for p, (job, _) in enumerate(schedule.outcomes):
+                assert [trace[0] for trace in job[2]] == [("fit", p, i) for i in range(problems[p])]
+            pids.append({o[1] for o in schedule.outcomes})
         assert pids[0] == {os.getpid()}
         assert os.getpid() not in pids[1]
+
+    def test_schedule_evaluates_first_and_keeps_the_lowest_failure(self):
+        schedule = harness._Schedule([4, 1, 2])
+        first = [schedule.next() for _ in range(3)]
+        assert first == [("fit", 0, 0), ("fit", 0, 1), ("fit", 0, 2)]
+        # neither the first nor the last failure to finish is the lowest
+        schedule.finish(("fit", 0, 1), ConfigError("topic 1: b"))
+        schedule.finish(("fit", 0, 0), ConfigError("topic 0: a"))
+        schedule.finish(("fit", 0, 2), ConfigError("topic 2: c"))
+        # pair 0's last fit job is skipped, it was of a higher topic
+        assert schedule.next() == ("fit", 1, 0)
+        assert str(schedule.outcomes[0]) == "topic 0: a"
+        schedule.finish(("fit", 1, 0), (1.0,))
+        assert schedule.next() == ("eval", 1, ((1.0,),))  # before pair 2's fits
+        assert schedule.next() == ("fit", 2, 0)
+        schedule.finish(("eval", 1, ((1.0,),)), "row 1")
+        assert schedule.next() == ("fit", 2, 1)
+        schedule.finish(("fit", 2, 1), (2.0,))
+        schedule.finish(("fit", 2, 0), (3.0,))
+        assert schedule.next() == ("eval", 2, ((3.0,), (2.0,)))
+        assert schedule.next() is None
+        assert schedule.outcomes[1:] == ["row 1", None]
+
+    def test_failed_checks_start_no_job(self, tmp_path, monkeypatch):
+        # FT at rank 2 fails its checks: its row stays, and only OTC's jobs run
+        jobs = []
+        run_jobs = harness._run_jobs
+
+        def record(run_job, schedule, workers):
+            def run(job):
+                jobs.append(job[:2])
+                return run_job(job)
+            return run_jobs(run, schedule, 1)
+
+        monkeypatch.setattr(harness, "_run_jobs", record)
+        cfg = toy_config(tmp_path, models=("OTC", "FT"), model_overrides={"FT": {"rank": 2}})
+        report = run_experiment(cfg)
+        assert jobs == [("fit", 1), ("eval", 1)]
+        by_model = {r.model: r for r in report.rows}
+        assert by_model["FT"].error.startswith("training failed: fairness-aware kinds need rank")
+        assert by_model["OTC"].complete()
 
     def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
         use_workers(monkeypatch, 2)
         parent = os.getpid()
-        run_one_model = harness._run_one_model
+        evaluate_pair = harness._evaluate_pair
 
-        def exit_on_ft_run_2(kind, ds, smap, cfg, run):
+        def exit_on_ft_run_2(kind, ds, smap, cfg, run, *rest):
             if kind == "FT" and run == 2 and os.getpid() != parent:
                 os._exit(3)
-            return run_one_model(kind, ds, smap, cfg, run)
+            return evaluate_pair(kind, ds, smap, cfg, run, *rest)
 
-        monkeypatch.setattr(harness, "_run_one_model", exit_on_ft_run_2)
+        monkeypatch.setattr(harness, "_evaluate_pair", exit_on_ft_run_2)
         cfg = toy_config(tmp_path, models=("OTC", "FT"), repeats=2)
         path = write_config(tmp_path, cfg)
         code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: a worker process died")
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         assert not (tmp_path / "out").exists()
 
 
@@ -953,7 +1011,7 @@ class TestCli:
     def test_experiment_non_finite_scores_is_an_error_row(self, tmp_path, monkeypatch, scope):
         exp_cfg = self.synth_experiment(tmp_path, "exp", fairness_scope=scope)
         scaled = load_checkpoint(self.scaled_checkpoint(tmp_path, exp_cfg))
-        monkeypatch.setattr(harness, "train_model", lambda *args: scaled)
+        monkeypatch.setattr(harness, "_assemble", lambda *args: scaled)
         out = tmp_path / "report"
         assert cli_main(["experiment", "--config", str(exp_cfg), "--out", str(out)]) == 1
         (row,) = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]

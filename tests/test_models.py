@@ -43,6 +43,7 @@ from fairtensor.models import (
     score_curators,
     top_k,
     train_model,
+    train_problem,
 )
 from fairtensor.tensor_core import (
     FactorModel,
@@ -766,6 +767,81 @@ class TestTrainMatrix:
         for sa, sb in zip(a.slices, b.slices):
             assert np.array_equal(sa.u_users, sb.u_users)
             assert np.array_equal(sa.u_curators, sb.u_curators)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestTrainProblem:
+    """``train_problem`` of each index is that problem inside ``train_model``."""
+
+    @staticmethod
+    def topic_1_empty():
+        """The biased set without topic 1's entries: an empty slice before a
+        non-empty one, which the replay of the init generator must skip."""
+        ds, smap = biased_dataset()
+        return ds.train.subset(np.flatnonzero(ds.train.topics != 1)), smap
+
+    @staticmethod
+    def sequential_fits(kind, train, cfg, smap):
+        """Every non-empty problem's (factors, trace) in one pass, drawing
+        each init from one generator in topic order: the reference that
+        train_problem's replay must reproduce."""
+        rng = np.random.default_rng(cfg.seed)
+        width = cfg.fair_layout()[0] if kind in models.FAIR_KINDS else cfg.rank
+        if kind in models.TENSOR_KINDS:
+            return {0: _fit(kind, train, smap, cfg, _init_factors(rng, train.shape, width))}
+        fits = {}
+        for topic in range(train.n_topics):
+            mask = train.topics == topic
+            if mask.any():
+                single = ObservationTensor(
+                    train.n_users, train.n_curators, 1, train.users[mask],
+                    train.curators[mask], np.zeros(int(mask.sum()), dtype=int), train.values[mask],
+                )
+                fits[topic] = _fit(kind, single, smap, cfg,
+                                   _init_factors(rng, single.shape[:2], width))
+        return fits
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_every_problem_equals_train_model_bit_for_bit(self, kind):
+        train, smap = self.topic_1_empty()
+        cfg = TrainConfig(rank=4, max_iters=15, seed=3)
+        model = train_model(kind, train, cfg, smap)
+        if kind in models.TENSOR_KINDS:
+            stored = [([f.u_users, f.u_curators, f.u_topics], model.loss_trace)
+                      for f in (model.factors,)]
+        else:
+            stored = [([f.u_users, f.u_curators], trace)
+                      for f, trace in zip(model.slices, model.slice_traces)]
+            assert len(stored) == 3 and stored[1][1] == () and stored[2][1] != ()
+        reference = self.sequential_fits(kind, train, cfg, smap)
+        assert set(reference) == {i for i, (_, trace) in enumerate(stored) if trace}
+        for index, (factors, trace) in enumerate(stored):
+            params, got = train_problem(kind, train, cfg, smap, index)
+            assert got == trace
+            assert len(params) == len(factors)
+            assert all(same_bits(a, b) for a, b in zip(params, factors))
+            if index in reference:
+                ref_params, ref_trace = reference[index]
+                assert got == tuple(ref_trace)
+                assert all(same_bits(a, b) for a, b in zip(params, ref_params))
+        with pytest.raises(IndexError):
+            train_problem(kind, train, cfg, smap, len(stored))
+
+    @pytest.mark.parametrize("kind", models.MATRIX_KINDS)
+    def test_empty_slice_is_zero_and_fm_keeps_features(self, kind):
+        train, smap = self.topic_1_empty()
+        params, trace = train_problem(kind, train, TrainConfig(rank=4, max_iters=5), smap, 1)
+        assert trace == ()
+        assert [p.shape for p in params] == [(train.n_users, 4), (train.n_curators, 4)]
+        assert not params[0].any()
+        if kind == "FM":
+            assert not params[1][:, :2].any()
+            assert np.array_equal(params[1][:, 2:], smap.matrix)
+        else:
+            assert not params[1].any()
 
 
 def reference_scores(model):
