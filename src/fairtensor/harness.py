@@ -592,11 +592,13 @@ def _run_jobs(run_job, schedule, workers: int) -> None:
                 idle.append(results)
         finished = True
     finally:
+        # end every worker's jobs (or stop it) before waiting for any, so they exit together
         for results, (pid, jobs) in procs.items():
             jobs.close()  # the end of its jobs: the worker returns
             results.close()
             if not finished:
                 os.kill(pid, signal.SIGTERM)
+        for pid, _ in procs.values():
             os.waitpid(pid, 0)
 
 

@@ -619,8 +619,8 @@ def train_problem(
 
     Every problem draws its init from one generator seeded with
     ``cfg.seed``, in problem order, and empty slices draw none.  So problem
-    ``index`` replays the generator through the inits of the non-empty
-    problems before it and discards them, and its factors are bit for bit
+    ``index`` advances the generator past the inits of the non-empty
+    problems before it, one draw per value, and its factors are bit for bit
     those it gets inside :func:`train_model`.  An empty slice gets zero
     factors (FM's keep the features) and an empty trace.  A slice's errors
     name its topic.
@@ -631,9 +631,9 @@ def train_problem(
     rng = np.random.default_rng(cfg.seed)
     obs, prefix = train, ""
     if kind in MATRIX_KINDS:
-        before = np.count_nonzero(np.bincount(train.topics, minlength=n_problems)[:index])
-        for _ in range(before):
-            _init_factors(rng, modes, width)
+        before = int(np.count_nonzero(np.bincount(train.topics, minlength=n_problems)[:index]))
+        # each init value is one 64-bit draw; a numpy-int count can overflow
+        rng.bit_generator.advance(before * sum(modes) * width)
         mask = train.topics == index
         cells = train.users[mask] * train.n_curators + train.curators[mask]
         obs = ObservationTensor.from_flat((*modes, 1), cells, train.values[mask])

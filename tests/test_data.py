@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -395,6 +396,32 @@ class TestSynthGenerate:
             scores = np.einsum("ir,jr,kr->ijk", u1, u2, u3)
             scores[:, smap.groups == 0, :] += bias
             assert np.array_equal(obs.flat_indices(), dense_top(scores, obs.n_entries))
+
+    @PROPERTY
+    @given(st.data())
+    def test_block_kernel_is_einsum_bit_for_bit(self, data_):
+        shape = [data_.draw(st.integers(1, 40)) for _ in range(3)]
+        rank = data_.draw(st.integers(1, 8))
+        rng = np.random.default_rng(data_.draw(st.integers(0, 2**32)))
+        zeros = data_.draw(st.sampled_from([0.0, 0.3, 1.0]))  # share of zero entries
+        a, b, c = (np.where(rng.random((n, rank)) < zeros, 0.0, rng.random((n, rank)))
+                   for n in shape)
+        got = data._cp_block(a, b, c, np.full(shape, np.nan))
+        assert got.tobytes() == np.einsum("ir,jr,kr->ijk", a, b, c).tobytes()
+
+    def test_paper_shape_peak_memory(self):
+        # 3,197,780 B was the einsum kernel's peak on this config, measured
+        # the same way: tracemalloc around a second call, after a warm-up one
+        cfg = SynthConfig(589, 252, 10, true_rank=4, bias_strength=0.09375,
+                          target_sparsity=0.01136, seed=42)
+        synth_generate(cfg)
+        tracemalloc.start()
+        try:
+            synth_generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_197_780
 
     def test_group_ratio_must_leave_both_groups(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairtensor import data, harness
+from fairtensor import cli, data, harness
 from fairtensor.cli import main as cli_main
 from fairtensor.data import SensitiveMap, SplitDataset, SynthConfig, synth_generate
 from fairtensor.errors import ConfigError, UndefinedMetricError
@@ -760,6 +761,53 @@ class TestCli:
         assert captured.err.splitlines() == [
             f"failed: RTC run {run}: {errors['RTC', run]}" for run in (1, 2)]
         assert all("diverged" in e for e in errors.values())
+
+    def test_process_entries_match_in_process_main(self, tmp_path, capsys, src_env):
+        # exit code 1 (a diverging RTC), so a nonzero code must pass through too
+        cfg = toy_config(tmp_path, models=("OTC", "RTC"), model_overrides=DIVERGING_RTC)
+        path = write_config(tmp_path, cfg)
+        code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "main")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert gc.get_freeze_count() == 0  # main itself freezes nothing
+        for module in ("fairtensor", "fairtensor.cli"):
+            out = tmp_path / module
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "experiment", "--config", str(path),
+                 "--out", str(out)],
+                capture_output=True, text=True, env=src_env, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (code, captured.out), module
+            for name in ("report.csv", "report.json"):
+                assert (out / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)\n(\n|\Z)", pyproject, re.M | re.S)
+        assert scripts.group(1) == 'fairtensor = "fairtensor.cli:console_main"'
+
+    def test_console_main_freezes_the_heap_then_exits_with_mains_code(self, monkeypatch,
+                                                                      src_env):
+        frozen = []
+        monkeypatch.setattr(cli, "main", lambda: frozen.append(gc.get_freeze_count()) or 3)
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                cli.console_main()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert exit_.value.code == 3
+        assert frozen == [0]
+        # both modules' entries freeze: an atexit handler sees the frozen heap
+        for module in ("fairtensor", "fairtensor.cli"):
+            code = ("import atexit, gc, runpy, sys; atexit.register(lambda: print("
+                    "'frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+                    f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)")
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "experiment", "--config", "missing.json"],
+                capture_output=True, text=True, env=src_env, timeout=60,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("error:")
+            assert proc.stderr.endswith("frozen True\n"), proc.stderr
 
     def test_train_then_evaluate(self, tmp_path, capsys):
         synth_cfg = self.synth_config(tmp_path)

@@ -831,6 +831,27 @@ class TestTrainProblem:
             train_problem(kind, train, cfg, smap, len(stored))
 
     @pytest.mark.parametrize("kind", models.MATRIX_KINDS)
+    def test_problems_after_three_empty_topics(self, kind):
+        # topics 0, 1, 2 of the biased set become 0, 4, 5 of six: the
+        # generator must skip exactly topic 0's init for topic 4 and both for 5
+        ds, smap = biased_dataset()
+        train = ds.train
+        topics = np.array([0, 4, 5])[train.topics]
+        train = ObservationTensor(train.n_users, train.n_curators, 6, train.users,
+                                  train.curators, topics, train.values)
+        cfg = TrainConfig(rank=4, max_iters=15, seed=3)
+        reference = self.sequential_fits(kind, train, cfg, smap)
+        assert sorted(reference) == [0, 4, 5]
+        for index in range(6):
+            params, trace = train_problem(kind, train, cfg, smap, index)
+            if index not in reference:
+                assert trace == ()
+                continue
+            ref_params, ref_trace = reference[index]
+            assert trace == tuple(ref_trace) != ()
+            assert all(same_bits(a, b) for a, b in zip(params, ref_params))
+
+    @pytest.mark.parametrize("kind", models.MATRIX_KINDS)
     def test_empty_slice_is_zero_and_fm_keeps_features(self, kind):
         train, smap = self.topic_1_empty()
         params, trace = train_problem(kind, train, TrainConfig(rank=4, max_iters=5), smap, 1)
