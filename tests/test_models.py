@@ -832,17 +832,18 @@ class TestTrainProblem:
 
     @pytest.mark.parametrize("kind", models.MATRIX_KINDS)
     def test_problems_after_three_empty_topics(self, kind):
-        # topics 0, 1, 2 of the biased set become 0, 4, 5 of six: the
-        # generator must skip exactly topic 0's init for topic 4 and both for 5
+        # the biased set's three topics, split by user parity, fill topics
+        # 0-2 and 6-8 of nine: topics 3-5 are empty, and topic 8 has five
+        # non-empty slices before it whose inits the generator must skip
         ds, smap = biased_dataset()
         train = ds.train
-        topics = np.array([0, 4, 5])[train.topics]
-        train = ObservationTensor(train.n_users, train.n_curators, 6, train.users,
+        topics = np.array([0, 1, 2, 6, 7, 8])[train.topics + 3 * (train.users % 2)]
+        train = ObservationTensor(train.n_users, train.n_curators, 9, train.users,
                                   train.curators, topics, train.values)
         cfg = TrainConfig(rank=4, max_iters=15, seed=3)
         reference = self.sequential_fits(kind, train, cfg, smap)
-        assert sorted(reference) == [0, 4, 5]
-        for index in range(6):
+        assert sorted(reference) == [0, 1, 2, 6, 7, 8]
+        for index in range(9):
             params, trace = train_problem(kind, train, cfg, smap, index)
             if index not in reference:
                 assert trace == ()
