@@ -582,7 +582,10 @@ def _run_jobs(run_job, schedule, workers: int) -> None:
                 try:
                     done, result = pickle.load(results)
                 except EOFError:
-                    _, status = os.waitpid(procs.pop(results)[0], 0)
+                    pid, jobs = procs.pop(results)
+                    jobs.close()  # the raise below keeps this frame, and its pipes, alive
+                    results.close()
+                    _, status = os.waitpid(pid, 0)
                     raise FairtensorError(
                         f"a worker process died (exit code {os.waitstatus_to_exitcode(status)})"
                     ) from None

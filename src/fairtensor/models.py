@@ -28,11 +28,16 @@ curator-factor columns U_ns; after descent those columns are also projected
 onto the orthogonal complement of span(S) exactly.  Fairness-aware kinds predict
 from the non-sensitive columns only; all other kinds use every column.
 
+Both solvers run one loop, :func:`_iterate`, which owns the loss trace, the
+cap, the tol stop and a finite-loss test; GD's step is one update and one
+objective call, ALS's one sweep and one :func:`_fit_terms`.
+
 Gradient descent is full batch with a constant step size.  Each iterate
 makes one prediction, which gives the objective's value, and one scatter per
 free block, which gives its gradient (the parity term's per-cell weights are
-added to the residual first).  Constant blocks, the sensitive features and
-the ones topic row, are never parameters, so they cannot drift.
+added to the residual first), through the cell kernel of ``tensor_core``.
+Constant blocks, the sensitive features and the ones topic row, are never
+parameters, so they cannot drift.
 
 Both solvers build a plan once per problem, so an iterate does only
 arithmetic.  GD and ALS gather the cells' factor rows into buffers the plan
@@ -69,12 +74,12 @@ from .errors import ConfigError, _check_dense_cells, _fits, check_fields, check_
 from .tensor_core import (
     FactorModel,
     ObservationTensor,
-    _cell_bins,
     _check_index,
     _check_indices,
-    _scatter_rows,
-    cp_entries,
-    scatter_cell_gradient,
+    _fit_terms,
+    _model_rows,
+    _row_buffers,
+    _scatter_plan,
 )
 
 __all__ = [
@@ -267,30 +272,6 @@ def _converged(prev: float, cur: float, tol: float) -> bool:
     return abs(prev - cur) <= tol * max(abs(prev), 1e-12)
 
 
-def _row_buffers(train: ObservationTensor, widths: Sequence[int]) -> list[np.ndarray]:
-    """One (cells, width) buffer per factor, for :func:`_fit_terms` to gather
-    into; a problem allocates them once, not once per iterate."""
-    return [np.empty((train.n_entries, w)) for w in widths]
-
-
-def _fit_terms(
-    train: ObservationTensor, factors: list[np.ndarray], lam: float, rows: list[np.ndarray]
-):
-    """(predictions, residuals, masked ridge loss) of the cells, with each
-    factor's rows of the cells gathered into its buffer of ``rows``.
-
-    A one-topic slice passes no topic factor: it is a constant row of ones,
-    so the CP products leave it out, and the ridge covers only the factors
-    the model stores.
-    """
-    for u, idx, out in zip(factors, (train.users, train.curators, train.topics), rows):
-        np.take(u, idx, axis=0, out=out, mode="clip")  # "raise" would gather into a copy
-    preds = np.einsum(",".join(["er"] * len(rows)) + "->e", *rows)
-    resid = preds - train.values
-    reg = sum(float(np.sum(u * u)) for u in factors)
-    return preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
-
-
 def _parity_terms(
     preds: np.ndarray, is0: np.ndarray, weight: float
 ) -> tuple[float, np.ndarray]:
@@ -317,35 +298,17 @@ def _objective(
 ) -> Objective:
     """Fused value and gradient of one problem's GD objective.
 
-    Each call makes one prediction.  With ``groups`` (RTC/RMC) the parity
-    weights join the residual before the one scatter per free block.  With
-    ``s`` (FT/FM) the features join the free curator block as its last two
-    columns, where :meth:`TrainConfig.fair_layout` puts them, and the
-    orthogonality penalty acts on the free curator block.  Constant blocks
-    get no gradient and no scatter.
-
-    The free blocks ``params`` fix a plan that every call reuses, so a call
-    does only arithmetic.  It holds the gathered rows, one contribution
-    buffer and one intp bins buffer, each as wide as the widest free block,
-    and each block's scatter bins, built once.  The bins are stored in the
-    narrowest unsigned type that holds the block's row count times its
-    width (uint16, uint16 and uint8 at paper shape): three intp copies
-    would hold four to eight times the bytes, about the size of the row
-    buffers again.  A call widens one block's bins into the intp buffer,
-    which bincount reads without a cast.  After the first block's scatter,
-    ``resid * a`` (a the first block's rows) is formed once in place of
-    those rows; the later blocks' contributions ``(resid * a) * c`` and
-    ``(resid * a) * b`` start from it, in the order the kernels multiply.
+    Each call is :func:`_fit_terms`, the parity weights added to the
+    residual with ``groups`` (RTC/RMC), the scatter of the :func:`_scatter_plan`
+    that the free blocks ``params`` fix, the ridge, and with ``s`` (FT/FM)
+    the orthogonality term.  The features join the curator rows as their
+    last two columns, where :meth:`TrainConfig.fair_layout` puts them.
     """
-    index = (train.users, train.curators, train.topics)
     is0 = None if groups is None else _group0_cells(train.curators, groups)
-    n = train.n_entries
     widths = [p.shape[1] for p in params]
     features = 0 if s is None else s.shape[1]  # they join the curator block's rows
     rows = _row_buffers(train, [widths[0], widths[1] + features, *widths[2:]])
-    contrib, wide = np.empty(n * max(widths)), np.empty(n * max(widths), dtype=np.intp)
-    bins = [_cell_bins(idx, p.shape[1], wide).astype(np.min_scalar_type(p.size))
-            for idx, p in zip(index, params)]
+    scatter = _scatter_plan(train, params, rows)
 
     def objective(params):
         factors = params if s is None else [params[0], np.hstack([params[1], s]), *params[2:]]
@@ -354,23 +317,7 @@ def _objective(
             parity, cell_weights = _parity_terms(preds, is0, cfg.parity_weight)
             value += parity
             resid = resid + cell_weights
-        grads = []
-        for mode, p in enumerate(params):
-            w = p.shape[1]
-            if mode == 1:  # the first block's rows are free after its scatter
-                np.multiply(resid[:, None], rows[0], out=rows[0])
-            # ((resid * x) * y), the order the factors' and traces' bits depend on
-            head = resid[:, None] if mode == 0 else rows[0][:, :w]
-            others = [r[:, :w] for other, r in enumerate(rows) if other not in (0, mode)]
-            c = contrib[: n * w].reshape(n, w)
-            if others:
-                np.multiply(head, others[0], out=c)
-            else:  # a one-topic slice's curator block: resid * a is its contribution
-                np.copyto(c, head)
-            for x in others[1:]:
-                np.multiply(c, x, out=c)
-            np.copyto(wide[: c.size], bins[mode])
-            grads.append(_scatter_rows(index[mode], c, p.shape[0], wide[: c.size]) + cfg.lam * p)
+        grads = [g + cfg.lam * p for g, p in zip(scatter(resid), params)]
         if s is not None:
             ortho, g_ortho = ortho_penalty(params[1], s, cfg.ortho_weight)
             value += ortho
@@ -380,36 +327,51 @@ def _objective(
     return objective
 
 
+def _iterate(start: Callable[[], float], step: Callable[[], float], cfg: TrainConfig,
+             solver: str, hint: str) -> list[float]:
+    """The loss trace of both solvers: ``start()``, the loss at the initial
+    factors, then one ``step()``, which makes an iterate and gives its loss,
+    until ``cfg.max_iters`` steps or :func:`_converged`.  A non-finite loss
+    is a :class:`ConfigError` naming the iterate; overflow raises no numpy
+    warning, so a diverging run surfaces once, as the loss that stops it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [start()]
+        while math.isfinite(trace[-1]):
+            if len(trace) > cfg.max_iters or (len(trace) > 1 and _converged(*trace[-2:], cfg.tol)):
+                return trace
+            trace.append(step())
+    raise ConfigError(f"{solver} diverged (non-finite loss at iterate {len(trace) - 1}); {hint}")
+
+
 def _descend(
     params: list[np.ndarray], objective: Objective, cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[float]]:
-    """Full-batch constant-step gradient descent with a relative-change stop.
+    """Full-batch constant-step gradient descent, run by :func:`_iterate`:
+    a step is one update and one objective call.  ``trace[0]`` is the value
+    at ``params``."""
+    grads: list[np.ndarray] = []
 
-    One objective call per iterate; ``trace[0]`` is the value at ``params``.
-    Overflow and invalid values raise no numpy warning: a diverging run
-    surfaces once, as the non-finite loss that stops it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
+    def evaluate() -> float:
+        nonlocal grads
         value, grads = objective(params)
-        trace = [value]
-        for _ in range(cfg.max_iters):
-            params = [p - cfg.learning_rate * g for p, g in zip(params, grads)]
-            value, grads = objective(params)
-            trace.append(value)
-            if not math.isfinite(value):
-                raise ConfigError(
-                    "gradient descent diverged (non-finite loss); lower "
-                    "learning_rate or the penalty weight"
-                )
-            if _converged(trace[-2], trace[-1], cfg.tol):
-                break
+        return value
+
+    def step() -> float:
+        nonlocal params
+        params = [p - cfg.learning_rate * g for p, g in zip(params, grads)]
+        return evaluate()
+
+    trace = _iterate(evaluate, step, cfg, "gradient descent",
+                     "lower learning_rate or the penalty weight")
     return params, trace
 
 
 def _als(
     train: ObservationTensor, params: list[np.ndarray], cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[float]]:
-    """Alternating least squares over the free blocks, in mode order.
+    """Alternating least squares over the free blocks, in mode order, run by
+    :func:`_iterate`: a step is one sweep and one :func:`_fit_terms`.
 
     Each sweep solves every row of every free block exactly (normal equations
     with a ridge), so the loss trace is non-increasing up to numerical noise.
@@ -473,8 +435,11 @@ def _als(
             buckets.append((zt, zb, yb, gram[r0 : r0 + n], rhs[r0 : r0 + n]))
             r0, c0 = r0 + n, c0 + n * length
         plans.append((nonempty, table, gathers, buckets, gram, rhs))
-    trace = [_fit_terms(train, factors, ridge, rows)[2]]
-    for _ in range(cfg.max_iters):
+
+    def loss() -> float:
+        return _fit_terms(train, factors, ridge, rows)[2]
+
+    def sweep() -> float:
         for mode, (nonempty, table, gathers, buckets, gram, rhs) in enumerate(plans):
             # the design, in this mode's cell order; this mode's row buffer is
             # free until the next _fit_terms
@@ -495,9 +460,9 @@ def _als(
                 factors[mode][nonempty] = np.linalg.solve(gram, rhs)[..., 0]
             except np.linalg.LinAlgError:
                 raise ConfigError(f"ALS solve is singular at lam={cfg.lam}; raise lam") from None
-        trace.append(_fit_terms(train, factors, ridge, rows)[2])
-        if _converged(trace[-2], trace[-1], cfg.tol):
-            break
+        return loss()
+
+    trace = _iterate(loss, sweep, cfg, "ALS", "rescale the ratings or lower lam")
     return factors, trace
 
 
@@ -514,9 +479,9 @@ def parity_penalty(
     the usual score scatter with per-cell weights weight*d*(+1/n0 | -1/n1).
     """
     is0 = _group0_cells(obs.curators, groups)
-    preds = cp_entries(model, obs.users, obs.curators, obs.topics)
-    value, cell_weights = _parity_terms(preds, is0, weight)
-    return value, scatter_cell_gradient(model, obs, cell_weights)
+    factors, rows = _model_rows(model, obs)
+    value, cell_weights = _parity_terms(_fit_terms(obs, factors, 0.0, rows)[0], is0, weight)
+    return value, tuple(_scatter_plan(obs, factors, rows)(cell_weights))
 
 
 def ortho_penalty(u: np.ndarray, s: np.ndarray, weight: float) -> tuple[float, np.ndarray]:

@@ -10,16 +10,22 @@ a cell is the usual CP sum of per-column products
 Losses and gradients only ever touch observed cells; unobserved cells are
 never imputed.
 
+One cell kernel, run by the trainers too, gives them all: :func:`_fit_terms`
+gathers the cells' factor rows, predicts and gives the masked ridge loss,
+and a :func:`_scatter_plan` turns per-cell weights into one row scatter per
+factor (the gradient of a CP least-squares loss is one MTTKRP per mode).
+
 Entries are normalised to a canonical (user, curator, topic) sort order on
 construction so that losses and gradients are bit-reproducible across runs
-and platforms.  All functions here are pure: they never mutate their inputs
-and hold no global state, so concurrent use is safe.
+and platforms.  The public functions are pure: they never mutate their
+inputs and hold no global state, so concurrent use of them is safe.  A
+plan's buffers belong to the problem that built it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -236,16 +242,28 @@ def _check_dims(model: FactorModel, obs: ObservationTensor) -> None:
         )
 
 
-def masked_loss(model: FactorModel, obs: ObservationTensor, lam: float) -> float:
-    """Ridge-regularised squared error over the observed cells only.
+def _row_buffers(train: ObservationTensor, widths: Sequence[int]) -> list[np.ndarray]:
+    """One (cells, width) buffer per factor, for :func:`_fit_terms` to gather
+    into; a problem allocates them once, not once per iterate."""
+    return [np.empty((train.n_entries, w)) for w in widths]
 
-        1/2 * sum_observed (rating - score)^2
-        + lam/2 * (||U_users||_F^2 + ||U_curators||_F^2 + ||U_topics||_F^2)
+
+def _fit_terms(
+    train: ObservationTensor, factors: list[np.ndarray], lam: float, rows: list[np.ndarray]
+):
+    """(predictions, residuals, masked ridge loss) of the cells, with each
+    factor's rows of the cells gathered into its buffer of ``rows``.
+
+    A one-topic slice passes no topic factor: it is a constant row of ones,
+    so the CP products leave it out, and the ridge covers only the factors
+    the model stores.
     """
-    _check_dims(model, obs)
-    resid = obs.values - cp_entries(model, obs.users, obs.curators, obs.topics)
-    reg = sum(float(np.sum(u * u)) for u in (model.u_users, model.u_curators, model.u_topics))
-    return 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
+    for u, idx, out in zip(factors, (train.users, train.curators, train.topics), rows):
+        np.take(u, idx, axis=0, out=out, mode="clip")  # "raise" would gather into a copy
+    preds = np.einsum(",".join(["er"] * len(rows)) + "->e", *rows)
+    resid = preds - train.values
+    reg = sum(float(np.sum(u * u)) for u in factors)
+    return preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
 
 
 def _cell_bins(index: np.ndarray, rank: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -277,6 +295,64 @@ def _scatter_rows(
     return out.reshape(n_rows, rank)
 
 
+def _scatter_plan(
+    train: ObservationTensor, blocks: Sequence[np.ndarray], rows: list[np.ndarray]
+) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """``scatter(w)``: the gradients of ``sum_e w_e * score_e`` w.r.t. the free
+    ``blocks`` (their shapes fix the plan), from the rows that the last
+    :func:`_fit_terms` gathered into ``rows``, which may be wider than a block.
+
+    The plan holds one contribution and one intp buffer, as wide as the
+    widest block, and each block's bins, built once in the narrowest unsigned
+    type that holds them.  ``w * a`` is formed once, in place of ``rows[0]``:
+    every contribution is ``((w * x) * y)``, the order that the bits depend on.
+    """
+    index = (train.users, train.curators, train.topics)
+    n = train.n_entries
+    shapes = [b.shape for b in blocks]
+    widest = max(w for _, w in shapes)
+    contrib, wide = np.empty(n * widest), np.empty(n * widest, dtype=np.intp)
+    bins = [_cell_bins(idx, w, wide).astype(np.min_scalar_type(n_rows * w))
+            for idx, (n_rows, w) in zip(index, shapes)]
+
+    def scatter(weights: np.ndarray) -> list[np.ndarray]:
+        grads = []
+        for mode, (n_rows, w) in enumerate(shapes):
+            if mode == 1:  # the first block's rows are free after its scatter
+                np.multiply(weights[:, None], rows[0], out=rows[0])
+            head = weights[:, None] if mode == 0 else rows[0][:, :w]
+            others = [r[:, :w] for other, r in enumerate(rows) if other not in (0, mode)]
+            c = contrib[: n * w].reshape(n, w)
+            if others:
+                np.multiply(head, others[0], out=c)
+            else:  # a one-topic slice's curator block: w * a is its contribution
+                np.copyto(c, head)
+            for x in others[1:]:
+                np.multiply(c, x, out=c)
+            np.copyto(wide[: c.size], bins[mode])
+            grads.append(_scatter_rows(index[mode], c, n_rows, wide[: c.size]))
+        return grads
+
+    return scatter
+
+
+def _model_rows(model: FactorModel, obs: ObservationTensor) -> tuple[list, list]:
+    """A model's factors and their row buffers over ``obs``, for the cell kernel."""
+    _check_dims(model, obs)
+    factors = [model.u_users, model.u_curators, model.u_topics]
+    return factors, _row_buffers(obs, [model.rank] * 3)
+
+
+def masked_loss(model: FactorModel, obs: ObservationTensor, lam: float) -> float:
+    """Ridge-regularised squared error over the observed cells only.
+
+        1/2 * sum_observed (rating - score)^2
+        + lam/2 * (||U_users||_F^2 + ||U_curators||_F^2 + ||U_topics||_F^2)
+    """
+    factors, rows = _model_rows(model, obs)
+    return _fit_terms(obs, factors, lam, rows)[2]
+
+
 def scatter_cell_gradient(
     model: FactorModel,
     obs: ObservationTensor,
@@ -288,24 +364,15 @@ def scatter_cell_gradient(
     other function of the per-cell scores all reduce to this scatter with a
     suitable per-cell weight vector.
     """
-    _check_dims(model, obs)
-    a = model.u_users[obs.users]
-    b = model.u_curators[obs.curators]
-    c = model.u_topics[obs.topics]
-    w = cell_weights[:, None]
-    g_users = _scatter_rows(obs.users, w * b * c, model.shape[0])
-    g_curators = _scatter_rows(obs.curators, w * a * c, model.shape[1])
-    g_topics = _scatter_rows(obs.topics, w * a * b, model.shape[2])
-    return g_users, g_curators, g_topics
+    factors, rows = _model_rows(model, obs)
+    _fit_terms(obs, factors, 0.0, rows)  # gathers the rows
+    return tuple(_scatter_plan(obs, factors, rows)(cell_weights))
 
 
 def masked_gradient(
     model: FactorModel, obs: ObservationTensor, lam: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient of :func:`masked_loss` w.r.t. each factor matrix."""
-    _check_dims(model, obs)
-    resid = cp_entries(model, obs.users, obs.curators, obs.topics) - obs.values
-    grads = scatter_cell_gradient(model, obs, resid)
-    factors = (model.u_users, model.u_curators, model.u_topics)
-    g_users, g_curators, g_topics = (g + lam * u for g, u in zip(grads, factors))
-    return g_users, g_curators, g_topics
+    factors, rows = _model_rows(model, obs)
+    resid = _fit_terms(obs, factors, lam, rows)[1]
+    return tuple(g + lam * u for g, u in zip(_scatter_plan(obs, factors, rows)(resid), factors))

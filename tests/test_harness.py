@@ -16,7 +16,7 @@ import pytest
 from fairtensor import cli, data, harness
 from fairtensor.cli import main as cli_main
 from fairtensor.data import SensitiveMap, SplitDataset, SynthConfig, synth_generate
-from fairtensor.errors import ConfigError, UndefinedMetricError
+from fairtensor.errors import ConfigError, FairtensorError, UndefinedMetricError
 from fairtensor.harness import (
     ExperimentConfig,
     evaluate_model,
@@ -435,6 +435,28 @@ class TestWorkerProcesses:
         assert err.startswith("error: a worker process died")
         assert_no_child_process()
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dead_worker_leaves_no_pipe_open(self, tmp_path, monkeypatch):
+        # the held error's traceback keeps _run_jobs' frame, and so the dead
+        # worker's pipe objects, alive: their fds must be closed anyway
+        use_workers(monkeypatch, 2)
+        parent = os.getpid()
+        evaluate_pair = harness._evaluate_pair
+
+        def exit_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return evaluate_pair(*args)
+
+        monkeypatch.setattr(harness, "_evaluate_pair", exit_in_worker)
+        cfg = toy_config(tmp_path, models=("OTC",), repeats=2)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(FairtensorError, match="a worker process died") as held:
+            run_experiment(cfg)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert held.value is not None
+        assert_no_child_process()
 
 
 class TestEvaluateScopes:

@@ -1320,3 +1320,32 @@ class TestTrainModelDispatch:
                     TrainConfig(rank=4, parity_weight=1e9, learning_rate=0.5, max_iters=50, seed=0),
                     smap,
                 )
+
+    def test_gd_divergence_names_its_iterate_without_a_warning(self):
+        ds, smap = biased_dataset()
+        cfg = TrainConfig(rank=4, parity_weight=1e9, learning_rate=0.5, max_iters=50, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^gradient descent diverged "
+                               r"\(non-finite loss at iterate [1-9]\d*\); lower learning_rate"):
+                train_model("RTC", ds.train, cfg, smap)
+
+    @pytest.mark.parametrize("kind", ["OTC", "OMC"])
+    def test_als_divergence_is_a_config_error_without_a_warning(self, kind):
+        # finite ratings whose squares overflow: the loss is not finite
+        rng = np.random.default_rng(0)
+        flat = rng.choice(6 * 5 * 3, 40, replace=False)
+        train = ObservationTensor.from_flat((6, 5, 3), flat, rng.random(40) * 1e160)
+        prefix = f"topic {train.topics.min()}: " if kind == "OMC" else ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"^{prefix}ALS diverged \(non-finite loss"):
+                train_model(kind, train, TrainConfig(rank=3), None)
+
+    def test_loop_stops_a_non_finite_initial_loss(self):
+        # a trace that starts at inf would pass _converged at its first step
+        steps = []
+        with pytest.raises(ConfigError, match=r"^ALS diverged \(non-finite loss at iterate 0\)"):
+            models._iterate(lambda: math.inf, lambda: steps.append(1) or 1.0,
+                            TrainConfig(), "ALS", "rescale the ratings")
+        assert steps == []

@@ -11,6 +11,7 @@ from fairtensor.tensor_core import (
     cp_entry,
     masked_gradient,
     masked_loss,
+    scatter_cell_gradient,
 )
 
 
@@ -299,3 +300,29 @@ class TestKernelProperties:
         want = np.zeros((n_rows, cols))
         np.add.at(want, index, contrib)
         assert np.array_equal(_scatter_rows(index, contrib, n_rows), want)
+
+    @PROPERTY
+    @given(st.data())
+    def test_scatter_cell_gradient_is_add_at_of_its_product_order(self, data):
+        # every caller's bits depend on ((w * x) * y): (w*b)*c, (w*a)*c, (w*a)*b
+        n, m, kk = (data.draw(st.integers(1, 5)) for _ in range(3))
+        rank = data.draw(st.integers(1, 6))
+        u1, u2, u3 = (data.draw(matrices(d, rank)) for d in (n, m, kk))
+        cells = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, kk - 1)),
+            max_size=40,
+        ))
+        obs = ObservationTensor.from_entries(n, m, kk, [(*c, 0.0) for c in cells])
+        weights = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), reals),
+            min_size=obs.n_entries, max_size=obs.n_entries,
+        )), dtype=np.float64)
+        a, b, c = u1[obs.users], u2[obs.curators], u3[obs.topics]
+        w = weights[:, None]
+        want = [np.zeros_like(u) for u in (u1, u2, u3)]
+        np.add.at(want[0], obs.users, (w * b) * c)
+        np.add.at(want[1], obs.curators, (w * a) * c)
+        np.add.at(want[2], obs.topics, (w * a) * b)
+        got = scatter_cell_gradient(FactorModel(u1, u2, u3), obs, weights)
+        for g, ref in zip(got, want, strict=True):
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
