@@ -25,7 +25,7 @@ plan's buffers belong to the problem that built it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -297,10 +297,12 @@ def _scatter_rows(
 
 def _scatter_plan(
     train: ObservationTensor, blocks: Sequence[np.ndarray], rows: list[np.ndarray]
-) -> Callable[[np.ndarray], list[np.ndarray]]:
-    """``scatter(w)``: the gradients of ``sum_e w_e * score_e`` w.r.t. the free
-    ``blocks`` (their shapes fix the plan), from the rows that the last
-    :func:`_fit_terms` gathered into ``rows``, which may be wider than a block.
+) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """``scatter(w)`` yields the gradients of ``sum_e w_e * score_e`` w.r.t. the
+    free ``blocks`` (their shapes fix the plan) in block order, from the rows
+    that the last :func:`_fit_terms` gathered into ``rows``, which may be
+    wider than a block; a caller that adds the ridge as they come holds one
+    unfinished gradient at a time.
 
     The plan holds one contribution and one intp buffer, as wide as the
     widest block, and each block's bins, built once in the narrowest unsigned
@@ -315,8 +317,7 @@ def _scatter_plan(
     bins = [_cell_bins(idx, w, wide).astype(np.min_scalar_type(n_rows * w))
             for idx, (n_rows, w) in zip(index, shapes)]
 
-    def scatter(weights: np.ndarray) -> list[np.ndarray]:
-        grads = []
+    def scatter(weights: np.ndarray) -> Iterator[np.ndarray]:
         for mode, (n_rows, w) in enumerate(shapes):
             if mode == 1:  # the first block's rows are free after its scatter
                 np.multiply(weights[:, None], rows[0], out=rows[0])
@@ -330,8 +331,7 @@ def _scatter_plan(
             for x in others[1:]:
                 np.multiply(c, x, out=c)
             np.copyto(wide[: c.size], bins[mode])
-            grads.append(_scatter_rows(index[mode], c, n_rows, wide[: c.size]))
-        return grads
+            yield _scatter_rows(index[mode], c, n_rows, wide[: c.size])
 
     return scatter
 
