@@ -1,12 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: the subcommands synth, train, evaluate, experiment
+and oracle, each described by its help (``fairtensor -h``).
 
-Subcommands:
-  synth       write a synthetic biased dataset (two CSVs + JSON sidecar)
-  train       train one model and write its JSON checkpoint
-  evaluate    evaluate a checkpoint on the config's test split
-  experiment  run the full pipeline and write report.csv / report.json; one
-              'failed: <model> run <r>: <reason>' line per error row goes to stderr
-  oracle      run the built-in verification suite; nonzero exit on failure
+A :class:`FairtensorError` is one ``error: <message>`` line on stderr and
+exit code 2.  ``experiment`` writes one ``failed: <model> run <r>: <reason>``
+line per error row to stderr and exits 1 if there is one; ``oracle`` exits
+1 if a check fails.
 """
 
 from __future__ import annotations
@@ -165,11 +163,10 @@ def console_main() -> None:
     fairtensor.cli`` and the ``fairtensor`` script: :func:`main` on
     ``sys.argv``, then exit with its code.
 
-    Before exiting it calls :func:`gc.freeze`: interpreter finalization runs
-    cyclic collections over every object left, numpy's and this package's,
-    and a frozen heap is skipped by them, which makes exit about 35 ms
-    shorter.  Exit is still ``sys.exit``, not ``os._exit``, so atexit
-    handlers run and open files and the logging streams are flushed.
+    Before exiting it calls :func:`gc.freeze`, so interpreter finalization's
+    cyclic collections skip every object left.  Exit is still ``sys.exit``,
+    not ``os._exit``, so atexit handlers run and open files and the logging
+    streams are flushed.
     :func:`main` itself does not freeze, because callers run it in-process.
     """
     code = main()

@@ -193,10 +193,8 @@ def negative_sample(
     with the given probability.  Cells already present stay untouched, so the
     output never duplicates a positive.  One uniform draw is made per cell, in
     row-major cell order and in chunks of :data:`NEGATIVE_CHUNK_CELLS` cells,
-    which draw the same doubles as one draw over every cell; each chunk's
-    positives are found by a binary search of the sorted positive ids.  A
-    tensor of more than :data:`MAX_DENSE_CELLS` cells is a
-    :class:`ConfigError`.
+    which draw the same doubles as one draw over every cell.  A tensor of
+    more than :data:`MAX_DENSE_CELLS` cells is a :class:`ConfigError`.
     """
     if not 0.0 <= probability <= 1.0:
         raise ConfigError("probability must lie in [0, 1]")
@@ -252,9 +250,8 @@ class SynthConfig:
     of whole users of about :data:`SYNTH_BLOCK_CELLS` cells; the cells and
     the factor draws are each bounded by :data:`MAX_DENSE_CELLS`.  A cell's
     score is bit for bit its entry of ``np.einsum("ir,jr,kr->ijk", u1, u2,
-    u3)`` plus its bias: :func:`_cp_block` forms each product as einsum
-    does, ``(u1 * u2) * u3``, and sums the rank terms in the same order from
-    the first; the draws lie in [0, 1), so no term is a negative zero.
+    u3)`` plus its bias (:func:`_cp_block`); the draws lie in [0, 1), so no
+    term is a negative zero.
     """
 
     n_users: int
@@ -328,8 +325,7 @@ def _cp_block(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> n
     Each ``a * b`` product is formed once, q-major so that every term is a
     contiguous (rows of a, rows of b) array; each k sums its terms in one
     such scratch array and copies it into ``out[:, :, k]``.  Besides ``out``
-    it holds rank + 2 of those arrays, and it takes half einsum's time at
-    the paper's shape.
+    it holds rank + 2 of those arrays.
     """
     ab = a.T[:, :, None] * b.T[:, None, :]
     acc, term = np.empty(ab.shape[1:]), np.empty(ab.shape[1:])

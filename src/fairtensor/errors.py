@@ -9,6 +9,15 @@ from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
+__all__ = [
+    "FairtensorError",
+    "ParseError",
+    "EmptyDatasetError",
+    "SplitError",
+    "ConfigError",
+    "UndefinedMetricError",
+]
+
 
 class FairtensorError(Exception):
     """Base class for package-specific errors."""
@@ -68,7 +77,7 @@ def read_json(path: str | Path, what: str):
         raise ConfigError(f"{what} {path} is not JSON: {exc}") from None
 
 
-_type_hints = functools.cache(typing.get_type_hints)  # resolving them costs ~0.2 ms
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
 
 
 def _fits(t, value) -> bool:

@@ -1,65 +1,32 @@
-"""Experiment runner: data preparation, training, evaluation, reporting.
+"""Experiment runner: data preparation, training, evaluation, reporting, and
+the built-in verification suite (:func:`run_oracles`).
 
 An experiment is described by one :class:`ExperimentConfig` (JSON file with
 the same field names).  Each run r in 1..repeats uses seed base_seed + r for
 negative sampling, splitting and factor initialisation, trains every
 requested model on the train side and evaluates it on the test side:
 
-* quality: per (user, topic) pair with at least one test positive, the
-  curators ranked top-k (training positives of that pair excluded, ties
-  toward the lower curator index) are scored against the pair's test
-  positives.  With ``rank_scope="user"`` the unit is a user: every
-  (curator, topic) cell of the user is ranked, the user's training
-  positives are excluded, and ties break toward the lower cell id
-  ``j * K + t``.  Both scopes score a unit with ``models._user_scores``,
-  one gemv per topic, as :func:`score_curators` does; ranking partitions
-  the m or m*K scores at the k-th and stable-sorts those at or above it;
-* fairness: predicted scores of the test cells (or of every cell, with
-  ``fairness_scope="full"``) are grouped by curator group for MAD and KS.
-  Full scope scores one (topic, group) chunk at a time, the n x m_g
-  product of the topic's user rows and the group's curator rows, and
-  :func:`metrics.group_fairness` reads the chunks in two passes.  Beside
-  the model's stacked factors it holds one chunk and its sort, at most n*m
-  floats; at the paper's 589 x 252 x 10 the step peaks at about 2.5 MB
-  where every cell's score takes 11.9 MB.  A shape of more than
-  ``MAX_DENSE_CELLS`` cells is still a :class:`ConfigError`.
+* quality: P/R/F1@k of each unit's top-k list against its test positives,
+  the unit's training positives excluded.  A unit is a (user, topic) pair
+  ranking curator ids, or with ``rank_scope="user"`` a user ranking cell ids
+  ``j * K + t``; ties break toward the lower id;
+* fairness: MAD and KS of the predicted scores of the test cells (or of
+  every cell, with ``fairness_scope="full"``) grouped by curator group.
+  Full scope holds one (topic, group) chunk and its sort beside the model's
+  stacked factors, at most n*m floats; a shape of more than
+  ``MAX_DENSE_CELLS`` cells is a :class:`ConfigError`.
 
-The unit of work is one training problem: the whole tensor of a tensor kind,
-one topic slice of a matrix kind (see :func:`models.train_problem`).
-:func:`run_experiment` builds every run's split in the calling process and
-makes each (model, run) pair's pre-training checks there.  Then each
-problem is a fit job, and each pair gets one evaluation job once its fit jobs
-have returned; a pair that fails its checks keeps its error row and runs no
-job.  The jobs run in worker processes: as many as the usable cores
-(``os.sched_getaffinity``) hold at each worker's BLAS thread count, capped at
-the number of jobs.  With ``OPENBLAS_NUM_THREADS=1`` that is one per core, and
-with BLAS threads unset (one per core already) a single one.  Workers are made
-with ``fork``, so they inherit the splits, the sensitive map and the config
-instead of receiving pickled copies.  A fit job writes its factors into its
-pair's array of anonymous shared memory, which every worker maps, and returns
-only its loss trace; the evaluation job reads the pair's factors from there.
-So no factor crosses a pipe or passes through the calling process: when a
-prototype sent them back pickled, the calling process's peak RSS rose from
-40.4 to 47.2 MB on the benchmark's matrix-train workload, and with shared
-memory it read 40.5 MB.  At one worker, or where ``fork`` does not exist, the
-same jobs run in the calling process in the same order and no process
-starts.  To run on one core, pin the process: ``taskset -c 0``.
+A fit job of :func:`run_experiment` writes its factors into anonymous shared
+memory that every worker maps, so no factor crosses a pipe or passes through
+the calling process.
 
-Reports carry one row per (model, run), an across-run mean row per model and
-the fully resolved config, and are byte-identical for identical configs,
+Reports (:class:`MetricsReport`) are byte-identical for identical configs,
 whatever the number of workers.  A problem's factors depend only on its
 seed ``base_seed + run``, its index and the split built before any worker
 starts: :func:`models.train_problem` replays the init generator through the
-earlier problems' draws, so each slice gets the init it gets in
-:func:`models.train_model`.  A pair's row depends only on its problems'
+earlier problems' draws.  A pair's row depends only on its problems'
 factors and traces, and on its lowest failing problem, not on which
-finished first; and the report orders its rows by (model, run), not by
-when they finished.
-
-The module also hosts the built-in verification suite (:func:`run_oracles`):
-finite-difference gradient checks, dense brute-force loss equivalence, ALS
-monotonicity and recovery, projector exactness, and the metric hand-case
-table.
+finished first, and the report sorts its rows by (model, run).
 """
 
 from __future__ import annotations
@@ -71,6 +38,7 @@ import os
 import pickle
 import sys
 import time
+import warnings
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -504,17 +472,22 @@ def _worker_count(n_jobs: int) -> int:
 
 def _serve(run_job, jobs, results) -> None:
     """A worker's loop: run each job read from ``jobs`` and write back
-    ``(True, result)``, or ``(False, exception)``, until ``jobs`` ends."""
+    ``(True, result, raised)``, or ``(False, exception, raised)``, until
+    ``jobs`` ends; ``raised`` holds every warning of the job, whatever the
+    filters, as (message, category, filename, lineno)."""
     while True:
         try:
             job = pickle.load(jobs)
         except EOFError:
             return
-        try:
-            reply = (True, run_job(job))
-        except Exception as exc:
-            reply = (False, exc)
-        pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                reply = (True, run_job(job))
+            except Exception as exc:
+                reply = (False, exc)
+        raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        pickle.dump((*reply, raised), results, pickle.HIGHEST_PROTOCOL)
         results.flush()
 
 
@@ -551,8 +524,9 @@ def _run_jobs(run_job, schedule, workers: int) -> None:
     ``workers`` forked worker processes, one job in flight per worker.
     ``run_job`` reaches the workers by fork inheritance, not by pickling;
     only the jobs and their results cross a pipe, and each result goes to
-    ``schedule.finish`` in this process.  A worker that dies is a
-    :class:`FairtensorError`; no worker outlives the call."""
+    ``schedule.finish`` in this process, after the job's warnings are emitted
+    here.  A worker that dies is a :class:`FairtensorError`; no worker
+    outlives the call."""
     if workers == 1 or not hasattr(os, "fork"):
         while (job := schedule.next()) is not None:
             schedule.finish(job, run_job(job))
@@ -580,7 +554,7 @@ def _run_jobs(run_job, schedule, workers: int) -> None:
                 break
             for results in select.select(list(in_flight), [], [])[0]:
                 try:
-                    done, result = pickle.load(results)
+                    done, result, raised = pickle.load(results)
                 except EOFError:
                     pid, jobs = procs.pop(results)
                     jobs.close()  # the raise below keeps this frame, and its pipes, alive
@@ -589,6 +563,13 @@ def _run_jobs(run_job, schedule, workers: int) -> None:
                     raise FairtensorError(
                         f"a worker process died (exit code {os.waitstatus_to_exitcode(status)})"
                     ) from None
+                for message, category, filename, lineno in raised:
+                    # under the name and in the registry of its module, as in this process
+                    module = next((m for m in list(sys.modules.values())
+                                   if getattr(m, "__file__", None) == filename), None)
+                    warnings.warn_explicit(
+                        message, category, filename, lineno, module and module.__name__,
+                        module and vars(module).setdefault("__warningregistry__", {}))
                 if not done:
                     raise result
                 schedule.finish(in_flight.pop(results), result)
@@ -612,23 +593,16 @@ def run_experiment(
 
     Every run's split is built here, and every pair's pre-training checks
     made; a pair that fails them gets its error row and no job.  Each
-    training problem of the other pairs, the whole tensor of a tensor kind
-    or one topic slice of a matrix kind, is a fit job, and each pair then has
-    one evaluation job (see :class:`_Schedule`).  The jobs run in forked
-    worker processes: as many as the usable cores hold at each worker's BLAS
-    thread count (``OPENBLAS_NUM_THREADS``, else one per core), capped at the
-    number of jobs.  At one worker they run in this process.  The report's
-    bytes do not depend on the number of workers.  A worker that dies is a
-    :class:`FairtensorError`.
+    training problem (:func:`models.train_problem`) of the other pairs is a
+    fit job, and each pair then has one evaluation job (see
+    :class:`_Schedule`).  They run in the forked workers of :func:`_run_jobs`,
+    as many as :func:`_worker_count` gives for the usable cores and
+    ``OPENBLAS_NUM_THREADS``, or in this process at one; to run on one core,
+    pin the process: ``taskset -c 0``.  The report's bytes do not depend on
+    the number of workers, and a job's warnings reach the caller's filters
+    at any number.  A worker that dies is a :class:`FairtensorError`.
 
-    Known limitation: a warning raised in a worker, such as ALS's ``lam=0``
-    ``RuntimeWarning``, is handled there under the filters in force when the
-    workers were forked.  By default it is printed to stderr, but it does not reach
-    a ``warnings.catch_warnings`` record of the caller, as it does when the
-    jobs run in this process.
-
-    With ``out_dir`` the report is also written as report.csv and
-    report.json.
+    With ``out_dir`` the report is also written as report.csv and report.json.
     """
     positives, smap = _load_source(cfg)
     fair_requested = [m for m in cfg.models if m in GROUP_AWARE_KINDS]

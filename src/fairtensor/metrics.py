@@ -1,16 +1,11 @@
 """Ranking-quality and group-fairness metrics.
 
-Quality: Precision@k, Recall@k and their harmonic mean F1@k, averaged over
-the evaluation units (by default (user, topic) pairs) that have at least one
-test positive -- recall is undefined for the rest, so they are excluded.
+Quality: Precision@k, Recall@k and F1@k, averaged over the evaluation units
+that have at least one test positive; recall is undefined for the rest.
 
-Fairness: MAD is the absolute difference between the two groups' mean
-predicted ratings.  KS is the area between the groups' empirical cumulative
-rating distributions, discretised over the common data range [min, max] into
-``intervals`` equal bins; the boundary count of the last bin includes the
-maximum.  Lower is fairer for both.  :func:`group_fairness` computes both
-from scores that arrive in (group, scores) chunks, so no step needs every
-score at once; :func:`mad` and :func:`ks` are its case of one chunk per group.
+Fairness: MAD and KS between the two curator groups' predicted ratings; lower
+is fairer for both.  :func:`group_fairness` computes both from chunked
+scores, and :func:`mad` and :func:`ks` are its case of one chunk per group.
 """
 
 from __future__ import annotations

@@ -1,13 +1,9 @@
 """Training and prediction for the six recommender variants.
 
-Tensor kinds factor the full user x curator x topic tensor.  A matrix kind
+Tensor kinds factor the full user x curator x topic tensor; a matrix kind
 trains its tensor kind's problem on each topic slice, an N x M x 1 tensor
-whose topic factor is a constant row of ones, and stores each slice as the
-(n, m, 1) :class:`FactorModel` it was trained as.  :func:`train_model` is the
-one trainer of all six kinds: it checks the inputs, fits each problem of the
-kind in turn with :func:`train_problem` and assembles the model.  A problem's
-init comes from one generator that every problem of the kind draws from in
-order, so one problem can also be trained on its own, as the harness does.
+whose topic factor is a constant row of ones.  :func:`train_model` trains
+all six kinds, one :func:`train_problem` per problem.
 
 =====  ======  =========================================================
 kind   solver  objective
@@ -28,33 +24,12 @@ curator-factor columns U_ns; after descent those columns are also projected
 onto the orthogonal complement of span(S) exactly.  Fairness-aware kinds predict
 from the non-sensitive columns only; all other kinds use every column.
 
-Both solvers run one loop, :func:`_iterate`, which owns the loss trace, the
-cap, the tol stop and a finite-loss test; GD's step is one update and one
-objective call, ALS's one sweep and one :func:`_fit_terms`.
-
-Gradient descent is full batch with a constant step size.  Each iterate
-makes one prediction, which gives the objective's value, and one scatter per
-free block, which gives its gradient (the parity term's per-cell weights are
-added to the residual first), through the cell kernel of ``tensor_core``.
-Constant blocks, the sensitive features and the ones topic row, are never
-parameters, so they cannot drift.
-
-Both solvers build a plan once per problem, so an iterate does only
-arithmetic.  GD and ALS gather the cells' factor rows into buffers the plan
-allocates, and GD forms its scatter contributions and bins in two more, so
-no iterate allocates an array the size of the cells times the rank.  GD's
-plan also holds each free block's scatter bins, stored in the narrowest
-integer type that holds them (1.3 MB at paper shape, against 6.2 MB as
-intp).  ALS's plan orders each mode's cells by (row length, row), so the
-rows of one length are one slab of the design.  A half-sweep makes one
-batched Gram product and one right-hand-side product per distinct row
-length, through views the plan built, then one stacked solve; each row's
-Gram is still its own BLAS syrk over its own cells, so the factors do not
-depend on the batching.  A mode whose two other modes have fewer row pairs
-than the problem has cells takes each cell's design row from a table of
-those pairs' products, formed once per half-sweep.  The plans change no
-bit of any factor or trace.  Training is deterministic given (data, config,
-seed); trained models are immutable.
+GD and ALS run one loop, :func:`_iterate`.  Constant blocks, the sensitive
+features and a slice's ones topic row, are never parameters, so they cannot
+drift.  Each solver builds its buffers and plans once per problem, so no
+iterate allocates an array the size of the cells times the rank, and the
+plans change no bit of any factor or trace.  Training is deterministic given
+(data, config, seed); trained models are immutable.
 """
 
 from __future__ import annotations
@@ -111,7 +86,7 @@ GROUP_AWARE_KINDS = ("RTC", "RMC", "FT", "FM")
 CHECKPOINT_VERSION = 1
 _INIT_SCALE = 0.1  # i.i.d. uniform [0, 0.1) init suits implicit 0/1 ratings
 _MIN_RIDGE = 1e-8
-# Cells per chunk of predict_cells' row gathers (5.2 MB of rows at rank 20)
+# Cells per chunk of predict_cells' row gathers
 PREDICT_CHUNK_CELLS = 2**14
 
 
@@ -165,12 +140,10 @@ class TrainConfig:
 class TrainedModel:
     """Immutable result of one training run.
 
-    Tensor kinds carry one :class:`FactorModel` and a loss trace whose first
-    element is the loss at initialisation.  Matrix kinds carry one (n, m, 1)
-    :class:`FactorModel` per topic, whose topic factor is a constant row of
-    ones, and one trace per topic (empty slices get zero user factors and an
-    empty trace).  Prediction reads neither directly but the stacked
-    per-topic arrays of :attr:`topic_factors`.
+    Tensor kinds carry one :class:`FactorModel` and its loss trace, matrix
+    kinds one (n, m, 1) :class:`FactorModel` and one trace per topic, as
+    :func:`train_problem` gives them with a ones topic row.  Prediction reads
+    neither directly but the stacked per-topic arrays of :attr:`topic_factors`.
     """
 
     kind: str
@@ -275,11 +248,8 @@ def _converged(prev: float, cur: float, tol: float) -> bool:
 def _parity_terms(
     preds: np.ndarray, is0: np.ndarray, weight: float
 ) -> tuple[float, np.ndarray]:
-    """Parity value (weight/2) * d^2 and its per-cell gradient weights.
-
-    d is the gap between the mean predicted score of group-0 and group-1
-    cells; the weights are weight*d*(+1/n0 | -1/n1).
-    """
+    """:func:`parity_penalty`'s value and per-cell gradient weights, from the
+    cells' predictions."""
     n0 = int(is0.sum())
     n1 = is0.size - n0
     d = float(preds[is0].mean() - preds[~is0].mean())
@@ -332,8 +302,8 @@ def _iterate(start: Callable[[], float], step: Callable[[], float], cfg: TrainCo
     """The loss trace of both solvers: ``start()``, the loss at the initial
     factors, then one ``step()``, which makes an iterate and gives its loss,
     until ``cfg.max_iters`` steps or :func:`_converged`.  A non-finite loss
-    is a :class:`ConfigError` naming the iterate; overflow raises no numpy
-    warning, so a diverging run surfaces once, as the loss that stops it.
+    is a :class:`ConfigError` naming the iterate, and ``hint`` after a step;
+    overflow raises no numpy warning, so a diverging run surfaces once.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [start()]
@@ -341,6 +311,8 @@ def _iterate(start: Callable[[], float], step: Callable[[], float], cfg: TrainCo
             if len(trace) > cfg.max_iters or (len(trace) > 1 and _converged(*trace[-2:], cfg.tol)):
                 return trace
             trace.append(step())
+    if len(trace) == 1:
+        hint = "the loss at the initial factors is not finite; rescale the ratings"
     raise ConfigError(f"{solver} diverged (non-finite loss at iterate {len(trace) - 1}); {hint}")
 
 
@@ -348,8 +320,7 @@ def _descend(
     params: list[np.ndarray], objective: Objective, cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[float]]:
     """Full-batch constant-step gradient descent, run by :func:`_iterate`:
-    a step is one update and one objective call.  ``trace[0]`` is the value
-    at ``params``."""
+    a step is one update and one objective call."""
     grads: list[np.ndarray] = []
 
     def evaluate() -> float:
@@ -374,28 +345,23 @@ def _als(
     :func:`_iterate`: a step is one sweep and one :func:`_fit_terms`.
 
     Each sweep solves every row of every free block exactly (normal equations
-    with a ridge), so the loss trace is non-increasing up to numerical noise.
-    One plan per mode, built once, sorts the cells by (row length, row), the
-    cells of a row kept in cell order.  Each row's cells are then one
-    contiguous run of the design, and the rows of one length L one contiguous
-    slab, read as a (rows, L, rank) stack without a copy or padding.  The
-    design is a buffer that the mode fills every half-sweep, so the plan
-    also builds each length's Gram, right-hand-side and design views once.
-    Per sweep, each distinct length makes one batched product for its rows'
-    Grams and one for their right-hand sides.  numpy's matmul loop makes, for
-    each row, the call a per-row product makes (BLAS syrk for a Gram, gemv
-    for a right-hand side) on the same operands and strides, so the bits do
-    not depend on the batching; a padded gemm would change them.  One
-    stacked solve per mode then solves every nonempty row.  Rows without
-    cells are zero.
+    with a ridge), so the loss trace is non-increasing up to numerical noise;
+    rows without cells are zero.  Each mode's plan, built once, sorts the
+    cells by (row length, row), a row's cells kept in cell order, so the rows
+    of one length L are one (rows, L, rank) slab of the design buffer, and
+    builds each length's Gram, right-hand-side and design views.  Per sweep,
+    each length makes one batched product for its rows' Grams and one for
+    their right-hand sides, and one stacked solve per mode solves every
+    nonempty row.  numpy's matmul loop makes, for each row, the call a
+    per-row product makes (BLAS syrk for a Gram, gemv for a right-hand side)
+    on the same operands and strides, so the bits do not depend on the
+    batching; a padded gemm would change them.
 
     A cell's design row is the product of the other modes' rows.  When a
-    mode has two other modes whose row counts multiply to fewer than the
-    cells, the half-sweep forms every pair's product once, a table such as
-    the curator x topic table of the user mode, and takes one table row per
-    cell through a flat index of the plan; otherwise it gathers each other
-    mode's rows and multiplies them.  Both give each element the same one
-    product.
+    mode's two other modes have fewer row pairs than the problem has cells,
+    the half-sweep forms every pair's product once, a table, and takes one
+    table row per cell; otherwise it gathers each other mode's rows and
+    multiplies them.  Both give each element the same one product.
     """
     ridge = cfg.lam
     if ridge == 0:
@@ -519,10 +485,9 @@ def _fit(
 ) -> tuple[list[np.ndarray], list[float]]:
     """Train one problem of ``kind`` from its initial factors.
 
-    A matrix kind's problem is a one-topic slice, which it trains as its
-    tensor kind and which passes its user and curator factors only.  FT and
-    FM pass the curator factor at its full drawn width; the sensitive
-    columns' draws are dropped and the features take their place.
+    A matrix kind's one-topic slice passes its user and curator factors
+    only.  FT and FM pass the curator factor at its full drawn width; the
+    sensitive columns' draws are dropped and the features take their place.
     """
     if kind in ("OTC", "OMC"):
         return _als(train, params, cfg)
@@ -640,24 +605,9 @@ def train_model(
     cfg: TrainConfig,
     sensitive: SensitiveMap | None = None,
 ) -> TrainedModel:
-    """Train one model of ``kind``; every kind goes through this trainer.
-
-    A tensor kind fits one problem, the whole tensor.  A matrix kind fits its
-    tensor kind's problem on every topic slice: each topic becomes an
-    N x M x 1 tensor whose topic factor is a constant row of ones, so OMC
-    runs OTC's ALS over the user and curator modes, RMC descends RTC's
-    objective and FM FT's, projection included.  The ones row joins each
-    slice's :class:`FactorModel` only after training, so no training product
-    multiplies by it.  The slices draw their inits from one generator in
-    topic order and each stops on its own.  Topics without training entries
-    get zero factors (all-zero predictions; FM's keep the features) and an
-    empty loss trace; a slice's errors name its topic, the lowest failing
-    one.
-
-    This is :func:`_training_layout`'s checks, :func:`train_problem` of each
-    problem in turn and :func:`_assemble`: the one training path, which
-    ``harness.run_experiment`` also takes, one problem per job.
-    """
+    """Train one model of ``kind``: :func:`train_problem` of each problem in
+    turn, then :func:`_assemble`.  A matrix kind's errors name the lowest
+    failing topic."""
     layout = _training_layout(kind, train, cfg, sensitive)
     fits = [train_problem(kind, train, cfg, sensitive, index) for index in range(layout.problems)]
     return _assemble(kind, train.shape, cfg, fits)

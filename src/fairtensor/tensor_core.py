@@ -1,19 +1,14 @@
 """CP-decomposition kernels shared by all recommenders.
 
 The observed rating tensor is kept in coordinate format: one (user, curator,
-topic) index triple plus a rating per observed cell.  Factor matrices are
-dense float64 arrays with one column per latent dimension.  Reconstruction of
-a cell is the usual CP sum of per-column products
+topic) index triple plus a rating per observed cell.  A cell's score is the
+CP sum of per-column products of the dense float64 factor matrices
 
     score(i, j, k) = sum_r  U_users[i, r] * U_curators[j, r] * U_topics[k, r]
 
 Losses and gradients only ever touch observed cells; unobserved cells are
-never imputed.
-
-One cell kernel, run by the trainers too, gives them all: :func:`_fit_terms`
-gathers the cells' factor rows, predicts and gives the masked ridge loss,
-and a :func:`_scatter_plan` turns per-cell weights into one row scatter per
-factor (the gradient of a CP least-squares loss is one MTTKRP per mode).
+never imputed.  The public loss and gradient functions and the trainers run
+one cell kernel, :func:`_fit_terms` and :func:`_scatter_plan`.
 
 Entries are normalised to a canonical (user, curator, topic) sort order on
 construction so that losses and gradients are bit-reproducible across runs
@@ -38,6 +33,7 @@ __all__ = [
     "cp_entries",
     "masked_loss",
     "masked_gradient",
+    "scatter_cell_gradient",
 ]
 
 
@@ -45,12 +41,10 @@ __all__ = [
 class ObservationTensor:
     """Sparse set of observed (user, curator, topic, rating) cells.
 
-    In the recommendation pipeline ratings are 1.0 for positive implicit
-    feedback and 0.0 for sampled negatives; the kernels themselves accept any
-    finite value so synthetic oracles can exercise them with arbitrary reals.
-
+    Ratings are 1.0 for positive implicit feedback and 0.0 for sampled
+    negatives in the pipeline; the kernels accept any finite value.
     Construction validates index ranges, rejects duplicate (i, j, k) keys and
-    re-sorts everything into canonical (user, curator, topic) order.
+    re-sorts everything into the canonical order.
     """
 
     n_users: int
@@ -207,6 +201,9 @@ class FactorModel:
 
 
 def _check_index(i: int, bound: int, label: str) -> None:
+    """An :class:`IndexError` unless ``i`` is a non-bool integer in ``[0, bound)``."""
+    if not (_fits(int, i) or isinstance(i, np.integer)):
+        raise IndexError(f"{label} index must be an integer, got {type(i).__name__}")
     if not 0 <= i < bound:
         raise IndexError(f"{label} index {i} out of range [0, {bound})")
 
@@ -282,11 +279,9 @@ def _scatter_rows(
 ) -> np.ndarray:
     """Row sums ``out[index[e]] += contrib[e]`` of a (cells, rank) array.
 
-    One bincount over the flattened (row, column) bins of :func:`_cell_bins`:
-    a C-speed scatter-add in which each bin gets its additions in cell
-    order.  A caller that scatters by the same index every iterate passes
-    those bins prebuilt as ``bins`` (intp, ``contrib.size`` entries); without
-    them the scatter builds its own from ``index``.
+    One bincount over the flattened (row, column) bins of :func:`_cell_bins`,
+    in which each bin gets its additions in cell order; ``bins``, when given,
+    are those bins prebuilt (intp, ``contrib.size`` entries).
     """
     rank = contrib.shape[1]
     if bins is None:

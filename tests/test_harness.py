@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -351,6 +352,37 @@ class TestWorkerProcesses:
         )
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" in proc.stderr and "singular" in proc.stderr
+
+    def test_worker_warning_reaches_the_callers_filters(self, tmp_path, monkeypatch):
+        use_workers(monkeypatch, 2)
+        forks = []
+        fork_worker = harness._fork_worker
+        monkeypatch.setattr(harness, "_fork_worker",
+                            lambda *args: forks.append(args) or fork_worker(*args))
+        cfg = toy_config(tmp_path, models=("OTC", "FT"), repeats=2,
+                         model_overrides={"OTC": {"lam": 0.0}})
+        with pytest.warns(RuntimeWarning, match="singular") as caught:
+            report = run_experiment(cfg)
+        assert len(forks) == 2
+        assert_no_child_process()
+        assert report.complete()
+        singular = [w for w in caught if "singular" in str(w.message)]
+        assert len(singular) == 2  # one per OTC fit job, each at the line that raised it
+        assert all(Path(w.filename).name == "models.py" for w in singular)
+
+    @pytest.mark.parametrize("action, module, shown", [
+        ("default", "", 1),  # once per location, as the module's registry has it
+        ("ignore", r"fairtensor\.models", 0),  # a filter on the raising module's name
+    ])
+    def test_worker_warning_meets_module_filters_and_registry(self, tmp_path, monkeypatch,
+                                                             action, module, shown):
+        use_workers(monkeypatch, 2)
+        cfg = toy_config(tmp_path, repeats=2, model_overrides={"OTC": {"lam": 0.0}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings(action, "lam=0", RuntimeWarning, module)
+            run_experiment(cfg)
+        assert sum("singular" in str(w.message) for w in caught) == shown
 
     def test_import_loads_no_pool_module(self):
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
@@ -1216,19 +1248,6 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
         assert re.search(message, err), err
-
-    def test_oracle_subcommand_exits_zero(self, src_env):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fairtensor", "oracle"],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env=src_env,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        lines = [l for l in proc.stdout.strip().splitlines() if l]
-        assert len(lines) == 5
-        assert all(l.startswith("PASS") for l in lines)
 
 
 # Every config field gets each of these; a field that only sets run length

@@ -1102,6 +1102,35 @@ class TestPredictAndTopK:
         with pytest.raises(IndexError, match=rf"curator index {bad} out of range \[0, 3\)"):
             top_k(model, 0, 0, 2, exclude=[1, bad])
 
+    def otc_6x5x3(self):
+        rng = np.random.default_rng(0)
+        return TrainedModel(
+            kind="OTC",
+            shape=(6, 5, 3),
+            config=TrainConfig(rank=2),
+            factors=FactorModel(rng.random((6, 2)), rng.random((5, 2)), rng.random((3, 2))),
+            loss_trace=(0.0,),
+        )
+
+    @pytest.mark.parametrize("call, got", [
+        (lambda m: top_k(m, 0, 0, 5, exclude=[1.5]), "float"),  # used to exclude curator 1
+        (lambda m: top_k(m, 0, 0, 5, exclude=[2.7]), "float"),  # used to exclude curator 2
+        (lambda m: score_curators(m, True, 0), "bool"),
+        (lambda m: score_curators(m, 0, 1.5), "float"),
+        (lambda m: score_curators(m, np.True_, 0), "bool"),
+        (lambda m: top_k(m, 0, 0, 5, exclude=[False]), "bool"),
+    ], ids=["exclude-1.5", "exclude-2.7", "user-True", "topic-1.5", "user-np.True_",
+            "exclude-False"])
+    def test_non_integer_scalar_index_rejected(self, call, got):
+        with pytest.raises(IndexError, match=rf"index must be an integer, got {got}"):
+            call(self.otc_6x5x3())
+
+    def test_numpy_integer_scalar_indices_accepted(self):
+        model = self.otc_6x5x3()
+        assert top_k(model, np.int64(4), np.int32(2), 5, exclude=[np.uint8(3)]) == \
+            top_k(model, 4, 2, 5, exclude=[3])
+        assert np.array_equal(score_curators(model, np.int16(5), 0), score_curators(model, 5, 0))
+
 
 def reference_top_indices(scores, k_items, exclude):
     """The set-difference-and-lexsort ranking that ``_top_indices`` replaced."""
@@ -1341,6 +1370,19 @@ class TestTrainModelDispatch:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=rf"^{prefix}ALS diverged \(non-finite loss"):
                 train_model(kind, train, TrainConfig(rank=3), None)
+
+    def test_non_finite_initial_loss_asks_for_rescaled_ratings(self):
+        # the loss overflows before any step: no step size is at fault
+        rng = np.random.default_rng(0)
+        flat = rng.choice(6 * 5 * 3, 40, replace=False)
+        train = ObservationTensor.from_flat((6, 5, 3), flat, rng.random(40) * 1e160)
+        smap = SensitiveMap(np.arange(5) % 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^gradient descent diverged \(non-finite loss "
+                               r"at iterate 0\); the loss at the initial factors is not "
+                               r"finite; rescale the ratings$"):
+                train_model("RTC", train, TrainConfig(rank=3), smap)
 
     def test_loop_stops_a_non_finite_initial_loss(self):
         # a trace that starts at inf would pass _converged at its first step

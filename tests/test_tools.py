@@ -1,4 +1,4 @@
-"""Smoke tests of tools/report_hashes.py on fairbench's tiny workloads."""
+"""Tests of tools/report_hashes.py on fairbench's tiny workloads, and of tools/src_lines.py."""
 
 import importlib.util
 import json
@@ -88,3 +88,65 @@ def test_metric_differences(tmp_path, edit, problem):
         assert lines[4] == "diff ks abs 0.000e+00 rel 0.000e+00"
     else:
         assert problems and problem in problems[0]
+
+
+src_lines = tool.load_module(ROOT / "tools" / "src_lines.py", "src_lines")
+
+SAMPLE = '''"""A module.
+
+Its docstring spans three lines and a blank one."""
+# a comment line
+
+X = 1  # a trailing comment is code's
+
+
+def f(a):
+    """One docstring line."""
+    text = """a string
+
+    of code"""
+    return a + len(text)
+'''
+
+
+def test_line_counts_by_kind():
+    counts = src_lines.line_counts(SAMPLE)
+    assert counts == {"total": 14, "code": 6, "docstring": 4, "comment": 1, "blank": 3}
+
+
+def test_package_counts_add_up():
+    for path in (ROOT / "src" / "fairtensor").glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        counts = src_lines.line_counts(source)
+        assert counts["total"] == len(source.splitlines())
+        assert sum(counts[kind] for kind in src_lines.KINDS[1:]) == counts["total"]
+
+
+def write_package(root, **modules):
+    package = root / "src" / "fairtensor"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    for name, source in modules.items():
+        (package / f"{name}.py").write_text(source, encoding="utf-8")
+    return root
+
+
+def test_against_lists_code_changes_only(tmp_path, capsys):
+    parent = write_package(tmp_path / "parent", a=SAMPLE, b="Y = 2\n", c="import os\n")
+    # docstrings, comments and layout change in a; f's body in b; c goes, d comes
+    edited = SAMPLE.replace("One docstring line.", "Another.").replace("# a comment line", "")
+    body = "Y = 2\n\n\ndef f(a):\n    return a\n"
+    change = write_package(tmp_path / "change", a=edited.replace("X = 1", "X = (\n    1)"),
+                           b=body, d="from .a import f\n")
+    assert src_lines.main(["--root", str(change), "--against", str(parent)]) == 0
+    out = capsys.readouterr().out.split("# code changes\n")[1].splitlines()
+    assert out == ["b.py f added", "c.py import os removed", "d.py from .a import added"]
+    again = write_package(tmp_path / "again", a=SAMPLE, b="Y = 3\n", c="import os\n")
+    assert src_lines.code_changes(src_lines._sources(again), src_lines._sources(parent)) == \
+        ["b.py Y changed"]
+    assert src_lines.code_changes(src_lines._sources(parent), src_lines._sources(parent)) == []
+
+
+def test_src_lines_root_without_package_exits_2(tmp_path, capsys):
+    assert src_lines.main(["--against", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
