@@ -26,10 +26,11 @@ from the non-sensitive columns only; all other kinds use every column.
 
 GD and ALS run one loop, :func:`_iterate`.  Constant blocks, the sensitive
 features and a slice's ones topic row, are never parameters, so they cannot
-drift.  Each solver builds its buffers and plans once per problem, so no
-iterate allocates an array the size of the cells times the rank, and the
-plans change no bit of any factor or trace.  Training is deterministic given
-(data, config, seed); trained models are immutable.
+drift.  Each solver builds its buffers and plans once per problem, and the
+plans change no bit of any factor or trace.  GD's buffers hold cell blocks;
+ALS holds one array the size of the cells times the rank, its design.
+Training is deterministic given (data, config, seed); trained models are
+immutable.
 """
 
 from __future__ import annotations
@@ -47,11 +48,14 @@ import numpy as np
 from .data import SensitiveMap
 from .errors import ConfigError, _check_dense_cells, _fits, check_fields, check_types, read_json
 from .tensor_core import (
+    CELL_BLOCK,
     FactorModel,
     ObservationTensor,
     _check_index,
-    _check_indices,
+    _cell_blocks,
+    _cell_indices,
     _fit_terms,
+    _gather,
     _model_rows,
     _row_buffers,
     _scatter_plan,
@@ -86,8 +90,6 @@ GROUP_AWARE_KINDS = ("RTC", "RMC", "FT", "FM")
 CHECKPOINT_VERSION = 1
 _INIT_SCALE = 0.1  # i.i.d. uniform [0, 0.1) init suits implicit 0/1 ratings
 _MIN_RIDGE = 1e-8
-# Cells per chunk of predict_cells' row gathers
-PREDICT_CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,7 @@ def _objective(
             parity, cell_weights = _parity_terms(preds, is0, cfg.parity_weight)
             value += parity
             resid = resid + cell_weights
-        grads = [g + cfg.lam * p for g, p in zip(scatter(resid), params)]
+        grads = [g + cfg.lam * p for g, p in zip(scatter(factors, resid, held=True), params)]
         if s is not None:
             ortho, g_ortho = ortho_penalty(params[1], s, cfg.ortho_weight)
             value += ortho
@@ -349,7 +351,9 @@ def _als(
     rows without cells are zero.  Each mode's plan, built once, sorts the
     cells by (row length, row), a row's cells kept in cell order, so the rows
     of one length L are one (rows, L, rank) slab of the design buffer, and
-    builds each length's Gram, right-hand-side and design views.  Per sweep,
+    builds each length's Gram, right-hand-side and design views.  The modes
+    share one design buffer: each half-sweep writes all of it before its
+    views read it.  Per sweep,
     each length makes one batched product for its rows' Grams and one for
     their right-hand sides, and one stacked solve per mode solves every
     nonempty row.  numpy's matmul loop makes, for each row, the call a
@@ -360,8 +364,9 @@ def _als(
     A cell's design row is the product of the other modes' rows.  When a
     mode's two other modes have fewer row pairs than the problem has cells,
     the half-sweep forms every pair's product once, a table, and takes one
-    table row per cell; otherwise it gathers each other mode's rows and
-    multiplies them.  Both give each element the same one product.
+    table row per cell; otherwise it gathers each other mode's rows, a cell
+    block at a time, and multiplies them.  Both give each element the same
+    one product.
     """
     ridge = cfg.lam
     if ridge == 0:
@@ -375,7 +380,8 @@ def _als(
     factors = list(params)
     rank = factors[0].shape[1]
     ridge_eye = ridge * np.eye(rank)
-    rows = _row_buffers(train, [rank] * len(factors))
+    rows = _row_buffers(train, [rank] * len(factors))  # one cell block's rows
+    design = np.empty((train.n_entries, rank))  # every mode's, in that mode's cell order
     plans = []
     for mode, u in enumerate(factors):
         counts = np.bincount(index[mode], minlength=u.shape[0])
@@ -388,14 +394,12 @@ def _als(
         table, gathers = None, [(other, index[other][order]) for other in others]
         if len(others) == 2 and sizes[0] * sizes[1] < train.n_entries:
             table, gathers = (*others, gathers[0][1] * sizes[1] + gathers[1][1]), []
-        # the design buffer: a one-topic slice's design is the other mode's rows
-        z = rows[mode] if len(others) > 1 else rows[others[0]]
         y = train.values[order]
         gram, rhs = np.empty((nonempty.size, rank, rank)), np.empty((nonempty.size, rank, 1))
         buckets, r0, c0 = [], 0, 0  # (zt, zb, y, gram, rhs) views of each row length
         for length, n in zip(lengths.tolist(), n_rows.tolist()):
             span = slice(c0, c0 + n * length)
-            zb = z[span].reshape(n, length, rank)  # a view of one slab
+            zb = design[span].reshape(n, length, rank)  # a view of one slab
             zt = zb.transpose(0, 2, 1)  # both operands view one buffer: syrk per row
             yb = y[span].reshape(n, length, 1)
             buckets.append((zt, zb, yb, gram[r0 : r0 + n], rhs[r0 : r0 + n]))
@@ -407,16 +411,19 @@ def _als(
 
     def sweep() -> float:
         for mode, (nonempty, table, gathers, buckets, gram, rhs) in enumerate(plans):
-            # the design, in this mode's cell order; this mode's row buffer is
-            # free until the next _fit_terms
+            # the design, in this mode's cell order, written whole before the
+            # bucket views read it
             if table is not None:
                 o1, o2, cells = table
                 pairs = (factors[o1][:, None, :] * factors[o2][None, :, :]).reshape(-1, rank)
-                np.take(pairs, cells, axis=0, out=rows[mode], mode="clip")
-            gathered = [np.take(factors[other], idx, axis=0, out=rows[other], mode="clip")
-                        for other, idx in gathers]
-            if len(gathered) == 2:
-                np.multiply(*gathered, out=rows[mode])
+                np.take(pairs, cells, axis=0, out=design, mode="clip")
+            elif len(gathers) == 1:  # a one-topic slice's design is the other mode's rows
+                ((other, cells),) = gathers
+                np.take(factors[other], cells, axis=0, out=design, mode="clip")
+            else:
+                us, idx = [factors[other] for other, _ in gathers], [g for _, g in gathers]
+                for part in _cell_blocks(train.n_entries):
+                    np.multiply(*_gather(us, idx, part, rows), out=design[part])
             for zt, zb, yb, g, r in buckets:
                 np.matmul(zt, zb, out=g)
                 np.matmul(zt, yb, out=r)
@@ -447,7 +454,7 @@ def parity_penalty(
     is0 = _group0_cells(obs.curators, groups)
     factors, rows = _model_rows(model, obs)
     value, cell_weights = _parity_terms(_fit_terms(obs, factors, 0.0, rows)[0], is0, weight)
-    return value, tuple(_scatter_plan(obs, factors, rows)(cell_weights))
+    return value, tuple(_scatter_plan(obs, factors, rows)(factors, cell_weights, held=True))
 
 
 def ortho_penalty(u: np.ndarray, s: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
@@ -515,9 +522,9 @@ def _training_layout(
     """The checks :func:`train_model` makes before it trains, and the layout.
 
     FT's and FM's ridge covers the whole curator factor, the constant
-    feature columns included.  The kind's factor set, gathered rows and ALS
-    Gram stack are each checked against ``MAX_DENSE_CELLS`` before any is
-    allocated.
+    feature columns included.  The kind's factor set, cell block rows and
+    ALS design and Gram stack are each checked against ``MAX_DENSE_CELLS``
+    before any is allocated.
     """
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -529,8 +536,10 @@ def _training_layout(
     modes = train.shape if is_tensor else train.shape[:2]  # a slice's ones row is no parameter
     problems = 1 if is_tensor else train.n_topics
     _check_dense_cells(problems * sum(modes) * total, f"{kind}'s factor set at width {total}")
-    _check_dense_cells(len(modes) * train.n_entries * total, f"{kind}'s gathered row set")
+    block = min(train.n_entries, CELL_BLOCK)
+    _check_dense_cells(len(modes) * block * total, f"{kind}'s cell block rows")
     if kind in ("OTC", "OMC"):
+        _check_dense_cells(train.n_entries * total, f"{kind}'s ALS design")
         _check_dense_cells(sum(modes) * total * total, f"{kind}'s ALS Gram stack")
     return _Layout(problems, modes, total, sens_cols)
 
@@ -630,18 +639,14 @@ def predict_cells(
 ) -> np.ndarray:
     """Vectorised :func:`predict` over parallel index arrays.
 
-    The cells' factor rows are gathered :data:`PREDICT_CHUNK_CELLS` cells at
-    a time, so memory beside the output does not grow with the cell count;
-    each cell's sum is the same whatever the chunk.
+    The cells' factor rows are gathered one :data:`~fairtensor.tensor_core.CELL_BLOCK`
+    of cells at a time, so memory beside the output does not grow with the
+    cell count; each cell's sum is the same whatever the block.
     """
-    users, curators, topics = (np.asarray(x) for x in (users, curators, topics))
-    if any(x.size and x.dtype.kind not in "iu" for x in (users, curators, topics)):
-        raise IndexError("cell indices must be integers")  # a cast would turn 0.5 into 0
-    _check_indices(model.shape, users, curators, topics)
+    users, curators, topics = _cell_indices(model.shape, users, curators, topics)
     a, b = model.topic_factors
     out = np.empty(users.size)
-    for start in range(0, users.size, PREDICT_CHUNK_CELLS):
-        part = slice(start, start + PREDICT_CHUNK_CELLS)
+    for part in _cell_blocks(users.size):
         t = topics[part]
         np.einsum("er,er->e", a[t, users[part]], b[t, curators[part]], out=out[part])
     return out

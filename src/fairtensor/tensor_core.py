@@ -8,19 +8,21 @@ CP sum of per-column products of the dense float64 factor matrices
 
 Losses and gradients only ever touch observed cells; unobserved cells are
 never imputed.  The public loss and gradient functions and the trainers run
-one cell kernel, :func:`_fit_terms` and :func:`_scatter_plan`.
+one cell kernel, :func:`_fit_terms` and :func:`_scatter_plan`, over blocks
+of :data:`CELL_BLOCK` cells: its buffers hold one block's rows, never a
+row per cell, and its bits do not depend on the block size.
 
 Entries are normalised to a canonical (user, curator, topic) sort order on
 construction so that losses and gradients are bit-reproducible across runs
 and platforms.  The public functions are pure: they never mutate their
 inputs and hold no global state, so concurrent use of them is safe.  A
-plan's buffers belong to the problem that built it.
+plan's block buffers belong to the problem that built it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -217,9 +219,19 @@ def _check_indices(shape: Sequence[int], *index: np.ndarray) -> None:
             _check_index(int(idx[bad][0]), bound, label)
 
 
+def _cell_indices(shape: Sequence[int], *index) -> list[np.ndarray]:
+    """Parallel (user, curator, topic) index arrays as numpy arrays, each of
+    an integer dtype and in range, an empty one as intp: an
+    :class:`IndexError` otherwise."""
+    index = [np.asarray(x) if np.size(x) else np.empty(0, dtype=np.intp) for x in index]
+    if any(x.dtype.kind not in "iu" for x in index):
+        raise IndexError("cell indices must be integers")  # a cast would turn 0.5 into 0
+    _check_indices(shape, *index)
+    return index
+
+
 def cp_entry(model: FactorModel, i: int, j: int, k: int) -> float:
     """Reconstructed score of one cell: :func:`cp_entries` of that cell."""
-    _check_indices(model.shape, *np.atleast_1d(i, j, k))
     return float(cp_entries(model, [i], [j], [k])[0])
 
 
@@ -227,6 +239,7 @@ def cp_entries(
     model: FactorModel, users: np.ndarray, curators: np.ndarray, topics: np.ndarray
 ) -> np.ndarray:
     """Vectorised :func:`cp_entry` over parallel index arrays."""
+    users, curators, topics = _cell_indices(model.shape, users, curators, topics)
     return np.einsum(
         "er,er,er->e", model.u_users[users], model.u_curators[curators], model.u_topics[topics]
     )
@@ -239,94 +252,116 @@ def _check_dims(model: FactorModel, obs: ObservationTensor) -> None:
         )
 
 
+# Cells per block of the cell kernel: at rank 20 a block's row, contribution
+# and bin buffers fit in a 2 MB L2 cache
+CELL_BLOCK = 2048
+
+
+def _cell_blocks(n_cells: int) -> list[slice]:
+    """Consecutive slices of at most :data:`CELL_BLOCK` of ``n_cells`` cells;
+    no cells are one empty block."""
+    return [slice(start, start + CELL_BLOCK) for start in range(0, max(n_cells, 1), CELL_BLOCK)]
+
+
 def _row_buffers(train: ObservationTensor, widths: Sequence[int]) -> list[np.ndarray]:
-    """One (cells, width) buffer per factor, for :func:`_fit_terms` to gather
-    into; a problem allocates them once, not once per iterate."""
-    return [np.empty((train.n_entries, w)) for w in widths]
+    """One (block, width) buffer per factor, for :func:`_gather` to fill."""
+    return [np.empty((min(train.n_entries, CELL_BLOCK), w)) for w in widths]
+
+
+def _gather(
+    factors: Sequence[np.ndarray], index: Sequence[np.ndarray], part: slice,
+    rows: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Each factor's rows at its ``index[part]``, gathered into its buffer of ``rows``."""
+    out = []
+    for u, idx, buf in zip(factors, index, rows):
+        idx = idx[part]
+        out.append(np.take(u, idx, axis=0, out=buf[: idx.size], mode="clip"))  # "raise" copies
+    return out
 
 
 def _fit_terms(
     train: ObservationTensor, factors: list[np.ndarray], lam: float, rows: list[np.ndarray]
 ):
-    """(predictions, residuals, masked ridge loss) of the cells, with each
-    factor's rows of the cells gathered into its buffer of ``rows``.
+    """(predictions, residuals, masked ridge loss) of the cells, one cell
+    block's rows at a time; a cell's sum does not depend on its block.  The
+    blocks run last to first, so the first block's rows stay in ``rows``.
 
     A one-topic slice passes no topic factor: it is a constant row of ones,
     so the CP products leave it out, and the ridge covers only the factors
     the model stores.
     """
-    for u, idx, out in zip(factors, (train.users, train.curators, train.topics), rows):
-        np.take(u, idx, axis=0, out=out, mode="clip")  # "raise" would gather into a copy
-    preds = np.einsum(",".join(["er"] * len(rows)) + "->e", *rows)
+    index, preds = (train.users, train.curators, train.topics), np.empty(train.n_entries)
+    spec = ",".join(["er"] * len(factors)) + "->e"
+    for part in reversed(_cell_blocks(train.n_entries)):
+        np.einsum(spec, *_gather(factors, index, part, rows), out=preds[part])
     resid = preds - train.values
     reg = sum(float(np.sum(u * u)) for u in factors)
     return preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
 
 
-def _cell_bins(index: np.ndarray, rank: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Flat (row, column) bins ``index * rank + column`` of a (cells, rank)
-    array, in cell order; written into the intp buffer ``out`` when given."""
-    size = index.size * rank
-    bins = np.empty(size, dtype=np.intp) if out is None else out[:size]
-    cell_bins = bins.reshape(index.size, rank)
-    np.multiply(index[:, None], rank, out=cell_bins)
-    np.add(cell_bins, np.arange(rank), out=cell_bins)
-    return bins
-
-
-def _scatter_rows(
-    index: np.ndarray, contrib: np.ndarray, n_rows: int, bins: np.ndarray | None = None
-) -> np.ndarray:
-    """Row sums ``out[index[e]] += contrib[e]`` of a (cells, rank) array.
-
-    One bincount over the flattened (row, column) bins of :func:`_cell_bins`,
-    in which each bin gets its additions in cell order; ``bins``, when given,
-    are those bins prebuilt (intp, ``contrib.size`` entries).
-    """
-    rank = contrib.shape[1]
-    if bins is None:
-        bins = _cell_bins(index, rank)
-    out = np.bincount(bins, weights=contrib.ravel(), minlength=n_rows * rank)
-    return out.reshape(n_rows, rank)
-
-
 def _scatter_plan(
-    train: ObservationTensor, blocks: Sequence[np.ndarray], rows: list[np.ndarray]
-) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
-    """``scatter(w)`` yields the gradients of ``sum_e w_e * score_e`` w.r.t. the
-    free ``blocks`` (their shapes fix the plan) in block order, from the rows
-    that the last :func:`_fit_terms` gathered into ``rows``, which may be
-    wider than a block; a caller that adds the ridge as they come holds one
-    unfinished gradient at a time.
+    train: ObservationTensor, params: Sequence[np.ndarray], rows: list[np.ndarray]
+) -> Callable[..., list[np.ndarray]]:
+    """``scatter(factors, w, held=False)`` gives the gradients of
+    ``sum_e w_e * score_e`` w.r.t. the free ``params`` (their shapes fix the
+    plan), one cell block at a time: it gathers the block's rows of
+    ``factors``, which may be wider than a parameter, into ``rows``, and adds
+    each parameter's contributions to its running row sums.  ``held`` says
+    that ``rows`` hold the first block's rows already, as :func:`_fit_terms`
+    leaves them.
 
-    The plan holds one contribution and one intp buffer, as wide as the
-    widest block, and each block's bins, built once in the narrowest unsigned
-    type that holds them.  ``w * a`` is formed once, in place of ``rows[0]``:
-    every contribution is ``((w * x) * y)``, the order that the bits depend on.
+    ``w * a`` is formed once per block, in place of the first factor's rows:
+    every contribution is ``((w * x) * y)``, the order that the bits depend
+    on.  Each sum is a bincount over flat (row, column) bins, so each bin
+    gets its additions in cell order: the first block's bincount starts the
+    sums, and each later one continues those of the rows ``lo:hi`` that the
+    block touches, which it takes as its first weights.  A sum that starts
+    at +0.0 is never -0.0, so ``0.0 + sum`` is the sum, and the bits are
+    those of one bincount over every cell.  The plan holds each block's row
+    bounds, one contribution and one intp bin buffer, each a block as wide
+    as the widest parameter plus the widest running sum.
     """
     index = (train.users, train.curators, train.topics)
-    n = train.n_entries
-    shapes = [b.shape for b in blocks]
-    widest = max(w for _, w in shapes)
-    contrib, wide = np.empty(n * widest), np.empty(n * widest, dtype=np.intp)
-    bins = [_cell_bins(idx, w, wide).astype(np.min_scalar_type(n_rows * w))
-            for idx, (n_rows, w) in zip(index, shapes)]
+    shapes = [p.shape for p in params]
+    tables = [np.arange(n_rows * w).reshape(n_rows, w) for n_rows, w in shapes]  # the bins
+    blocks = _cell_blocks(train.n_entries)
+    bounds = [[(int(idx[part].min()), int(idx[part].max()) + 1) for part in blocks[1:]]
+              for idx in index[: len(shapes)]]
+    size = rows[0].shape[0] * max(w for _, w in shapes) + max(t.size for t in tables)
+    contrib, wide = np.empty(size), np.empty(size, dtype=np.intp)
 
-    def scatter(weights: np.ndarray) -> Iterator[np.ndarray]:
-        for mode, (n_rows, w) in enumerate(shapes):
-            if mode == 1:  # the first block's rows are free after its scatter
-                np.multiply(weights[:, None], rows[0], out=rows[0])
-            head = weights[:, None] if mode == 0 else rows[0][:, :w]
-            others = [r[:, :w] for other, r in enumerate(rows) if other not in (0, mode)]
-            c = contrib[: n * w].reshape(n, w)
-            if others:
-                np.multiply(head, others[0], out=c)
-            else:  # a one-topic slice's curator block: w * a is its contribution
-                np.copyto(c, head)
-            for x in others[1:]:
-                np.multiply(c, x, out=c)
-            np.copyto(wide[: c.size], bins[mode])
-            yield _scatter_rows(index[mode], c, n_rows, wide[: c.size])
+    def scatter(factors: list[np.ndarray], weights: np.ndarray, held: bool = False):
+        grads: list = [None] * len(shapes)
+        for k, part in enumerate(blocks):
+            w_b = weights[part, None]
+            n = w_b.shape[0]
+            got = [r[:n] for r in rows] if held and not k else _gather(factors, index, part, rows)
+            for mode, (n_rows, w) in enumerate(shapes):
+                if mode == 1:  # the first factor's rows are free after its contribution
+                    np.multiply(w_b, got[0], out=got[0])
+                head = w_b if mode == 0 else got[0][:, :w]
+                others = [r[:, :w] for other, r in enumerate(got) if other not in (0, mode)]
+                lo, hi = bounds[mode][k - 1] if k else (0, 0)
+                span = (hi - lo) * w  # the running sums that this block continues
+                c = contrib[span : span + n * w].reshape(n, w)
+                if others:
+                    np.multiply(head, others[0], out=c)
+                else:  # a one-topic slice's curator parameter: w * a is its contribution
+                    np.copyto(c, head)
+                for x in others[1:]:
+                    np.multiply(c, x, out=c)
+                idx = index[mode][part] - lo if lo else index[mode][part]
+                np.take(tables[mode], idx, axis=0, out=wide[span : span + n * w].reshape(n, w),
+                        mode="clip")
+                if not k:
+                    grads[mode] = np.bincount(wide[: n * w], contrib[: n * w], n_rows * w)
+                    continue
+                np.copyto(wide[:span], tables[mode].ravel()[:span])
+                sums = grads[mode][lo * w : hi * w]
+                np.copyto(contrib[:span], sums)
+                sums[:] = np.bincount(wide[: span + n * w], contrib[: span + n * w], span)
+        return [g.reshape(shape) for g, shape in zip(grads, shapes)]
 
     return scatter
 
@@ -360,8 +395,7 @@ def scatter_cell_gradient(
     suitable per-cell weight vector.
     """
     factors, rows = _model_rows(model, obs)
-    _fit_terms(obs, factors, 0.0, rows)  # gathers the rows
-    return tuple(_scatter_plan(obs, factors, rows)(cell_weights))
+    return tuple(_scatter_plan(obs, factors, rows)(factors, cell_weights))
 
 
 def masked_gradient(
@@ -370,4 +404,5 @@ def masked_gradient(
     """Gradient of :func:`masked_loss` w.r.t. each factor matrix."""
     factors, rows = _model_rows(model, obs)
     resid = _fit_terms(obs, factors, lam, rows)[1]
-    return tuple(g + lam * u for g, u in zip(_scatter_plan(obs, factors, rows)(resid), factors))
+    grads = _scatter_plan(obs, factors, rows)(factors, resid, held=True)
+    return tuple(g + lam * u for g, u in zip(grads, factors))

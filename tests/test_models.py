@@ -17,7 +17,7 @@ from fairtensor.data import (
     split,
     synth_generate,
 )
-from fairtensor import models
+from fairtensor import models, tensor_core
 from fairtensor.errors import ConfigError
 from fairtensor.harness import _full_scope_chunks
 from fairtensor.metrics import GroupedScores, group_fairness, ks, mad
@@ -28,11 +28,9 @@ from fairtensor.models import (
     _converged,
     _descend,
     _fit,
-    _fit_terms,
     _init_factors,
     _objective,
     _parity_terms,
-    _row_buffers,
     _top_indices,
     load_checkpoint,
     ortho_penalty,
@@ -48,7 +46,6 @@ from fairtensor.models import (
 from fairtensor.tensor_core import (
     FactorModel,
     ObservationTensor,
-    _scatter_rows,
     cp_entries,
     masked_gradient,
     masked_loss,
@@ -154,18 +151,28 @@ def _als_rows(target_idx, design, values, n_rows, ridge):
     return out
 
 
+def unblocked_fit_terms(train, factors, lam):
+    """(predictions, residuals, masked ridge loss) from every cell's rows at
+    once, with the kernel's one-topic rule: a slice passes no topic factor."""
+    index = (train.users, train.curators, train.topics)
+    rows = [u[idx] for u, idx in zip(factors, index)]
+    preds = np.einsum(",".join(["er"] * len(rows)) + "->e", *rows)
+    resid = preds - train.values
+    reg = sum(float(np.sum(u * u)) for u in factors)
+    return preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
+
+
 def reference_als(train, params, cfg):
     """ALS built on :func:`_als_rows`, with ``_als``'s sweep order and stop rule."""
     index = (train.users, train.curators, train.topics)
     factors = list(params)
-    rows = _row_buffers(train, [u.shape[1] for u in factors])
-    trace = [_fit_terms(train, factors, cfg.lam, rows)[2]]
+    trace = [unblocked_fit_terms(train, factors, cfg.lam)[2]]
     for _ in range(cfg.max_iters):
         for mode in range(len(factors)):
             others = [u[index[other]] for other, u in enumerate(factors) if other != mode]
             factors[mode] = _als_rows(index[mode], reduce(np.multiply, others),
                                       train.values, factors[mode].shape[0], cfg.lam)
-        trace.append(_fit_terms(train, factors, cfg.lam, rows)[2])
+        trace.append(unblocked_fit_terms(train, factors, cfg.lam)[2])
         if _converged(trace[-2], trace[-1], cfg.tol):
             break
     return factors, trace
@@ -311,6 +318,13 @@ class TestAlsKernel:
             assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("one_topic", [False, True])
+    @pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+    def test_bucket_plans_bit_equal_across_cell_blocks(self, case, one_topic, monkeypatch):
+        # the loss and each gathered design, seven cells at a time
+        monkeypatch.setattr(tensor_core, "CELL_BLOCK", 7)
+        self.test_bucket_plans_bit_equal_to_reference(case, one_topic)
+
+    @pytest.mark.parametrize("one_topic", [False, True])
     def test_rows_without_cells_are_zero(self, one_topic):
         # users 1 and 3, curator 0 and (for the tensor) topic 1 have no cells
         entries = [(0, 1, 0, 1.0), (2, 2, 0, 0.5), (2, 1, 2, -1.0), (0, 2, 2, 2.0)]
@@ -328,28 +342,29 @@ class TestAlsKernel:
 
 
 def reference_objective(train, cfg, params, groups=None, s=None):
-    """``_objective`` without a plan: each call builds its scatter bins and
-    multiplies every block's contribution by the residual afresh."""
+    """``_objective`` without a plan or cell blocks: each call gathers every
+    cell's rows, multiplies every parameter's contribution by the residual
+    afresh and adds it up with ``np.add.at``, which adds in cell order."""
     index = (train.users, train.curators, train.topics)
     is0 = None if groups is None else groups[train.curators] == 0
-    widths = [p.shape[1] for p in params]
-    features = 0 if s is None else s.shape[1]
-    rows = _row_buffers(train, [widths[0], widths[1] + features, *widths[2:]])
 
     def objective(params):
         factors = params if s is None else [params[0], np.hstack([params[1], s]), *params[2:]]
-        preds, resid, value = _fit_terms(train, factors, cfg.lam, rows)
+        preds, resid, value = unblocked_fit_terms(train, factors, cfg.lam)
         if is0 is not None:
             parity, cell_weights = _parity_terms(preds, is0, cfg.parity_weight)
             value += parity
             resid = resid + cell_weights
+        rows = [u[idx] for u, idx in zip(factors, index)]
         grads = []
         for mode, p in enumerate(params):
             others = [r[:, : p.shape[1]] for other, r in enumerate(rows) if other != mode]
             c = resid[:, None] * others[0]
             for x in others[1:]:
                 c = c * x
-            grads.append(_scatter_rows(index[mode], c, p.shape[0]) + cfg.lam * p)
+            g = np.zeros(p.shape)
+            np.add.at(g, index[mode], c)
+            grads.append(g + cfg.lam * p)
         if s is not None:
             ortho, g_ortho = ortho_penalty(params[1], s, cfg.ortho_weight)
             value += ortho
@@ -374,7 +389,13 @@ OBJECTIVE_CASES = {
 class TestObjectivePlan:
     @pytest.mark.parametrize("term", ["plain", "parity", "ortho"])
     @pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
-    def test_descent_bit_equal_to_per_call_reference(self, case, term):
+    def test_descent_bit_equal_to_per_call_reference(self, case, term, monkeypatch):
+        # every case at cell blocks of 1 and 7 cells too, so it spans many blocks
+        for block in (1, 7, tensor_core.CELL_BLOCK):
+            monkeypatch.setattr(tensor_core, "CELL_BLOCK", block)
+            self.check_descent(case, term)
+
+    def check_descent(self, case, term):
         shape, one_topic, rank, widest = OBJECTIVE_CASES[case]
         rng = np.random.default_rng(sorted(OBJECTIVE_CASES).index(case))
         flat = rng.choice(np.prod(shape), min(60, np.prod(shape) // 2), replace=False)
@@ -397,10 +418,49 @@ class TestObjectivePlan:
         want_fn = reference_objective(train, cfg, params, **extra)
         for _ in range(5):
             (got, got_grads), (want, want_grads) = got_fn(params), want_fn(params)
-            assert math.isfinite(want) and got == want
+            assert math.isfinite(want) and got == want, tensor_core.CELL_BLOCK
             for g, w in zip(got_grads, want_grads, strict=True):
-                assert g.tobytes() == w.tobytes()
+                assert g.tobytes() == w.tobytes(), tensor_core.CELL_BLOCK
             params = [p - 0.01 * g for p, g in zip(params, want_grads)]
+
+
+class TestCellBlockMemory:
+    """A problem's buffers are cell blocks, whatever its cell count: no GD
+    objective holds a (cells, rank) array, and ALS holds one, its design."""
+
+    RANK = 20
+
+    def problem(self):
+        # 60,000 cells: one (cells, rank) float64 array takes 9.6 MB, one
+        # cell block's rows 0.3 MB
+        shape = (300, 200, 10)
+        rng = np.random.default_rng(11)
+        flat = rng.choice(np.prod(shape), 60_000, replace=False)
+        return ObservationTensor.from_flat(shape, flat, rng.uniform(size=flat.size))
+
+    def test_objective_holds_no_cells_by_rank_array(self):
+        train = self.problem()
+        cfg = TrainConfig(rank=self.RANK)
+        params = _init_factors(np.random.default_rng(0), train.shape, self.RANK)
+        groups = np.arange(train.n_curators) % 2
+        tracemalloc.start()
+        try:
+            _objective(train, cfg, params, groups=groups)(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < train.n_entries * self.RANK * 8
+
+    def test_als_holds_one_cells_by_rank_array(self):
+        train = self.problem()
+        cfg = TrainConfig(rank=self.RANK, max_iters=1)
+        tracemalloc.start()
+        try:
+            train_problem("OTC", train, cfg, None, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * train.n_entries * self.RANK * 8
 
 
 class TestTrainRtc:
@@ -956,7 +1016,7 @@ class TestScoringPath:
 
 
 class TestPredictCellsChunks:
-    """predict_cells gathers PREDICT_CHUNK_CELLS cells' rows at a time."""
+    """predict_cells gathers one CELL_BLOCK of cells' rows at a time."""
 
     def random_cells(self, shape, n_cells, seed=6):
         rng = np.random.default_rng(seed)
@@ -971,7 +1031,7 @@ class TestPredictCellsChunks:
             model = train_model(kind, ds.train, TrainConfig(rank=20, max_iters=2, seed=1), smap)
             a, b = model.topic_factors
             want = np.einsum("er,er->e", a[topics, users], b[topics, curators])
-            monkeypatch.setattr(models, "PREDICT_CHUNK_CELLS", chunk)
+            monkeypatch.setattr(tensor_core, "CELL_BLOCK", chunk)
             assert predict_cells(model, *cells).tobytes() == want.tobytes(), kind
 
     def test_peak_is_one_chunk_of_rows(self):
@@ -987,7 +1047,7 @@ class TestPredictCellsChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output and one chunk's two (cells, rank) gathers, 1.6 + 2.1 MB;
+        # the output and one block's two (cells, rank) gathers, 1.6 + 0.3 MB;
         # gathering every cell's rows at once takes 25.6 MB
         assert peak < 2 * n_cells * rank * 8 / 4
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairtensor import tensor_core
 from fairtensor.tensor_core import (
     FactorModel,
     ObservationTensor,
-    _scatter_rows,
     cp_entries,
     cp_entry,
     masked_gradient,
@@ -136,6 +136,24 @@ class TestCpEntry:
         with pytest.raises(IndexError):
             cp_entry(model, 0, -1, 0)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.5, np.float64(0.0), "1"])
+    def test_non_integer_index_rejected(self, axis, bad):
+        model = FactorModel(np.ones((6, 1)), np.ones((5, 1)), np.ones((3, 1)))
+        index = [0, 0, 0]
+        index[axis] = bad
+        with pytest.raises(IndexError, match="cell indices must be integers"):
+            cp_entry(model, *index)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_negative_and_past_the_end_index_rejected(self, axis):
+        model = FactorModel(np.ones((6, 1)), np.ones((5, 1)), np.ones((3, 1)))
+        for bad in (-1, model.shape[axis]):
+            index = [0, 0, 0]
+            index[axis] = bad
+            with pytest.raises(IndexError, match=f"index {bad} out of range"):
+                cp_entry(model, *index)
+
     def test_column_partition_linearity(self):
         # the score of a cell is a sum over columns: the models built from
         # any partition of the columns sum to the full model's score
@@ -247,6 +265,36 @@ class TestMaskedGradient:
 
 
 class TestCpEntries:
+    def model(self):
+        rng = np.random.default_rng(3)
+        return FactorModel(*(rng.uniform(size=(d, 2)) for d in (6, 5, 3)))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [
+        [True], np.array([False, True]), [0.0], np.array([1.5]), ["0"],
+    ], ids=["bool-list", "bool-mask", "float-list", "float-array", "str"])
+    def test_non_integer_indices_rejected(self, axis, bad):
+        index = [[0], [0], [0]]
+        index[axis] = bad
+        with pytest.raises(IndexError, match="cell indices must be integers"):
+            cp_entries(self.model(), *index)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_negative_and_past_the_end_indices_rejected(self, axis):
+        # a negative index would wrap to the last row's score
+        model = self.model()
+        for bad in (-1, model.shape[axis]):
+            index = [[0, 1], [0, 1], [0, 1]]
+            index[axis] = [1, bad]
+            with pytest.raises(IndexError, match=f"index {bad} out of range"):
+                cp_entries(model, *index)
+
+    def test_unsigned_and_empty_indices_accepted(self):
+        model = self.model()
+        got = cp_entries(model, np.array([5], dtype=np.uint8), [4], np.array([2], dtype=np.uint64))
+        assert got.tobytes() == cp_entries(model, [5], [4], [2]).tobytes()
+        assert cp_entries(model, [], [], []).shape == (0,)
+
     def test_matches_scalar_entry(self):
         rng = np.random.default_rng(8)
         model, obs = random_model_and_obs(rng)
@@ -292,14 +340,32 @@ class TestKernelProperties:
 
     @PROPERTY
     @given(st.data())
-    def test_scatter_rows_matches_add_at(self, data):
-        n_rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
-        index = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=30)),
-                         dtype=np.int64)
-        contrib = data.draw(matrices(index.size, cols))
-        want = np.zeros((n_rows, cols))
-        np.add.at(want, index, contrib)
-        assert np.array_equal(_scatter_rows(index, contrib, n_rows), want)
+    def test_scatter_across_cell_blocks_matches_add_at(self, data):
+        # the running sums of many cell blocks, signed zeros among the
+        # weights, are bit for bit one add.at over every cell
+        n, m, kk = (data.draw(st.integers(1, 4)) for _ in range(3))
+        rank = data.draw(st.integers(1, 4))
+        u1, u2, u3 = (data.draw(matrices(d, rank)) for d in (n, m, kk))
+        cells = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, kk - 1)),
+            max_size=30,
+        ))
+        obs = ObservationTensor.from_entries(n, m, kk, [(*c, 0.0) for c in cells])
+        weights = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), reals),
+            min_size=obs.n_entries, max_size=obs.n_entries,
+        )), dtype=np.float64)
+        a, b, c = u1[obs.users], u2[obs.curators], u3[obs.topics]
+        w = weights[:, None]
+        want = [np.zeros_like(u) for u in (u1, u2, u3)]
+        np.add.at(want[0], obs.users, (w * b) * c)
+        np.add.at(want[1], obs.curators, (w * a) * c)
+        np.add.at(want[2], obs.topics, (w * a) * b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_core, "CELL_BLOCK", data.draw(st.integers(1, 8)))
+            got = scatter_cell_gradient(FactorModel(u1, u2, u3), obs, weights)
+        for g, ref in zip(got, want, strict=True):
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
 
     @PROPERTY
     @given(st.data())

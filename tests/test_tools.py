@@ -1,8 +1,12 @@
-"""Tests of tools/report_hashes.py on fairbench's tiny workloads, and of tools/src_lines.py."""
+"""Tests of tools/report_hashes.py on fairbench's tiny workloads, and of
+tools/src_lines.py and tools/peak_rss.py."""
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,3 +154,36 @@ def test_against_lists_code_changes_only(tmp_path, capsys):
 def test_src_lines_root_without_package_exits_2(tmp_path, capsys):
     assert src_lines.main(["--against", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+PEAK_RSS = ROOT / "tools" / "peak_rss.py"
+
+
+def peak_rss(*args, threads=None):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, str(PEAK_RSS), *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("threads", [None, 1], ids=["blas-unset", "one-blas-thread"])
+def test_peak_rss_prints_both_peaks(tmp_path, threads):
+    synth = dict(n_users=25, n_curators=12, n_topics=2, true_rank=2, group_ratio=0.5,
+                 bias_strength=0.2, target_sparsity=0.15, seed=3)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"synth": synth, "k": 3, "models": ["OTC", "RTC"],
+                                  "train": {"rank": 3, "max_iters": 5}}), encoding="utf-8")
+    res = peak_rss("--config", str(config), threads=threads)
+    assert res.returncode == 0, res.stderr
+    lines = [line.split() for line in res.stdout.splitlines()]
+    assert [name for name, _ in lines] == ["self_mb", "workers_mb"]
+    self_mb, workers_mb = (float(value) for _, value in lines)
+    assert self_mb > 0 and workers_mb >= 0
+
+
+def test_peak_rss_bad_config_exits_2(tmp_path):
+    res = peak_rss("--config", str(tmp_path / "absent.json"))
+    assert res.returncode == 2 and res.stderr.startswith("error:") and not res.stdout
+    res = peak_rss("--config", str(tmp_path / "absent.json"), "--root", str(tmp_path))
+    assert res.returncode == 2 and "has no src/fairtensor" in res.stderr
