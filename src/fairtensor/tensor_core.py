@@ -319,13 +319,15 @@ def _scatter_plan(
     block touches, which it takes as its first weights.  A sum that starts
     at +0.0 is never -0.0, so ``0.0 + sum`` is the sum, and the bits are
     those of one bincount over every cell.  The plan holds each block's row
-    bounds, one contribution and one intp bin buffer, each a block as wide
-    as the widest parameter plus the widest running sum.
+    bounds, the first block's bins, which are all the bins of a problem of
+    one block, and one contribution and one intp bin buffer, each a block as
+    wide as the widest parameter plus the widest running sum.
     """
     index = (train.users, train.curators, train.topics)
     shapes = [p.shape for p in params]
     tables = [np.arange(n_rows * w).reshape(n_rows, w) for n_rows, w in shapes]  # the bins
     blocks = _cell_blocks(train.n_entries)
+    first = [t[idx[blocks[0]]].ravel() for t, idx in zip(tables, index)]
     bounds = [[(int(idx[part].min()), int(idx[part].max()) + 1) for part in blocks[1:]]
               for idx in index[: len(shapes)]]
     size = rows[0].shape[0] * max(w for _, w in shapes) + max(t.size for t in tables)
@@ -351,12 +353,12 @@ def _scatter_plan(
                     np.copyto(c, head)
                 for x in others[1:]:
                     np.multiply(c, x, out=c)
+                if not k:
+                    grads[mode] = np.bincount(first[mode], contrib[: n * w], n_rows * w)
+                    continue
                 idx = index[mode][part] - lo if lo else index[mode][part]
                 np.take(tables[mode], idx, axis=0, out=wide[span : span + n * w].reshape(n, w),
                         mode="clip")
-                if not k:
-                    grads[mode] = np.bincount(wide[: n * w], contrib[: n * w], n_rows * w)
-                    continue
                 np.copyto(wide[:span], tables[mode].ravel()[:span])
                 sums = grads[mode][lo * w : hi * w]
                 np.copyto(contrib[:span], sums)

@@ -341,20 +341,18 @@ class TestKernelProperties:
     @PROPERTY
     @given(st.data())
     def test_scatter_across_cell_blocks_matches_add_at(self, data):
-        # the running sums of many cell blocks, signed zeros among the
-        # weights, are bit for bit one add.at over every cell
-        n, m, kk = (data.draw(st.integers(1, 4)) for _ in range(3))
+        # the running sums of many cell blocks are bit for bit one add.at
+        # over every cell; random normal values round on most additions,
+        # and signed zeros among the weights test the sums' start
+        n, m, kk = (data.draw(st.integers(2, 4)) for _ in range(3))
         rank = data.draw(st.integers(1, 4))
-        u1, u2, u3 = (data.draw(matrices(d, rank)) for d in (n, m, kk))
-        cells = data.draw(st.sets(
-            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, kk - 1)),
-            max_size=30,
-        ))
-        obs = ObservationTensor.from_entries(n, m, kk, [(*c, 0.0) for c in cells])
-        weights = np.array(data.draw(st.lists(
-            st.one_of(st.sampled_from([0.0, -0.0]), reals),
-            min_size=obs.n_entries, max_size=obs.n_entries,
-        )), dtype=np.float64)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u1, u2, u3 = (rng.normal(size=(d, rank)) for d in (n, m, kk))
+        flat = rng.choice(n * m * kk, min(n * m * kk, data.draw(st.integers(8, 40))), replace=False)
+        obs = ObservationTensor.from_flat((n, m, kk), flat, np.zeros(flat.size))
+        zeros = data.draw(st.lists(st.sampled_from([None, 0.0, -0.0]),
+                                   min_size=obs.n_entries, max_size=obs.n_entries))
+        weights = np.array([rng.normal() if z is None else z for z in zeros])
         a, b, c = u1[obs.users], u2[obs.curators], u3[obs.topics]
         w = weights[:, None]
         want = [np.zeros_like(u) for u in (u1, u2, u3)]
@@ -362,7 +360,7 @@ class TestKernelProperties:
         np.add.at(want[1], obs.curators, (w * a) * c)
         np.add.at(want[2], obs.topics, (w * a) * b)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tensor_core, "CELL_BLOCK", data.draw(st.integers(1, 8)))
+            mp.setattr(tensor_core, "CELL_BLOCK", data.draw(st.sampled_from([1, 2, 3, 7])))
             got = scatter_cell_gradient(FactorModel(u1, u2, u3), obs, weights)
         for g, ref in zip(got, want, strict=True):
             assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
