@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (
     ConfigError, EmptyDatasetError, ParseError, SplitError, _check_dense_cells, check_types
 )
-from .tensor_core import ObservationTensor
+from .tensor_core import ObservationTensor, _cell_indices
 
 __all__ = [
     "IdMaps",
@@ -68,17 +68,19 @@ class SensitiveMap:
 
     ``matrix`` expands the labels to the one-hot feature matrix S = [s0 s1]
     whose rows are (1, 0) for group 0 and (0, 1) for group 1; the two columns
-    sum to the all-ones vector.
+    sum to the all-ones vector.  The labels may be of any numpy integer
+    dtype; float and bool labels are a :class:`ValueError`, never cast.
     """
 
     groups: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.groups, dtype=np.int64).ravel()
+        try:  # a label is an index in [0, 2)
+            g = _cell_indices([2], self.groups, labels=["group"])[0].astype(np.int64).ravel()
+        except IndexError:
+            raise ValueError("group labels must be 0 or 1, of an integer dtype") from None
         if g.size == 0:
             raise ValueError("sensitive map must cover at least one curator")
-        if not np.all((g == 0) | (g == 1)):
-            raise ValueError("group labels must be 0 or 1")
         g.flags.writeable = False
         object.__setattr__(self, "groups", g)
 

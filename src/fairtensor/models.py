@@ -56,6 +56,7 @@ from .tensor_core import (
     _cell_indices,
     _fit_terms,
     _gather,
+    _is_int,
     _model_rows,
     _row_buffers,
     _scatter_plan,
@@ -159,8 +160,9 @@ class TrainedModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not all(_fits(int, d) or isinstance(d, np.integer) for d in self.shape):
+        if not all(map(_is_int, self.shape)):
             raise ValueError(f"dimensions must be ints, got {self.shape}")
+        object.__setattr__(self, "shape", tuple(map(int, self.shape)))  # JSON-shaped
         if self.kind in TENSOR_KINDS:
             if self.factors is None or self.loss_trace is None:
                 raise ValueError("tensor kinds need factors and a loss trace")
@@ -562,10 +564,11 @@ def train_problem(
     problems before it, one draw per value, and its factors are bit for bit
     those it gets inside :func:`train_model`.  An empty slice gets zero
     factors (FM's keep the features) and an empty trace.  A slice's errors
-    name its topic.
+    name its topic.  ``index`` may be a Python or numpy integer; a float or
+    a bool is an :class:`IndexError`.
     """
     n_problems, modes, width, sens_cols = _training_layout(kind, train, cfg, sensitive)
-    if not (_fits(int, index) and 0 <= index < n_problems):
+    if not (_is_int(index) and 0 <= index < n_problems):
         raise IndexError(f"{kind} has no problem {index!r} (it has {n_problems})")
     rng = np.random.default_rng(cfg.seed)
     obs, prefix = train, ""
@@ -681,7 +684,7 @@ def _top_indices(scores: np.ndarray, k_items: int, exclude: Sequence[int]) -> np
     candidate.
     """
     keep = np.ones(scores.size, dtype=bool)
-    keep[np.asarray(list(exclude), dtype=np.int64)] = False
+    keep[np.fromiter(exclude, np.intp, len(exclude))] = False
     cand = np.flatnonzero(keep)
     neg = -scores[cand]
     if cand.size > k_items:
@@ -703,9 +706,11 @@ def top_k(
 
     Ties break toward the lower curator index; curators in ``exclude``
     (typically the pair's training positives) are omitted.  The list length
-    is min(k_items, number of non-excluded curators).
+    is min(k_items, number of non-excluded curators).  Every argument but
+    ``model`` may be a Python or numpy integer, or hold them; a float or a
+    bool is an :class:`IndexError`, or a :class:`ConfigError` for ``k_items``.
     """
-    if not _fits(int, k_items):
+    if not _is_int(k_items):
         raise ConfigError(f"k_items must be int, got {type(k_items).__name__}")
     if k_items < 1:
         raise ConfigError("k_items must be >= 1")

@@ -12,6 +12,12 @@ one cell kernel, :func:`_fit_terms` and :func:`_scatter_plan`, over blocks
 of :data:`CELL_BLOCK` cells: its buffers hold one block's rows, never a
 row per cell, and its bits do not depend on the block size.
 
+Every index, group label and count the package takes follows one integer
+rule.  A scalar is a Python or numpy integer and not a bool
+(:func:`_is_int`); an array has an integer dtype, of any width, signed or
+not (:func:`_cell_indices`).  A float, a bool or a string is refused, never
+cast, so no input is truncated; each in range is checked before its use.
+
 Entries are normalised to a canonical (user, curator, topic) sort order on
 construction so that losses and gradients are bit-reproducible across runs
 and platforms.  The public functions are pure: they never mutate their
@@ -25,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from .errors import _fits
 
 __all__ = [
     "ObservationTensor",
@@ -45,8 +49,9 @@ class ObservationTensor:
 
     Ratings are 1.0 for positive implicit feedback and 0.0 for sampled
     negatives in the pipeline; the kernels accept any finite value.
-    Construction validates index ranges, rejects duplicate (i, j, k) keys and
-    re-sorts everything into the canonical order.
+    Construction checks the dimensions and indices by the integer rule and
+    the indices' ranges, rejects duplicate (i, j, k) keys and re-sorts
+    everything into the canonical order.
     """
 
     n_users: int
@@ -59,15 +64,15 @@ class ObservationTensor:
 
     def __post_init__(self):
         for name in ("n_users", "n_curators", "n_topics"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        users = np.asarray(self.users, dtype=np.int64).ravel()
-        curators = np.asarray(self.curators, dtype=np.int64).ravel()
-        topics = np.asarray(self.topics, dtype=np.int64).ravel()
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        if not (users.size == curators.size == topics.size == values.size):
+            if not (_is_int(n := getattr(self, name)) and n >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+            object.__setattr__(self, name, int(n))
+        if len({np.size(x) for x in (self.users, self.curators, self.topics, self.values)}) > 1:
             raise ValueError("index and value arrays must have equal length")
-        _check_indices(self.shape, users, curators, topics)
+        users, curators, topics = (
+            x.astype(np.int64, copy=False).ravel()
+            for x in _cell_indices(self.shape, self.users, self.curators, self.topics))
+        values = np.asarray(self.values, dtype=np.float64).ravel()
         if not np.all(np.isfinite(values)):
             raise ValueError("ratings must be finite")
 
@@ -94,12 +99,7 @@ class ObservationTensor:
         entries: Iterable[tuple[int, int, int, float]],
     ) -> "ObservationTensor":
         """Build from an iterable of (user, curator, topic, rating) tuples."""
-        rows = list(entries)
-        if rows:
-            users, curators, topics, values = map(np.asarray, zip(*rows))
-        else:
-            users = curators = topics = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.float64)
+        users, curators, topics, values = map(np.asarray, list(zip(*entries)) or [()] * 4)
         return cls(n_users, n_curators, n_topics, users, curators, topics, values)
 
     @classmethod
@@ -108,7 +108,7 @@ class ObservationTensor:
     ) -> "ObservationTensor":
         """Build from row-major flat cell indices, the inverse of :meth:`flat_indices`."""
         n_users, n_curators, n_topics = shape
-        flat = np.asarray(flat, dtype=np.int64)
+        (flat,) = _cell_indices([n_users * n_curators * n_topics], flat, labels=["cell"])
         users = flat // (n_curators * n_topics)
         curators = (flat // n_topics) % n_curators
         return cls(n_users, n_curators, n_topics, users, curators, flat % n_topics, values)
@@ -179,7 +179,7 @@ class FactorModel:
         object.__setattr__(self, "u_users", mats[0])
         object.__setattr__(self, "u_curators", mats[1])
         object.__setattr__(self, "u_topics", mats[2])
-        if not all(_fits(int, c) or isinstance(c, np.integer) for c in self.sensitive_cols):
+        if not all(map(_is_int, self.sensitive_cols)):
             raise ValueError(f"sensitive_cols must be ints, got {list(self.sensitive_cols)}")
         cols = tuple(sorted(int(c) for c in self.sensitive_cols))
         if cols:
@@ -202,31 +202,33 @@ class FactorModel:
         return tuple(c for c in range(self.rank) if c not in self.sensitive_cols)
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_index(i: int, bound: int, label: str) -> None:
-    """An :class:`IndexError` unless ``i`` is a non-bool integer in ``[0, bound)``."""
-    if not (_fits(int, i) or isinstance(i, np.integer)):
+    """An :class:`IndexError` unless ``i`` is an integer (:func:`_is_int`) in ``[0, bound)``."""
+    if not _is_int(i):
         raise IndexError(f"{label} index must be an integer, got {type(i).__name__}")
     if not 0 <= i < bound:
         raise IndexError(f"{label} index {i} out of range [0, {bound})")
 
 
-def _check_indices(shape: Sequence[int], *index: np.ndarray) -> None:
-    """Vectorised :func:`_check_index` over parallel (user, curator, topic)
-    index arrays; the first bad value of an axis is the one reported."""
-    for idx, bound, label in zip(index, shape, ("user", "curator", "topic")):
-        bad = (idx < 0) | (idx >= bound)
-        if bad.any():
-            _check_index(int(idx[bad][0]), bound, label)
-
-
-def _cell_indices(shape: Sequence[int], *index) -> list[np.ndarray]:
-    """Parallel (user, curator, topic) index arrays as numpy arrays, each of
-    an integer dtype and in range, an empty one as intp: an
-    :class:`IndexError` otherwise."""
+def _cell_indices(
+    shape: Sequence[int], *index, labels: Sequence[str] = ("user", "curator", "topic")
+) -> list[np.ndarray]:
+    """Parallel index arrays, one per axis of ``shape`` and named by
+    ``labels``, as numpy arrays, each of an integer dtype and in range, an
+    empty one as intp: an :class:`IndexError` naming the first bad value of
+    an axis otherwise."""
     index = [np.asarray(x) if np.size(x) else np.empty(0, dtype=np.intp) for x in index]
     if any(x.dtype.kind not in "iu" for x in index):
         raise IndexError("cell indices must be integers")  # a cast would turn 0.5 into 0
-    _check_indices(shape, *index)
+    for idx, bound, label in zip(index, shape, labels):
+        bad = (idx < 0) | (idx >= bound)
+        if bad.any():
+            raise IndexError(f"{label} index {idx[bad][0]} out of range [0, {bound})")
     return index
 
 

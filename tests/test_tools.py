@@ -1,5 +1,5 @@
 """Tests of tools/report_hashes.py on fairbench's tiny workloads, and of
-tools/src_lines.py and tools/peak_rss.py."""
+tools/src_lines.py, tools/peak_rss.py and tools/job_timeline.py."""
 
 import importlib.util
 import json
@@ -187,3 +187,64 @@ def test_peak_rss_bad_config_exits_2(tmp_path):
     assert res.returncode == 2 and res.stderr.startswith("error:") and not res.stdout
     res = peak_rss("--config", str(tmp_path / "absent.json"), "--root", str(tmp_path))
     assert res.returncode == 2 and "has no src/fairtensor" in res.stderr
+
+
+JOB_TIMELINE = ROOT / "tools" / "job_timeline.py"
+
+# runs the tool given after the first two arguments as __main__, with this
+# checkout's src (argv 1) imported and harness._usable_cores set to argv 2
+WITH_CORES = """
+import runpy, sys
+sys.path.insert(0, sys.argv[1])
+from fairtensor import harness
+cores = int(sys.argv[2])
+harness._usable_cores = lambda: cores
+sys.argv = sys.argv[3:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_job_timeline_lists_every_job_by_worker(tmp_path, cores):
+    synth = dict(n_users=25, n_curators=12, n_topics=2, true_rank=2, group_ratio=0.5,
+                 bias_strength=0.2, target_sparsity=0.15, seed=3)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"synth": synth, "k": 3, "models": ["OTC", "RTC", "OMC"],
+                                  "repeats": 2, "train": {"rank": 3, "max_iters": 5}}),
+                      encoding="utf-8")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # one BLAS thread: a worker per core
+    res = subprocess.run([sys.executable, "-c", WITH_CORES, str(ROOT / "src"), str(cores),
+                          str(JOB_TIMELINE), "--config", str(config)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = [line.split() for line in res.stdout.splitlines()]
+    jobs = [(int(w), pair, problem, float(a), float(b)) for _, w, pair, problem, a, b in
+            (line for line in lines if line[0] == "job")]
+    assert sorted((pair, problem) for _, pair, problem, _, _ in jobs) == sorted(
+        (f"{kind}/{run}", problem) for kind in ("OTC", "RTC", "OMC") for run in (1, 2)
+        for problem in (["0", "1"] if kind == "OMC" else ["0"]) + ["eval"])
+    assert [a for _, _, _, a, _ in jobs] == sorted(a for _, _, _, a, _ in jobs)
+    for pair in {pair for _, pair, _, _, _ in jobs}:  # a pair's evaluation follows its fits
+        fits_end = max(b for _, p, problem, _, b in jobs if p == pair and problem != "eval")
+        assert all(a >= fits_end for _, p, problem, a, _ in jobs if p == pair and problem == "eval")
+    workers = [line for line in lines if line[0] == "worker"]
+    assert [int(line[1]) for line in workers] == list(range(cores))
+    finishes = []
+    for _, w, _, busy, _, count, _, finish in workers:
+        own = [(a, b) for worker, _, _, a, b in jobs if worker == int(w)]
+        assert int(count) == len(own)
+        assert all(b1 <= a2 for (_, b1), (a2, _) in zip(own, own[1:]))  # one job at a time
+        assert float(busy) == pytest.approx(sum(b - a for a, b in own), abs=1e-3 * len(own))
+        assert float(finish) == max(b for _, b in own)
+        finishes.append(float(finish))
+    tail = dict(line for line in lines if len(line) == 2)
+    assert float(tail["span_s"]) == pytest.approx(max(finishes) - jobs[0][3], abs=2e-3)
+    assert float(tail["finish_gap_s"]) == pytest.approx(max(finishes) - min(finishes), abs=2e-3)
+
+
+def test_job_timeline_bad_config_exits_2(tmp_path):
+    for extra in ([], ["--root", str(tmp_path)]):
+        res = subprocess.run([sys.executable, str(JOB_TIMELINE), "--config",
+                              str(tmp_path / "absent.json"), *extra],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 2 and res.stderr.startswith("error:") and not res.stdout
