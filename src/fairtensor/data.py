@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (
     ConfigError, EmptyDatasetError, ParseError, SplitError, _check_dense_cells, check_types
 )
-from .tensor_core import ObservationTensor, _cell_indices
+from .tensor_core import ObservationTensor, _cell_indices, _is_int
 
 __all__ = [
     "IdMaps",
@@ -186,6 +186,14 @@ def load_sensitive(path: str | Path, curator_index: Mapping[str, int]) -> Sensit
     return SensitiveMap(groups=groups)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a :class:`ConfigError` unless ``seed``
+    is an integer (:func:`_is_int`) >= 0."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def negative_sample(
     positives: ObservationTensor, probability: float, seed: int
 ) -> ObservationTensor:
@@ -200,10 +208,10 @@ def negative_sample(
     """
     if not 0.0 <= probability <= 1.0:
         raise ConfigError("probability must lie in [0, 1]")
+    rng = _rng(seed)
     if probability == 0.0:
         return positives
     _check_dense_cells(positives.n_cells, "negative sampling")
-    rng = np.random.default_rng(seed)
     pos = positives.flat_indices()  # sorted: the canonical order is row-major
     found = []
     for start in range(0, positives.n_cells, NEGATIVE_CHUNK_CELLS):
@@ -227,16 +235,16 @@ def split(obs: ObservationTensor, train_fraction: float, seed: int) -> SplitData
     """
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
+    rng = _rng(seed)
     n = obs.n_entries
     if n < 2:
         raise SplitError(f"cannot split {n} entries into train and test")
-    rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = math.floor(train_fraction * n)
     return SplitDataset(
         train=obs.subset(np.sort(perm[:n_train])),
         test=obs.subset(np.sort(perm[n_train:])),
-        seed=seed,
+        seed=int(seed),
     )
 
 

@@ -77,6 +77,7 @@ from .models import (
     MODEL_KINDS,
     TrainConfig,
     TrainedModel,
+    _Layout,
     _assemble,
     _objective,
     _top_indices,
@@ -338,6 +339,21 @@ def _shared_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
+@dataclass
+class _Pair:
+    """One (model, run) pair of :func:`run_experiment`, as both kinds of its
+    jobs read it: its layout, or the :class:`ConfigError` of its pre-training
+    checks, and its factors, (problems, rows, width) in memory the workers
+    share, or None when it has no jobs left."""
+
+    kind: str
+    run: int
+    ds: SplitDataset
+    train_cfg: TrainConfig
+    layout: _Layout | ConfigError
+    factors: np.ndarray | None
+
+
 def _fit_problem(
     kind: str,
     ds: SplitDataset,
@@ -363,13 +379,15 @@ def _evaluate_pair(
     smap: SensitiveMap | None,
     cfg: ExperimentConfig,
     run: int,
+    train_cfg: TrainConfig,
+    modes: tuple[int, ...],
     factors: np.ndarray,
     traces: tuple[tuple[float, ...], ...],
 ) -> RunMetrics:
     """An evaluation job: score the model of one pair's problems' factors,
-    of shape (problems, rows, width), and loss traces."""
-    train_cfg = cfg.train_config_for(kind, ds.seed)
-    bounds = np.cumsum(_training_layout(kind, ds.train, train_cfg, smap).modes)[:-1]
+    of shape (problems, rows, width), each problem's ``modes`` rows one
+    after another, and loss traces."""
+    bounds = np.cumsum(modes)[:-1]
     model = _assemble(kind, ds.train.shape, train_cfg,
                       [(np.split(f, bounds), t) for f, t in zip(factors, traces)])
     errors = []
@@ -386,59 +404,38 @@ def _evaluate_pair(
 
 
 class _Schedule:
-    """The jobs of an experiment's pairs, and which one runs next.
+    """The jobs of an experiment's pairs, in one first-in, first-out queue.
 
     Pair ``p`` of ``problems[p]`` problems has one fit job ``("fit", p,
-    index)`` per problem, in problem order.  Once all have returned and none
-    failed, it has one evaluation job ``("eval", p, traces)``.  :meth:`next`
-    gives a ready evaluation before any further fit job, so evaluations do
-    not pile up at the end.  A pair whose fit job fails runs no evaluation,
-    and its fit jobs not yet given out are skipped: those are of higher
-    problems, since they are given out in order.  Its outcome is the error of
-    its lowest failing problem, whichever finished first.  ``outcomes[p]``
-    is the evaluation's result or that error.
+    index)`` per problem, queued at the start in pair and problem order, and
+    every one runs.  When a pair's last fit job returns, its outcome is the
+    error of its lowest failing problem, whichever finished first; if none
+    failed, its evaluation job ``("eval", p, traces)`` joins the end of the
+    queue.  ``outcomes[p]`` is the evaluation's result or that error.
     """
 
     def __init__(self, problems: list[int]):
-        self.fits = deque((p, index) for p, n in enumerate(problems) for index in range(n))
-        self.evals: deque = deque()
-        self.left = list(problems)  # fit jobs neither returned nor skipped
-        self.traces = [[()] * n for n in problems]
-        self.failed: dict[int, tuple[int, ConfigError]] = {}
+        self.queue = deque(("fit", p, index) for p, n in enumerate(problems) for index in range(n))
+        self.fits = [[None] * n for n in problems]  # each returned problem's trace or ConfigError
         self.outcomes: list = [None] * len(problems)
 
     def next(self) -> tuple | None:
-        """The next job to run, or None when none is ready."""
-        if self.evals:
-            p = self.evals.popleft()
-            return ("eval", p, tuple(self.traces[p]))
-        while self.fits:
-            p, index = self.fits.popleft()
-            if p not in self.failed:
-                return ("fit", p, index)
-            self._fit_done(p)
-        return None
+        """The next job to run, or None when none is queued."""
+        return self.queue.popleft() if self.queue else None
 
     def finish(self, job: tuple, result) -> None:
         """Record a job's result."""
+        p = job[1]
         if job[0] == "eval":
-            self.outcomes[job[1]] = result
+            self.outcomes[p] = result
             return
-        _, p, index = job
-        if isinstance(result, ConfigError):
-            if p not in self.failed or index < self.failed[p][0]:
-                self.failed[p] = (index, result)
-        else:
-            self.traces[p][index] = result
-        self._fit_done(p)
-
-    def _fit_done(self, p: int) -> None:
-        self.left[p] -= 1
-        if self.left[p] == 0:
-            if p in self.failed:
-                self.outcomes[p] = self.failed[p][1]
+        self.fits[p][job[2]] = result
+        if None not in self.fits[p]:
+            error = next((r for r in self.fits[p] if isinstance(r, ConfigError)), None)
+            if error is None:
+                self.queue.append(("eval", p, tuple(self.fits[p])))
             else:
-                self.evals.append(p)
+                self.outcomes[p] = error
 
 
 def _usable_cores() -> int:
@@ -591,10 +588,12 @@ def run_experiment(
 ) -> MetricsReport:
     """Run every (model, run) pair of an experiment and assemble the report.
 
-    Every run's split is built here, and every pair's pre-training checks
-    made; a pair that fails them gets its error row and no job.  Each
-    training problem (:func:`models.train_problem`) of the other pairs is a
-    fit job, and each pair then has one evaluation job (see
+    Every run's split is built here, and every pair's :class:`_Pair`
+    record, which its jobs read: its ``TrainConfig``, the layout of its
+    pre-training checks and its shared factors.  A pair that fails the
+    checks gets its error row and no job.  Each training problem
+    (:func:`models.train_problem`) of the other pairs is a fit job, and each
+    pair then has one evaluation job, all in one queue (see
     :class:`_Schedule`).  They run in the forked workers of :func:`_run_jobs`,
     as many as :func:`_worker_count` gives for the usable cores and
     ``OPENBLAS_NUM_THREADS``, or in this process at one; to run on one core,
@@ -607,44 +606,39 @@ def run_experiment(
     positives, smap = _load_source(cfg)
     fair_requested = [m for m in cfg.models if m in GROUP_AWARE_KINDS]
     if fair_requested and smap is None:
-        raise ConfigError(
-            f"models {fair_requested} need a sensitive map (sensitive_csv)"
-        )
+        raise ConfigError(f"models {fair_requested} need a sensitive map (sensitive_csv)")
 
-    splits = [_run_split(cfg, positives, run) for run in range(1, cfg.repeats + 1)]
-    pairs = [(kind, run) for run in range(1, cfg.repeats + 1) for kind in sorted(cfg.models)]
-    layouts: list = []
-    for kind, run in pairs:
-        ds = splits[run - 1]
-        try:
-            layouts.append(
-                _training_layout(kind, ds.train, cfg.train_config_for(kind, ds.seed), smap)
-            )
-        except ConfigError as exc:
-            layouts.append(exc)
-    # each pair's factors, (problems, rows, width), in memory the workers share
-    factors = [None if isinstance(lay, ConfigError)
-               else _shared_zeros((lay.problems, sum(lay.modes), lay.width)) for lay in layouts]
-    problems = [0 if f is None else f.shape[0] for f in factors]
+    pairs = []
+    for run in range(1, cfg.repeats + 1):
+        ds = _run_split(cfg, positives, run)
+        for kind in sorted(cfg.models):
+            train_cfg = cfg.train_config_for(kind, ds.seed)
+            try:
+                layout = _training_layout(kind, ds.train, train_cfg, smap)
+                factors = _shared_zeros((layout.problems, sum(layout.modes), layout.width))
+            except ConfigError as exc:
+                layout, factors = exc, None
+            pairs.append(_Pair(kind, run, ds, train_cfg, layout, factors))
 
     def run_job(job: tuple):
-        kind, run = pairs[job[1]]
-        ds = splits[run - 1]
+        pair = pairs[job[1]]
         if job[0] == "fit":
-            train_cfg = cfg.train_config_for(kind, ds.seed)
-            return _fit_problem(kind, ds, smap, train_cfg, job[2], factors[job[1]][job[2]])
-        own = factors[job[1]].copy()
-        factors[job[1]] = None  # the pair's last job: unmap its shared factors here
-        return _evaluate_pair(kind, ds, smap, cfg, run, own, job[2])
+            return _fit_problem(pair.kind, pair.ds, smap, pair.train_cfg, job[2],
+                                pair.factors[job[2]])
+        own = pair.factors.copy()
+        pair.factors = None  # the pair's last job: unmap its shared factors here
+        return _evaluate_pair(pair.kind, pair.ds, smap, cfg, pair.run, pair.train_cfg,
+                              pair.layout.modes, own, job[2])
 
+    problems = [0 if pair.factors is None else len(pair.factors) for pair in pairs]
     schedule = _Schedule(problems)
     n_jobs = sum(problems) + sum(1 for n in problems if n)
     _run_jobs(run_job, schedule, _worker_count(n_jobs))
     rows = []
-    for (kind, run), layout, outcome in zip(pairs, layouts, schedule.outcomes):
-        error = layout if isinstance(layout, ConfigError) else outcome
+    for pair, outcome in zip(pairs, schedule.outcomes):
+        error = pair.layout if isinstance(pair.layout, ConfigError) else outcome
         if isinstance(error, ConfigError):
-            outcome = RunMetrics(model=kind, run=run, seed=splits[run - 1].seed,
+            outcome = RunMetrics(model=pair.kind, run=pair.run, seed=pair.ds.seed,
                                  error=f"training failed: {error}")
         rows.append(outcome)
     report = MetricsReport(

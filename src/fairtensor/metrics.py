@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import UndefinedMetricError, _check_dense_cells
+from .tensor_core import _is_int
 
 __all__ = [
     "GroupedScores",
@@ -52,11 +53,13 @@ class GroupedScores:
 Chunks = Callable[[], Iterable[tuple[int, np.ndarray]]]
 
 
-def _mean_over_units(top_lists: Mapping, positives: Mapping, k: int, ratio: Callable) -> float:
-    """Mean of ``ratio(hits, n_positives)`` over the units with a test
-    positive, in sorted order; ``hits`` counts a unit's top-k among them."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _mean_over_units(top_lists: Mapping, positives: Mapping, k: int, over_k: bool) -> float:
+    """Mean of ``hits / k`` (``over_k``) or ``hits / n_positives`` over the
+    units with a test positive, in sorted order; ``hits`` counts a unit's
+    top-k among them."""
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = int(k)
     keys = sorted(key for key, pos in positives.items() if len(pos) > 0)
     if not keys:
         raise UndefinedMetricError("no evaluation unit has a test positive")
@@ -64,7 +67,7 @@ def _mean_over_units(top_lists: Mapping, positives: Mapping, k: int, ratio: Call
     for key in keys:
         pos = set(positives[key])
         hits = len(set(top_lists.get(key, ())[:k]) & pos)
-        total += ratio(hits, len(pos))
+        total += hits / (k if over_k else len(pos))
     return total / len(keys)
 
 
@@ -72,14 +75,14 @@ def precision_at_k(
     top_lists: Mapping, positives: Mapping, k: int
 ) -> float:
     """Mean over eligible units of |top-k hits| / k."""
-    return _mean_over_units(top_lists, positives, k, lambda hits, _: hits / k)
+    return _mean_over_units(top_lists, positives, k, over_k=True)
 
 
 def recall_at_k(
     top_lists: Mapping, positives: Mapping, k: int
 ) -> float:
     """Mean over eligible units of |top-k hits| / |test positives|."""
-    return _mean_over_units(top_lists, positives, k, lambda hits, n_pos: hits / n_pos)
+    return _mean_over_units(top_lists, positives, k, over_k=False)
 
 
 def f1_at_k(p: float, r: float) -> float:
@@ -124,8 +127,8 @@ def group_fairness(chunks: Chunks, intervals: int) -> dict[str, float]:
     an empty group is an :class:`UndefinedMetricError`; ``intervals`` above
     ``MAX_DENSE_CELLS`` boundaries is a :class:`ConfigError`.
     """
-    if intervals < 1:
-        raise ValueError("intervals must be >= 1")
+    if not (_is_int(intervals) and intervals >= 1):
+        raise ValueError(f"intervals must be an integer >= 1, got {intervals!r}")
     _check_dense_cells(intervals, "the KS boundary array")
     lo, hi, sums, sizes = _summary(chunks)
     if hi == lo:

@@ -281,7 +281,7 @@ def _objective(
     is0 = None if groups is None else _group0_cells(train.curators, groups)
     widths = [p.shape[1] for p in params]
     features = 0 if s is None else s.shape[1]  # they join the curator block's rows
-    rows = _row_buffers(train, [widths[0], widths[1] + features, *widths[2:]])
+    rows = _row_buffers(train.n_entries, [widths[0], widths[1] + features, *widths[2:]])
     scatter = _scatter_plan(train, params, rows)
 
     def objective(params):
@@ -382,7 +382,7 @@ def _als(
     factors = list(params)
     rank = factors[0].shape[1]
     ridge_eye = ridge * np.eye(rank)
-    rows = _row_buffers(train, [rank] * len(factors))  # one cell block's rows
+    rows = _row_buffers(train.n_entries, [rank] * len(factors))  # one cell block's rows
     design = np.empty((train.n_entries, rank))  # every mode's, in that mode's cell order
     plans = []
     for mode, u in enumerate(factors):

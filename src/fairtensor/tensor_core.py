@@ -7,13 +7,14 @@ CP sum of per-column products of the dense float64 factor matrices
     score(i, j, k) = sum_r  U_users[i, r] * U_curators[j, r] * U_topics[k, r]
 
 Losses and gradients only ever touch observed cells; unobserved cells are
-never imputed.  The public loss and gradient functions and the trainers run
-one cell kernel, :func:`_fit_terms` and :func:`_scatter_plan`, over blocks
-of :data:`CELL_BLOCK` cells: its buffers hold one block's rows, never a
-row per cell, and its bits do not depend on the block size.
+never imputed.  :func:`cp_entries`, the public loss and gradient functions
+and the trainers run one cell kernel, :func:`_fit_terms` and
+:func:`_scatter_plan`, over blocks of :data:`CELL_BLOCK` cells: its buffers
+hold one block's rows, never a row per cell, and its bits do not depend on
+the block size.
 
-Every index, group label and count the package takes follows one integer
-rule.  A scalar is a Python or numpy integer and not a bool
+Every index, group label, count and seed the package takes follows one
+integer rule.  A scalar is a Python or numpy integer and not a bool
 (:func:`_is_int`); an array has an integer dtype, of any width, signed or
 not (:func:`_cell_indices`).  A float, a bool or a string is refused, never
 cast, so no input is truncated; each in range is checked before its use.
@@ -240,11 +241,11 @@ def cp_entry(model: FactorModel, i: int, j: int, k: int) -> float:
 def cp_entries(
     model: FactorModel, users: np.ndarray, curators: np.ndarray, topics: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :func:`cp_entry` over parallel index arrays."""
-    users, curators, topics = _cell_indices(model.shape, users, curators, topics)
-    return np.einsum(
-        "er,er,er->e", model.u_users[users], model.u_curators[curators], model.u_topics[topics]
-    )
+    """Vectorised :func:`cp_entry` over parallel index arrays: the cell
+    kernel's predictions (:func:`_cp_sums`)."""
+    index = _cell_indices(model.shape, users, curators, topics)
+    rows = _row_buffers(index[0].size, [model.rank] * 3)
+    return _cp_sums([model.u_users, model.u_curators, model.u_topics], index, rows)
 
 
 def _check_dims(model: FactorModel, obs: ObservationTensor) -> None:
@@ -265,9 +266,9 @@ def _cell_blocks(n_cells: int) -> list[slice]:
     return [slice(start, start + CELL_BLOCK) for start in range(0, max(n_cells, 1), CELL_BLOCK)]
 
 
-def _row_buffers(train: ObservationTensor, widths: Sequence[int]) -> list[np.ndarray]:
-    """One (block, width) buffer per factor, for :func:`_gather` to fill."""
-    return [np.empty((min(train.n_entries, CELL_BLOCK), w)) for w in widths]
+def _row_buffers(n_cells: int, widths: Sequence[int]) -> list[np.ndarray]:
+    """One (block, width) buffer per factor over ``n_cells`` cells, for :func:`_gather` to fill."""
+    return [np.empty((min(n_cells, CELL_BLOCK), w)) for w in widths]
 
 
 def _gather(
@@ -282,21 +283,31 @@ def _gather(
     return out
 
 
+def _cp_sums(
+    factors: Sequence[np.ndarray], index: Sequence[np.ndarray], rows: list[np.ndarray]
+) -> np.ndarray:
+    """Each cell's CP sum over ``factors`` at its ``index``, one cell block's
+    rows at a time; a cell's sum does not depend on its block.  The blocks
+    run last to first, so the first block's rows stay in ``rows``."""
+    sums = np.empty(index[0].size)
+    spec = ",".join(["er"] * len(factors)) + "->e"
+    for part in reversed(_cell_blocks(sums.size)):
+        np.einsum(spec, *_gather(factors, index, part, rows), out=sums[part])
+    return sums
+
+
 def _fit_terms(
     train: ObservationTensor, factors: list[np.ndarray], lam: float, rows: list[np.ndarray]
 ):
-    """(predictions, residuals, masked ridge loss) of the cells, one cell
-    block's rows at a time; a cell's sum does not depend on its block.  The
-    blocks run last to first, so the first block's rows stay in ``rows``.
+    """(predictions, residuals, masked ridge loss) of the cells; the
+    predictions are :func:`_cp_sums`, which leaves the first block's rows in
+    ``rows``.
 
     A one-topic slice passes no topic factor: it is a constant row of ones,
     so the CP products leave it out, and the ridge covers only the factors
     the model stores.
     """
-    index, preds = (train.users, train.curators, train.topics), np.empty(train.n_entries)
-    spec = ",".join(["er"] * len(factors)) + "->e"
-    for part in reversed(_cell_blocks(train.n_entries)):
-        np.einsum(spec, *_gather(factors, index, part, rows), out=preds[part])
+    preds = _cp_sums(factors, (train.users, train.curators, train.topics), rows)
     resid = preds - train.values
     reg = sum(float(np.sum(u * u)) for u in factors)
     return preds, resid, 0.5 * float(np.dot(resid, resid)) + 0.5 * lam * reg
@@ -374,7 +385,7 @@ def _model_rows(model: FactorModel, obs: ObservationTensor) -> tuple[list, list]
     """A model's factors and their row buffers over ``obs``, for the cell kernel."""
     _check_dims(model, obs)
     factors = [model.u_users, model.u_curators, model.u_topics]
-    return factors, _row_buffers(obs, [model.rank] * 3)
+    return factors, _row_buffers(obs.n_entries, [model.rank] * 3)
 
 
 def masked_loss(model: FactorModel, obs: ObservationTensor, lam: float) -> float:

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtensor import cli, data, harness
 from fairtensor.cli import main as cli_main
@@ -407,7 +409,7 @@ class TestWorkerProcesses:
         assert pids[0] == {os.getpid()}
         assert os.getpid() not in pids[1]
 
-    def test_schedule_evaluates_first_and_keeps_the_lowest_failure(self):
+    def test_schedule_runs_every_fit_and_keeps_the_lowest_failure(self):
         schedule = harness._Schedule([4, 1, 2])
         first = [schedule.next() for _ in range(3)]
         assert first == [("fit", 0, 0), ("fit", 0, 1), ("fit", 0, 2)]
@@ -415,19 +417,62 @@ class TestWorkerProcesses:
         schedule.finish(("fit", 0, 1), ConfigError("topic 1: b"))
         schedule.finish(("fit", 0, 0), ConfigError("topic 0: a"))
         schedule.finish(("fit", 0, 2), ConfigError("topic 2: c"))
-        # pair 0's last fit job is skipped, it was of a higher topic
-        assert schedule.next() == ("fit", 1, 0)
+        # pair 0's last fit job runs all the same, and its outcome waits for it
+        assert schedule.next() == ("fit", 0, 3)
+        assert schedule.outcomes[0] is None
+        schedule.finish(("fit", 0, 3), (4.0,))
         assert str(schedule.outcomes[0]) == "topic 0: a"
+        assert schedule.next() == ("fit", 1, 0)
         schedule.finish(("fit", 1, 0), (1.0,))
-        assert schedule.next() == ("eval", 1, ((1.0,),))  # before pair 2's fits
-        assert schedule.next() == ("fit", 2, 0)
+        # pair 1's evaluation joins the end of the queue, after pair 2's fits
+        assert [schedule.next() for _ in range(3)] == [
+            ("fit", 2, 0), ("fit", 2, 1), ("eval", 1, ((1.0,),))]
         schedule.finish(("eval", 1, ((1.0,),)), "row 1")
-        assert schedule.next() == ("fit", 2, 1)
         schedule.finish(("fit", 2, 1), (2.0,))
+        assert schedule.next() is None  # pair 2's first fit is still running
         schedule.finish(("fit", 2, 0), (3.0,))
         assert schedule.next() == ("eval", 2, ((3.0,), (2.0,)))
         assert schedule.next() is None
         assert schedule.outcomes[1:] == ["row 1", None]
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_schedule_matches_an_in_order_reference(self, data):
+        problems = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5), "problems")
+        fits = [(p, index) for p, n in enumerate(problems) for index in range(n)]
+        failing = data.draw(st.sets(st.sampled_from(fits)) if fits else st.just(set()), "failing")
+        in_flight_cap = data.draw(st.integers(1, 3), "jobs in flight")
+
+        def run(job):
+            if job[0] == "eval":
+                return ("row", job[1], job[2])
+            return ConfigError(f"{job[1]}/{job[2]}") if job[1:] in failing else (float(job[2]),)
+
+        schedule = harness._Schedule(problems)
+        ran, in_flight = [], []
+        while True:
+            while len(in_flight) < in_flight_cap and (job := schedule.next()) is not None:
+                ran.append(job)
+                in_flight.append(job)
+            if not in_flight:
+                break
+            job = in_flight.pop(data.draw(st.integers(0, len(in_flight) - 1), "finishes"))
+            schedule.finish(job, run(job))
+        # every fit job runs once, in pair and problem order
+        assert [job[1:] for job in ran if job[0] == "fit"] == fits
+        for p, n in enumerate(problems):
+            lowest = min((index for q, index in failing if q == p), default=None)
+            evals = [job for job in ran if job[:2] == ("eval", p)]
+            if lowest is not None:
+                assert not evals
+                assert isinstance(schedule.outcomes[p], ConfigError)
+                assert str(schedule.outcomes[p]) == f"{p}/{lowest}"
+            elif n:
+                traces = tuple((float(index),) for index in range(n))
+                assert evals == [("eval", p, traces)]
+                assert schedule.outcomes[p] == ("row", p, traces)
+            else:
+                assert not evals and schedule.outcomes[p] is None
 
     def test_failed_checks_start_no_job(self, tmp_path, monkeypatch):
         # FT at rank 2 fails its checks: its row stays, and only OTC's jobs run

@@ -77,18 +77,22 @@ def _tiny_model():
     return TrainedModel("OTC", (3, 3, 2), TrainConfig(rank=2), factors=factors, loss_trace=(0.0,))
 
 
+_GROUPED = metrics.GroupedScores([0.1, 0.5, 0.9, 0.4], [0.2, 0.3, 1.0])
+_TOP_LISTS = ({"u": ["a", "b", "c"], "v": ["c", "a"]}, {"u": {"a", "c"}, "v": {"a"}})
+
+
 class Entry(NamedTuple):
     """One entry point, ``call(x)`` with ``x`` at the position under test;
     ``array`` says whether ``x`` is an index array (of one value) or a
     scalar.  ``good`` is a valid value, ``too_low`` and ``too_high`` invalid
-    ones; a non-integer raises ``type_error``, a value out of range
-    ``range_error``."""
+    ones (``too_high`` is None where there is no upper bound); a non-integer
+    raises ``type_error``, a value out of range ``range_error``."""
 
     call: Callable
     array: bool
     good: int
     too_low: int
-    too_high: int
+    too_high: int | None
     type_error: type
     range_error: type
 
@@ -129,6 +133,24 @@ ENTRIES = {
     "cp_entries": Entry(
         lambda x: [tensor_core.cp_entries(_tiny_model().factors, x, [0], [1])], True, 2, -1, 3,
         IndexError, IndexError),
+    "ks-intervals": Entry(
+        lambda x: metrics.ks(_GROUPED, x), False, 3, 0, errors.MAX_DENSE_CELLS + 1,
+        ValueError, ValueError),
+    "group_fairness-intervals": Entry(
+        lambda x: metrics.group_fairness(_GROUPED.chunks, x), False, 3, 0,
+        errors.MAX_DENSE_CELLS + 1, ValueError, ValueError),
+    "precision_at_k-k": Entry(
+        lambda x: metrics.precision_at_k(*_TOP_LISTS, x), False, 2, 0, None,
+        ValueError, ValueError),
+    "recall_at_k-k": Entry(
+        lambda x: metrics.recall_at_k(*_TOP_LISTS, x), False, 2, 0, None,
+        ValueError, ValueError),
+    "negative_sample-seed": Entry(
+        lambda x: [(o := data.negative_sample(_tiny_train(), 0.5, x)).users, o.curators,
+                   o.topics, o.values], False, 1, -1, None, ConfigError, ConfigError),
+    "split-seed": Entry(
+        lambda x: [(d := data.split(_tiny_train(), 0.6, x)).seed, d.train.values, d.test.users],
+        False, 1, -1, None, ConfigError, ConfigError),
 }
 
 
@@ -152,6 +174,8 @@ def test_integer_rule_refuses_bools_floats_and_out_of_range(name):
         with pytest.raises(entry.type_error):
             entry.call(x)
     for x in (entry.too_low, entry.too_high):
+        if x is None:
+            continue
         with pytest.raises(entry.range_error):
             entry.call([x] if entry.array else x)
 

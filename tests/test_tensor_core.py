@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,6 +309,29 @@ class TestCpEntries:
                 int(obs.topics[pos]),
             )
             assert batch[pos] == one
+
+    def test_blocks_give_the_whole_array_einsum_bits(self):
+        rng = np.random.default_rng(9)
+        model = FactorModel(*(rng.standard_normal((d, 20)) for d in (50, 40, 6)))
+        for e in (0, 1, tensor_core.CELL_BLOCK, 2 * tensor_core.CELL_BLOCK + 7):
+            users, curators, topics = (rng.integers(0, d, e) for d in model.shape)
+            ref = np.einsum("er,er,er->e", model.u_users[users], model.u_curators[curators],
+                            model.u_topics[topics])
+            assert cp_entries(model, users, curators, topics).tobytes() == ref.tobytes()
+
+    def test_memory_beside_the_result_does_not_grow_with_the_cells(self):
+        rng = np.random.default_rng(10)
+        model = FactorModel(*(rng.random((d, 20)) for d in (589, 252, 10)))
+        users, curators, topics = (rng.integers(0, d, 100_000) for d in model.shape)
+        tracemalloc.start()
+        try:
+            out = cp_entries(model, users, curators, topics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one cell block's rows per factor, 1 MB at rank 20, beside the 0.8 MB
+        # result; every cell's rows at once would be 48 MB
+        assert peak < out.nbytes + 4 * 2**20
 
 
 # derandomized and bounded, so every run draws the same examples

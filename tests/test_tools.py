@@ -238,8 +238,12 @@ def test_job_timeline_lists_every_job_by_worker(tmp_path, cores):
         assert float(finish) == max(b for _, b in own)
         finishes.append(float(finish))
     tail = dict(line for line in lines if len(line) == 2)
+    assert list(tail) == ["span_s", "finish_gap_s", "even_split_s"]
     assert float(tail["span_s"]) == pytest.approx(max(finishes) - jobs[0][3], abs=2e-3)
     assert float(tail["finish_gap_s"]) == pytest.approx(max(finishes) - min(finishes), abs=2e-3)
+    summed = sum(b - a for _, _, _, a, b in jobs)
+    assert float(tail["even_split_s"]) == pytest.approx(summed / cores, abs=1e-3 * len(jobs))
+    assert float(tail["even_split_s"]) <= float(tail["span_s"]) + 2e-3
 
 
 def test_job_timeline_bad_config_exits_2(tmp_path):

@@ -20,6 +20,10 @@ before the run.  Then it prints::
     ...                                     (one line per worker)
     span_s <last end minus first start>
     finish_gap_s <last worker's finish minus first worker's finish>
+    even_split_s <summed job time divided by the workers>
+
+``even_split_s`` is the span the jobs would take if the workers shared
+their summed time evenly, so ``span_s`` minus it is the schedule's slack.
 
 Workers are numbered by their first job's start.  The run forks as many
 workers as ``harness._worker_count`` gives: two on two cores with
@@ -72,6 +76,7 @@ def timeline(records: list[tuple]) -> list[str]:
     if records:
         lines.append(f"span_s {max(finishes) - records[0][4]:.3f}")
         lines.append(f"finish_gap_s {max(finishes) - min(finishes):.3f}")
+        lines.append(f"even_split_s {sum(r[5] - r[4] for r in records) / len(workers):.3f}")
     return lines
 
 
