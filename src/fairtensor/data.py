@@ -194,6 +194,11 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer or float and not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def negative_sample(
     positives: ObservationTensor, probability: float, seed: int
 ) -> ObservationTensor:
@@ -204,10 +209,11 @@ def negative_sample(
     output never duplicates a positive.  One uniform draw is made per cell, in
     row-major cell order and in chunks of :data:`NEGATIVE_CHUNK_CELLS` cells,
     which draw the same doubles as one draw over every cell.  A tensor of
-    more than :data:`MAX_DENSE_CELLS` cells is a :class:`ConfigError`.
+    more than :data:`MAX_DENSE_CELLS` cells is a :class:`ConfigError`, and
+    so is a ``probability`` that is not a number (:func:`_is_real`).
     """
-    if not 0.0 <= probability <= 1.0:
-        raise ConfigError("probability must lie in [0, 1]")
+    if not (_is_real(probability) and 0.0 <= probability <= 1.0):
+        raise ConfigError(f"probability must lie in [0, 1], got {probability!r}")
     rng = _rng(seed)
     if probability == 0.0:
         return positives
@@ -231,10 +237,12 @@ def split(obs: ObservationTensor, train_fraction: float, seed: int) -> SplitData
     """Uniform random partition of the entries into train and test.
 
     The train side receives floor(train_fraction * n) entries; positives and
-    negatives are treated alike.
+    negatives are treated alike.  A ``train_fraction`` that is not a number
+    (:func:`_is_real`) is a :class:`ConfigError`.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError("train_fraction must lie strictly between 0 and 1")
+    if not (_is_real(train_fraction) and 0.0 < train_fraction < 1.0):
+        raise ConfigError(
+            f"train_fraction must lie strictly between 0 and 1, got {train_fraction!r}")
     rng = _rng(seed)
     n = obs.n_entries
     if n < 2:

@@ -23,10 +23,10 @@ the calling process.
 Reports (:class:`MetricsReport`) are byte-identical for identical configs,
 whatever the number of workers.  A problem's factors depend only on its
 seed ``base_seed + run``, its index and the split built before any worker
-starts: :func:`models.train_problem` replays the init generator through the
-earlier problems' draws.  A pair's row depends only on its problems'
-factors and traces, and on its lowest failing problem, not on which
-finished first, and the report sorts its rows by (model, run).
+starts: a fit job replays the init generator through the earlier problems'
+draws, as :func:`models.train_problem` does.  A pair's row depends only on
+its problems' factors and traces, and on its lowest failing problem, not on
+which finished first, and the report sorts its rows by (model, run).
 """
 
 from __future__ import annotations
@@ -81,15 +81,16 @@ from .models import (
     _assemble,
     _objective,
     _top_indices,
+    _train,
     _training_layout,
     _user_scores,
     ortho_penalty,
     parity_penalty,
     predict_cells,
     train_model,
-    train_problem,
+    train_problem,  # not called here: tests call it through this module
 )
-from .tensor_core import FactorModel, ObservationTensor, masked_gradient, masked_loss
+from .tensor_core import FactorModel, ObservationTensor, _is_int, masked_gradient, masked_loss
 
 __all__ = [
     "ExperimentConfig",
@@ -103,8 +104,11 @@ __all__ = [
 
 def _check_evaluation(k: int, intervals: int, fairness_scope: str, rank_scope: str) -> None:
     """The checks of the evaluation settings, for configs and
-    :func:`evaluate_model` alike."""
-    check_types(ExperimentConfig, {"k": k, "intervals": intervals}, "evaluation")
+    :func:`evaluate_model` alike: ``k`` and ``intervals`` follow the integer
+    rule (:func:`tensor_core._is_int`), as the metrics they reach do."""
+    for name, value in (("k", k), ("intervals", intervals)):
+        if not _is_int(value):
+            raise ConfigError(f"evaluation field {name!r} must be int, got {type(value).__name__}")
     if k < 1 or intervals < 1:
         raise ConfigError("k and intervals must be >= 1")
     _check_dense_cells(intervals, "the KS boundary array")
@@ -341,10 +345,11 @@ def _shared_zeros(shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass
 class _Pair:
-    """One (model, run) pair of :func:`run_experiment`, as both kinds of its
-    jobs read it: its layout, or the :class:`ConfigError` of its pre-training
-    checks, and its factors, (problems, rows, width) in memory the workers
-    share, or None when it has no jobs left."""
+    """One (model, run) pair of :func:`run_experiment`, the record each of
+    its jobs takes: its kind, run, split and ``TrainConfig``; its layout, or
+    the :class:`ConfigError` of its pre-training checks, made once per pair;
+    and its factors, (problems, rows, width) in memory the workers share, or
+    None when it has no jobs left."""
 
     kind: str
     run: int
@@ -355,40 +360,31 @@ class _Pair:
 
 
 def _fit_problem(
-    kind: str,
-    ds: SplitDataset,
-    smap: SensitiveMap | None,
-    train_cfg: TrainConfig,
-    index: int,
-    out: np.ndarray,
+    pair: _Pair, smap: SensitiveMap | None, index: int
 ) -> tuple[float, ...] | ConfigError:
-    """A fit job: train problem ``index`` of one pair and write its factors,
-    the modes' rows one after another, into ``out``.  It returns only the
-    loss trace, or the :class:`ConfigError` that stopped the problem."""
+    """A fit job: train problem ``index`` of a pair that passed its checks,
+    from ``pair.layout`` (:func:`models._train`), and write its factors, the
+    modes' rows one after another, into ``pair.factors[index]``.  It returns
+    only the loss trace, or the :class:`ConfigError` that stopped the problem."""
     try:
-        params, trace = train_problem(kind, ds.train, train_cfg, smap, index)
+        params, trace = _train(pair.kind, pair.ds.train, pair.train_cfg, smap, pair.layout, index)
     except ConfigError as exc:
         return exc
-    np.concatenate(params, out=out)
+    np.concatenate(params, out=pair.factors[index])
     return trace
 
 
 def _evaluate_pair(
-    kind: str,
-    ds: SplitDataset,
-    smap: SensitiveMap | None,
-    cfg: ExperimentConfig,
-    run: int,
-    train_cfg: TrainConfig,
-    modes: tuple[int, ...],
-    factors: np.ndarray,
+    pair: _Pair, smap: SensitiveMap | None, cfg: ExperimentConfig, factors: np.ndarray,
     traces: tuple[tuple[float, ...], ...],
 ) -> RunMetrics:
-    """An evaluation job: score the model of one pair's problems' factors,
-    of shape (problems, rows, width), each problem's ``modes`` rows one
-    after another, and loss traces."""
-    bounds = np.cumsum(modes)[:-1]
-    model = _assemble(kind, ds.train.shape, train_cfg,
+    """An evaluation job: score the model of a pair's problems' factors, of
+    shape (problems, rows, width), each problem's ``pair.layout.modes`` rows
+    one after another, and loss traces; its row names the pair's kind, run
+    and seed."""
+    kind, run, ds = pair.kind, pair.run, pair.ds
+    bounds = np.cumsum(pair.layout.modes)[:-1]
+    model = _assemble(kind, ds.train.shape, pair.train_cfg,
                       [(np.split(f, bounds), t) for f, t in zip(factors, traces)])
     errors = []
     values: dict[str, float] = {}
@@ -589,10 +585,10 @@ def run_experiment(
     """Run every (model, run) pair of an experiment and assemble the report.
 
     Every run's split is built here, and every pair's :class:`_Pair`
-    record, which its jobs read: its ``TrainConfig``, the layout of its
-    pre-training checks and its shared factors.  A pair that fails the
-    checks gets its error row and no job.  Each training problem
-    (:func:`models.train_problem`) of the other pairs is a fit job, and each
+    record, which each of its jobs takes: its ``TrainConfig``, the layout of
+    its pre-training checks, made once per pair, and its shared factors.  A
+    pair that fails the checks gets its error row and no job.  Each training
+    problem of the other pairs is a fit job (:func:`_fit_problem`), and each
     pair then has one evaluation job, all in one queue (see
     :class:`_Schedule`).  They run in the forked workers of :func:`_run_jobs`,
     as many as :func:`_worker_count` gives for the usable cores and
@@ -623,12 +619,10 @@ def run_experiment(
     def run_job(job: tuple):
         pair = pairs[job[1]]
         if job[0] == "fit":
-            return _fit_problem(pair.kind, pair.ds, smap, pair.train_cfg, job[2],
-                                pair.factors[job[2]])
+            return _fit_problem(pair, smap, job[2])
         own = pair.factors.copy()
         pair.factors = None  # the pair's last job: unmap its shared factors here
-        return _evaluate_pair(pair.kind, pair.ds, smap, cfg, pair.run, pair.train_cfg,
-                              pair.layout.modes, own, job[2])
+        return _evaluate_pair(pair, smap, cfg, own, job[2])
 
     problems = [0 if pair.factors is None else len(pair.factors) for pair in pairs]
     schedule = _Schedule(problems)

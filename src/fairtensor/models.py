@@ -3,7 +3,7 @@
 Tensor kinds factor the full user x curator x topic tensor; a matrix kind
 trains its tensor kind's problem on each topic slice, an N x M x 1 tensor
 whose topic factor is a constant row of ones.  :func:`train_model` trains
-all six kinds, one :func:`train_problem` per problem.
+all six kinds: it checks a kind once, then trains each problem in turn.
 
 =====  ======  =========================================================
 kind   solver  objective
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -145,8 +145,10 @@ class TrainedModel:
 
     Tensor kinds carry one :class:`FactorModel` and its loss trace, matrix
     kinds one (n, m, 1) :class:`FactorModel` and one trace per topic, as
-    :func:`train_problem` gives them with a ones topic row.  Prediction reads
-    neither directly but the stacked per-topic arrays of :attr:`topic_factors`.
+    :func:`train_problem` gives them with a ones topic row.  Each kind sets
+    exactly its own two fields, so a model holds one layout.  Prediction reads
+    neither layout directly but the stacked per-topic arrays of
+    :attr:`topic_factors`.
     """
 
     kind: str
@@ -163,24 +165,23 @@ class TrainedModel:
         if not all(map(_is_int, self.shape)):
             raise ValueError(f"dimensions must be ints, got {self.shape}")
         object.__setattr__(self, "shape", tuple(map(int, self.shape)))  # JSON-shaped
+        # the layout fields set, in declaration order: those after kind, shape and config
+        given = [f.name for f in fields(self)[3:] if getattr(self, f.name) is not None]
+        own = ["factors", "loss_trace"] if self.kind in TENSOR_KINDS else ["slices", "slice_traces"]
+        if given != own:
+            raise ValueError(f"{self.kind} models set exactly {own}, not {given}")
         if self.kind in TENSOR_KINDS:
-            if self.factors is None or self.loss_trace is None:
-                raise ValueError("tensor kinds need factors and a loss trace")
-            if self.factors.shape != self.shape:
-                raise ValueError(f"factors of shape {self.factors.shape} in a {self.shape} model")
-            fs, traces = [self.factors], [self.loss_trace]
+            fs, traces, want = [self.factors], [self.loss_trace], self.shape
         else:
-            if self.slices is None or self.slice_traces is None:
-                raise ValueError("matrix kinds need slices and slice traces")
-            if len(self.slices) != self.shape[2]:
-                raise ValueError("one slice per topic required")
-            n, m, _ = self.shape
-            if any(sl.shape != (n, m, 1) for sl in self.slices):
-                raise ValueError(f"every slice of a {self.shape} model must have shape {(n, m, 1)}")
-            fs, traces = self.slices, self.slice_traces
+            fs, traces, want = self.slices, self.slice_traces, (*self.shape[:2], 1)
+            if not len(fs) == len(traces) == self.shape[2]:
+                raise ValueError("one slice and one slice trace per topic required")
         # the column layout train_model gives this kind under this config
         width, cols = self.config.fair_layout() if self.is_fair else (self.config.rank, ())
         for f in fs:
+            if f.shape != want:
+                raise ValueError(f"{self.kind} factors of shape {f.shape} in a {self.shape} "
+                                 f"model must have shape {want}")
             if (f.rank, f.sensitive_cols) != (width, cols):
                 raise ValueError(
                     f"{self.kind} factors of width {f.rank} with sensitive_cols "
@@ -558,18 +559,34 @@ def train_problem(
     kind.  The factors are one (rows, width) array per mode of
     :attr:`_Layout.modes`; a slice's ones topic row is not among them.
 
+    It makes :func:`train_model`'s pre-training checks, then trains the one
+    problem with :func:`_train`, as :func:`train_model` and an experiment's
+    fit jobs do from the layout they checked once.  ``index`` may be a
+    Python or numpy integer; a float or a bool is an :class:`IndexError`.
+    """
+    layout = _training_layout(kind, train, cfg, sensitive)
+    if not (_is_int(index) and 0 <= index < layout.problems):
+        raise IndexError(f"{kind} has no problem {index!r} (it has {layout.problems})")
+    return _train(kind, train, cfg, sensitive, layout, index)
+
+
+def _train(
+    kind: str, train: ObservationTensor, cfg: TrainConfig, sensitive: SensitiveMap | None,
+    layout: _Layout, index: int,
+) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    """:func:`train_problem` of problem ``index``, a Python or numpy integer
+    below ``layout.problems``, from the :class:`_Layout` that
+    :func:`_training_layout` gave for these arguments.
+
     Every problem draws its init from one generator seeded with
     ``cfg.seed``, in problem order, and empty slices draw none.  So problem
     ``index`` advances the generator past the inits of the non-empty
     problems before it, one draw per value, and its factors are bit for bit
     those it gets inside :func:`train_model`.  An empty slice gets zero
     factors (FM's keep the features) and an empty trace.  A slice's errors
-    name its topic.  ``index`` may be a Python or numpy integer; a float or
-    a bool is an :class:`IndexError`.
+    name its topic.
     """
-    n_problems, modes, width, sens_cols = _training_layout(kind, train, cfg, sensitive)
-    if not (_is_int(index) and 0 <= index < n_problems):
-        raise IndexError(f"{kind} has no problem {index!r} (it has {n_problems})")
+    n_problems, modes, width, sens_cols = layout
     rng = np.random.default_rng(cfg.seed)
     obs, prefix = train, ""
     if kind in MATRIX_KINDS:
@@ -617,11 +634,12 @@ def train_model(
     cfg: TrainConfig,
     sensitive: SensitiveMap | None = None,
 ) -> TrainedModel:
-    """Train one model of ``kind``: :func:`train_problem` of each problem in
-    turn, then :func:`_assemble`.  A matrix kind's errors name the lowest
-    failing topic."""
+    """Train one model of ``kind``: the pre-training checks of
+    :func:`_training_layout` once, :func:`_train` of each problem in turn,
+    then :func:`_assemble`.  A matrix kind's errors name the lowest failing
+    topic."""
     layout = _training_layout(kind, train, cfg, sensitive)
-    fits = [train_problem(kind, train, cfg, sensitive, index) for index in range(layout.problems)]
+    fits = [_train(kind, train, cfg, sensitive, layout, index) for index in range(layout.problems)]
     return _assemble(kind, train.shape, cfg, fits)
 
 

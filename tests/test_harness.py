@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtensor import cli, data, harness
+from fairtensor import cli, data, harness, models
 from fairtensor.cli import main as cli_main
 from fairtensor.data import SensitiveMap, SplitDataset, SynthConfig, synth_generate
 from fairtensor.errors import ConfigError, FairtensorError, UndefinedMetricError
@@ -498,10 +498,10 @@ class TestWorkerProcesses:
         parent = os.getpid()
         evaluate_pair = harness._evaluate_pair
 
-        def exit_on_ft_run_2(kind, ds, smap, cfg, run, *rest):
-            if kind == "FT" and run == 2 and os.getpid() != parent:
+        def exit_on_ft_run_2(pair, *rest):
+            if pair.kind == "FT" and pair.run == 2 and os.getpid() != parent:
                 os._exit(3)
-            return evaluate_pair(kind, ds, smap, cfg, run, *rest)
+            return evaluate_pair(pair, *rest)
 
         monkeypatch.setattr(harness, "_evaluate_pair", exit_on_ft_run_2)
         cfg = toy_config(tmp_path, models=("OTC", "FT"), repeats=2)
@@ -534,6 +534,59 @@ class TestWorkerProcesses:
         assert len(os.listdir("/proc/self/fd")) == before
         assert held.value is not None
         assert_no_child_process()
+
+
+def count_layouts(monkeypatch) -> list[str]:
+    """The kinds of the calls of ``models._training_layout``, the pre-training
+    checks, under its name in ``models`` and in ``harness``."""
+    calls = []
+    layout = models._training_layout
+
+    def counted(kind, *args):
+        calls.append(kind)
+        return layout(kind, *args)
+
+    monkeypatch.setattr(models, "_training_layout", counted)
+    monkeypatch.setattr(harness, "_training_layout", counted)
+    return calls
+
+
+class TestChecksOnce:
+    """A kind's pre-training checks run once per (model, run) pair of
+    ``run_experiment``, once per ``train_model`` call and once per
+    ``train_problem`` call, not once more per problem."""
+
+    def config(self):
+        synth = SynthConfig(n_users=20, n_curators=12, n_topics=3, true_rank=2,
+                            bias_strength=0.2, target_sparsity=0.2, seed=3)
+        return ExperimentConfig(synth=synth, negative_probability=0.05, repeats=1, k=3,
+                                intervals=10, models=("OTC", "OMC"),
+                                train=TrainConfig(rank=4, max_iters=3))
+
+    def test_run_experiment_checks_each_pair_once(self, monkeypatch):
+        use_workers(monkeypatch, 1)
+        calls = count_layouts(monkeypatch)
+        report = run_experiment(self.config())
+        assert [(r.model, r.error) for r in report.rows] == [("OMC", None), ("OTC", None)]
+        assert sorted(calls) == ["OMC", "OTC"]
+
+    def test_train_model_checks_once(self, monkeypatch):
+        cfg = self.config()
+        ds, smap = prepare_run(cfg, 1)
+        calls = count_layouts(monkeypatch)
+        model = train_model("OMC", ds.train, cfg.train_config_for("OMC", ds.seed), smap)
+        assert len(model.slices) == 3
+        assert calls == ["OMC"]
+
+    def test_train_problem_keeps_its_checks(self, monkeypatch):
+        cfg = self.config()
+        ds, smap = prepare_run(cfg, 1)
+        calls = count_layouts(monkeypatch)
+        harness.train_problem("OMC", ds.train, cfg.train_config_for("OMC", ds.seed), smap, 1)
+        assert calls == ["OMC"]
+        with pytest.raises(ConfigError, match="fairness-aware kinds need rank >= 3"):
+            harness.train_problem("FM", ds.train, TrainConfig(rank=2), smap, 0)
+        assert calls == ["OMC", "FM"]
 
 
 class TestEvaluateScopes:
@@ -1384,6 +1437,59 @@ class TestHostileCheckpointSweep:
                 if code not in (0, 2) or (code == 2 and not err.startswith("error:")):
                     bad.append(f"{path} = {value!r}: exit {code}, {err[:200]!r}")
         assert not bad, bad
+
+
+def train_checkpoint(tmp_path, kind) -> dict:
+    """The checkpoint document of ``fairtensor train`` of ``kind`` on the
+    config sweep's tiny synth; its config is ``<kind>.json`` in ``tmp_path``."""
+    cfg = tmp_path / f"{kind}.json"
+    cfg.write_text(json.dumps({**SWEEP_BASE, "models": [kind]}), encoding="utf-8")
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / f"{kind.lower()}_checkpoint.json").read_text(encoding="utf-8"))
+
+
+class TestCheckpointHoldsOneLayout:
+    """A tensor kind's checkpoint with ``slices`` or ``slice_traces`` set, or
+    a matrix kind's with ``factors`` or ``loss_trace``, is refused:
+    ``fairtensor evaluate`` exits 2 with an ``error:`` line.  An OMC
+    checkpoint with an OTC ``factors`` block would otherwise score with the
+    OTC factors."""
+
+    def evaluate(self, tmp_path, capsys, kind, doc) -> tuple[int, str]:
+        checkpoint = tmp_path / "mixed.json"
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(["evaluate", "--config", str(tmp_path / f"{kind}.json"),
+                         "--checkpoint", str(checkpoint)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, donor, keys", [
+        ("OMC", "OTC", ("factors",)),
+        ("OMC", "OTC", ("loss_trace",)),
+        ("OMC", "OTC", ("factors", "loss_trace")),
+        ("OTC", "OMC", ("slices",)),
+        ("OTC", "OMC", ("slice_traces",)),
+        ("OTC", "OMC", ("slices", "slice_traces")),
+    ])
+    def test_the_other_layouts_fields_are_refused(self, tmp_path, capsys, kind, donor, keys):
+        doc, other = train_checkpoint(tmp_path, kind), train_checkpoint(tmp_path, donor)
+        assert self.evaluate(tmp_path, capsys, kind, doc)[0] == 0
+        doc.update({key: other[key] for key in keys})
+        code, err = self.evaluate(tmp_path, capsys, kind, doc)
+        assert code == 2
+        assert err.startswith("error: checkpoint") and f"{kind} models set exactly" in err
+
+    def test_a_one_user_factors_block_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        doc, other = train_checkpoint(tmp_path, "OMC"), train_checkpoint(tmp_path, "OTC")
+        users = other["factors"]["u_users"]
+        rank = users["shape"][1]
+        doc["factors"] = {**other["factors"],
+                          "u_users": {"shape": [1, rank], "data": users["data"][:rank]}}
+        code, err = self.evaluate(tmp_path, capsys, "OMC", doc)
+        assert code == 2
+        assert err.startswith("error: checkpoint")
+        assert "OMC models set exactly ['slices', 'slice_traces'], not ['factors'," in err
+
 
 def test_package_has_no_assert():
     """Checks that guard results must raise: ``python -O`` strips asserts."""

@@ -77,6 +77,11 @@ def _tiny_model():
     return TrainedModel("OTC", (3, 3, 2), TrainConfig(rank=2), factors=factors, loss_trace=(0.0,))
 
 
+def _tiny_split():
+    test = [(0, 2, 0, 1.0), (1, 0, 1, 1.0), (1, 1, 0, 0.0), (2, 1, 0, 1.0)]
+    return data.SplitDataset(_tiny_train(), ObservationTensor.from_entries(3, 3, 2, test), seed=1)
+
+
 _GROUPED = metrics.GroupedScores([0.1, 0.5, 0.9, 0.4], [0.2, 0.3, 1.0])
 _TOP_LISTS = ({"u": ["a", "b", "c"], "v": ["c", "a"]}, {"u": {"a", "c"}, "v": {"a"}})
 
@@ -151,6 +156,13 @@ ENTRIES = {
     "split-seed": Entry(
         lambda x: [(d := data.split(_tiny_train(), 0.6, x)).seed, d.train.values, d.test.users],
         False, 1, -1, None, ConfigError, ConfigError),
+    "evaluate_model-k": Entry(
+        lambda x: harness.evaluate_model(_tiny_model(), _tiny_split(), SensitiveMap([0, 1, 0]),
+                                         x, 5), False, 2, 0, None, ConfigError, ConfigError),
+    "evaluate_model-intervals": Entry(
+        lambda x: harness.evaluate_model(_tiny_model(), _tiny_split(), SensitiveMap([0, 1, 0]),
+                                         2, x), False, 5, 0, errors.MAX_DENSE_CELLS + 1,
+        ConfigError, ConfigError),
 }
 
 
@@ -213,3 +225,34 @@ def test_numpy_integers_once_refused_are_accepted():
     assert trace == ref_trace
     assert all(a.tobytes() == b.tobytes() for a, b in zip(params, ref_params))
     assert models.top_k(model, 1, 0, k_items=np.int64(2)) == models.top_k(model, 1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the float rule: a probability or a fraction is a Python or numpy integer or
+# float, never a bool, a string or another object
+
+FLOAT_ENTRIES = {
+    "negative_sample-probability": lambda x: [
+        (o := data.negative_sample(_tiny_train(), x, 1)).users, o.curators, o.topics, o.values],
+    "split-train_fraction": lambda x: [
+        (d := data.split(_tiny_train(), x, 1)).train.values, d.train.users, d.test.users],
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_ENTRIES)
+def test_float_rule_refuses_bools_and_non_numbers(name):
+    for x in (True, False, np.True_, "0.5", None, [0.5], 0.5j):
+        with pytest.raises(ConfigError):
+            FLOAT_ENTRIES[name](x)
+
+
+@pytest.mark.parametrize("name, good, same", [
+    ("negative_sample-probability", 0.5, [np.float64(0.5), np.float32(0.5), np.float16(0.5)]),
+    ("negative_sample-probability", 1, [1.0, np.int64(1), np.uint8(1), np.float64(1.0)]),
+    ("negative_sample-probability", 0, [0.0, np.int32(0), np.float32(0.0)]),
+    ("split-train_fraction", 0.5, [np.float64(0.5), np.float32(0.5), np.float16(0.5)]),
+])
+def test_float_rule_accepts_python_and_numpy_numbers_alike(name, good, same):
+    want = _canonical(FLOAT_ENTRIES[name](good))
+    for x in same:
+        assert _canonical(FLOAT_ENTRIES[name](x)) == want, repr(x)

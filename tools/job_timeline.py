@@ -9,10 +9,11 @@ It imports ``fairtensor`` from ``<root>/src`` (default: this checkout) and
 runs ``harness.run_experiment`` once on the experiment config, writing no
 report.  Before the run it wraps ``harness._fit_problem`` and
 ``harness._evaluate_pair``, the two kinds of job, so that each job, in
-whichever process runs it, appends its pid, pair, problem, start and end
-to a file that the forked workers inherit.  Times are ``time.perf_counter``
-readings, one clock for every process on Linux, in seconds from just
-before the run.  Then it prints::
+whichever process runs it, appends its pid, pair (the kind and run of the
+``harness._Pair`` record it takes), problem, start and end to a file that
+the forked workers inherit.  Times are ``time.perf_counter`` readings, one
+clock for every process on Linux, in seconds from just before the run.
+Then it prints::
 
     job <worker> <kind>/<run> <problem index, or eval> <start_s> <end_s>
     ...                                     (one line per job, by start)
@@ -100,16 +101,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    def run_of(ds) -> int:
-        return ds.seed - cfg.base_seed  # _run_split seeds run r with base_seed + r
-
     with tempfile.TemporaryFile(mode="a+b") as log:  # O_APPEND: whole lines from any process
         t0 = time.perf_counter()
         harness._fit_problem = timed(
-            harness._fit_problem, lambda kind, ds, *rest: (kind, run_of(ds), rest[2]),
+            harness._fit_problem, lambda pair, smap, index: (pair.kind, pair.run, index),
             log.fileno(), t0)
         harness._evaluate_pair = timed(
-            harness._evaluate_pair, lambda kind, ds, smap, c, run, *rest: (kind, run, "eval"),
+            harness._evaluate_pair, lambda pair, *rest: (pair.kind, pair.run, "eval"),
             log.fileno(), t0)
         try:
             harness.run_experiment(cfg)
