@@ -409,8 +409,12 @@ def calibrate_bias_strength(
 
     The generated positive ratio is monotone in the bias, so plain bisection
     on the generator (same seed throughout) converges; after 60 steps it
-    returns the bracket's upper end.
+    returns the bracket's upper end.  ``target_ratio`` and ``rel_tol`` must
+    be finite numbers (:func:`_is_real`), else a :class:`ConfigError`.
     """
+    for name, value in (("target_ratio", target_ratio), ("rel_tol", rel_tol)):
+        if not (_is_real(value) and math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if target_ratio <= 0:
         raise ConfigError("target_ratio must be positive")
 

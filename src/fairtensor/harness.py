@@ -88,7 +88,6 @@ from .models import (
     parity_penalty,
     predict_cells,
     train_model,
-    train_problem,  # not called here: tests call it through this module
 )
 from .tensor_core import FactorModel, ObservationTensor, _is_int, masked_gradient, masked_loss
 
@@ -348,8 +347,8 @@ class _Pair:
     """One (model, run) pair of :func:`run_experiment`, the record each of
     its jobs takes: its kind, run, split and ``TrainConfig``; its layout, or
     the :class:`ConfigError` of its pre-training checks, made once per pair;
-    and its factors, (problems, rows, width) in memory the workers share, or
-    None when it has no jobs left."""
+    and its factor stack (:func:`models._layout`), in memory the workers
+    share, or None when it has no jobs left."""
 
     kind: str
     run: int
@@ -363,29 +362,25 @@ def _fit_problem(
     pair: _Pair, smap: SensitiveMap | None, index: int
 ) -> tuple[float, ...] | ConfigError:
     """A fit job: train problem ``index`` of a pair that passed its checks,
-    from ``pair.layout`` (:func:`models._train`), and write its factors, the
-    modes' rows one after another, into ``pair.factors[index]``.  It returns
-    only the loss trace, or the :class:`ConfigError` that stopped the problem."""
+    from ``pair.layout``, into its row of the factor stack,
+    ``pair.factors[index]`` (:func:`models._train`).  It returns only the
+    loss trace, or the :class:`ConfigError` that stopped the problem."""
     try:
-        params, trace = _train(pair.kind, pair.ds.train, pair.train_cfg, smap, pair.layout, index)
+        return _train(pair.kind, pair.ds.train, pair.train_cfg, smap, pair.layout, index,
+                      pair.factors[index])
     except ConfigError as exc:
         return exc
-    np.concatenate(params, out=pair.factors[index])
-    return trace
 
 
 def _evaluate_pair(
     pair: _Pair, smap: SensitiveMap | None, cfg: ExperimentConfig, factors: np.ndarray,
     traces: tuple[tuple[float, ...], ...],
 ) -> RunMetrics:
-    """An evaluation job: score the model of a pair's problems' factors, of
-    shape (problems, rows, width), each problem's ``pair.layout.modes`` rows
-    one after another, and loss traces; its row names the pair's kind, run
+    """An evaluation job: score the model of a pair's factor stack and loss
+    traces (:func:`models._assemble`); its row names the pair's kind, run
     and seed."""
     kind, run, ds = pair.kind, pair.run, pair.ds
-    bounds = np.cumsum(pair.layout.modes)[:-1]
-    model = _assemble(kind, ds.train.shape, pair.train_cfg,
-                      [(np.split(f, bounds), t) for f, t in zip(factors, traces)])
+    model = _assemble(kind, ds.train.shape, pair.train_cfg, factors, traces)
     errors = []
     values: dict[str, float] = {}
     try:

@@ -24,6 +24,9 @@ curator-factor columns U_ns; after descent those columns are also projected
 onto the orthogonal complement of span(S) exactly.  Fairness-aware kinds predict
 from the non-sensitive columns only; all other kinds use every column.
 
+A kind's trained factors are one stack (:func:`_layout`), which training
+writes, :func:`_assemble` reads and a format-2 checkpoint stores.
+
 GD and ALS run one loop, :func:`_iterate`.  Constant blocks, the sensitive
 features and a slice's ones topic row, are never parameters, so they cannot
 drift.  Each solver builds its buffers and plans once per problem, and the
@@ -88,7 +91,7 @@ MODEL_KINDS = TENSOR_KINDS + MATRIX_KINDS
 FAIR_KINDS = ("FT", "FM")
 GROUP_AWARE_KINDS = ("RTC", "RMC", "FT", "FM")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _INIT_SCALE = 0.1  # i.i.d. uniform [0, 0.1) init suits implicit 0/1 ratings
 _MIN_RIDGE = 1e-8
 
@@ -144,9 +147,9 @@ class TrainedModel:
     """Immutable result of one training run.
 
     Tensor kinds carry one :class:`FactorModel` and its loss trace, matrix
-    kinds one (n, m, 1) :class:`FactorModel` and one trace per topic, as
-    :func:`train_problem` gives them with a ones topic row.  Each kind sets
-    exactly its own two fields, so a model holds one layout.  Prediction reads
+    kinds one (n, m, 1) :class:`FactorModel` and one trace per topic, its
+    topic row ones.  Each kind sets exactly its own two fields, so a model
+    holds one layout, the one :func:`_layout` gives.  Prediction reads
     neither layout directly but the stacked per-topic arrays of
     :attr:`topic_factors`.
     """
@@ -160,24 +163,20 @@ class TrainedModel:
     slice_traces: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if not all(map(_is_int, self.shape)):
-            raise ValueError(f"dimensions must be ints, got {self.shape}")
+        problems, modes, width, cols = _layout(self.kind, self.shape, self.config)
         object.__setattr__(self, "shape", tuple(map(int, self.shape)))  # JSON-shaped
         # the layout fields set, in declaration order: those after kind, shape and config
         given = [f.name for f in fields(self)[3:] if getattr(self, f.name) is not None]
-        own = ["factors", "loss_trace"] if self.kind in TENSOR_KINDS else ["slices", "slice_traces"]
+        tensor = self.kind in TENSOR_KINDS
+        own = ["factors", "loss_trace"] if tensor else ["slices", "slice_traces"]
         if given != own:
             raise ValueError(f"{self.kind} models set exactly {own}, not {given}")
-        if self.kind in TENSOR_KINDS:
+        if tensor:
             fs, traces, want = [self.factors], [self.loss_trace], self.shape
         else:
-            fs, traces, want = self.slices, self.slice_traces, (*self.shape[:2], 1)
-            if not len(fs) == len(traces) == self.shape[2]:
+            fs, traces, want = self.slices, self.slice_traces, (*modes, 1)
+            if not len(fs) == len(traces) == problems:
                 raise ValueError("one slice and one slice trace per topic required")
-        # the column layout train_model gives this kind under this config
-        width, cols = self.config.fair_layout() if self.is_fair else (self.config.rank, ())
         for f in fs:
             if f.shape != want:
                 raise ValueError(f"{self.kind} factors of shape {f.shape} in a {self.shape} "
@@ -187,6 +186,8 @@ class TrainedModel:
                     f"{self.kind} factors of width {f.rank} with sensitive_cols "
                     f"{list(f.sensitive_cols)}; the config gives {width} with {list(cols)}"
                 )
+            if not (tensor or np.all(f.u_topics == 1.0)):
+                raise ValueError(f"{self.kind} slices must have a topic row of ones")
         if not all(isinstance(v, float) and math.isfinite(v) for t in traces for v in t):
             raise ValueError("loss traces must hold finite floats")
 
@@ -511,12 +512,30 @@ def _fit(
 
 
 class _Layout(NamedTuple):
-    """The problems a kind trains on one training set and their factors' shape."""
+    """The problems a kind trains on a tensor's shape and their factors' layout."""
 
     problems: int  # 1 for a tensor kind, one per topic for a matrix kind
     modes: tuple[int, ...]  # each problem's factor row counts: (n, m, K) or (n, m)
     width: int  # the factors' column count
     sensitive_cols: tuple[int, ...]
+
+
+def _layout(kind: str, shape: Sequence[int], cfg: TrainConfig) -> _Layout:
+    """The layout of ``kind`` on an (n, m, K) tensor under ``cfg``: a
+    (problems, rows, width) factor stack, each problem's modes' rows one
+    after another.  A tensor kind has one problem of modes (n, m, K), a
+    matrix kind one per topic of modes (n, m); a slice's ones topic row is
+    no parameter.  An unknown kind is a :class:`ConfigError`, dimensions
+    that are not integers (:func:`tensor_core._is_int`) a ``ValueError``."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if not all(map(_is_int, shape)):
+        raise ValueError(f"dimensions must be ints, got {shape}")
+    n, m, kk = map(int, shape)
+    width, cols = cfg.fair_layout() if kind in FAIR_KINDS else (cfg.rank, ())
+    if kind in TENSOR_KINDS:
+        return _Layout(1, (n, m, kk), width, cols)
+    return _Layout(kk, (n, m), width, cols)
 
 
 def _training_layout(
@@ -525,26 +544,22 @@ def _training_layout(
     """The checks :func:`train_model` makes before it trains, and the layout.
 
     FT's and FM's ridge covers the whole curator factor, the constant
-    feature columns included.  The kind's factor set, cell block rows and
+    feature columns included.  The kind's factor stack, cell block rows and
     ALS design and Gram stack are each checked against ``MAX_DENSE_CELLS``
     before any is allocated.
     """
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    layout = _layout(kind, train.shape, cfg)
+    problems, modes, total, _ = layout
     if train.n_entries == 0:
         raise ConfigError("training set is empty")
     _check_sensitive(kind, train, sensitive)
-    total, sens_cols = cfg.fair_layout() if kind in FAIR_KINDS else (cfg.rank, ())
-    is_tensor = kind in TENSOR_KINDS
-    modes = train.shape if is_tensor else train.shape[:2]  # a slice's ones row is no parameter
-    problems = 1 if is_tensor else train.n_topics
     _check_dense_cells(problems * sum(modes) * total, f"{kind}'s factor set at width {total}")
     block = min(train.n_entries, CELL_BLOCK)
     _check_dense_cells(len(modes) * block * total, f"{kind}'s cell block rows")
     if kind in ("OTC", "OMC"):
         _check_dense_cells(train.n_entries * total, f"{kind}'s ALS design")
         _check_dense_cells(sum(modes) * total * total, f"{kind}'s ALS Gram stack")
-    return _Layout(problems, modes, total, sens_cols)
+    return layout
 
 
 def train_problem(
@@ -567,16 +582,19 @@ def train_problem(
     layout = _training_layout(kind, train, cfg, sensitive)
     if not (_is_int(index) and 0 <= index < layout.problems):
         raise IndexError(f"{kind} has no problem {index!r} (it has {layout.problems})")
-    return _train(kind, train, cfg, sensitive, layout, index)
+    out = np.empty((sum(layout.modes), layout.width))
+    trace = _train(kind, train, cfg, sensitive, layout, index, out)
+    return np.split(out, np.cumsum(layout.modes)[:-1]), trace
 
 
 def _train(
     kind: str, train: ObservationTensor, cfg: TrainConfig, sensitive: SensitiveMap | None,
-    layout: _Layout, index: int,
-) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    layout: _Layout, index: int, out: np.ndarray,
+) -> tuple[float, ...]:
     """:func:`train_problem` of problem ``index``, a Python or numpy integer
     below ``layout.problems``, from the :class:`_Layout` that
-    :func:`_training_layout` gave for these arguments.
+    :func:`_training_layout` gave for these arguments.  It writes the
+    factors into ``out``, the problem's row of the stack, and returns the trace.
 
     Every problem draws its init from one generator seeded with
     ``cfg.seed``, in problem order, and empty slices draw none.  So problem
@@ -598,34 +616,39 @@ def _train(
         obs = ObservationTensor.from_flat((*modes, 1), cells, train.values[mask])
         prefix = f"topic {index}: "
     if obs.n_entries == 0:
-        params = [np.zeros((n, width)) for n in modes]
+        out[...] = 0.0
         if kind == "FM":
-            params[1][:, sens_cols] = sensitive.matrix
-        return params, ()
+            out[modes[0]:, sens_cols] = sensitive.matrix
+        return ()
     try:
         params, trace = _fit(kind, obs, sensitive, cfg, _init_factors(rng, modes, width))
     except ConfigError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
-    return params, tuple(trace)
+    np.concatenate(params, out=out)
+    return tuple(trace)
 
 
-def _assemble(
-    kind: str,
-    shape: tuple[int, int, int],
-    cfg: TrainConfig,
-    fits: Sequence[tuple[Sequence[np.ndarray], tuple[float, ...]]],
-) -> TrainedModel:
-    """The :class:`TrainedModel` of a kind's problems' (factors, trace), in
-    problem order, as :func:`train_problem` returns them."""
-    sens_cols = cfg.fair_layout()[1] if kind in FAIR_KINDS else ()
+def _assemble(kind: str, shape: tuple[int, int, int], cfg: TrainConfig, stack: np.ndarray,
+              traces: Sequence[Sequence[float]]) -> TrainedModel:
+    """The :class:`TrainedModel` of a kind's factor stack (:func:`_layout`)
+    and one loss trace per problem.  The stack's shape is checked before
+    anything is built; the model's factors are views of it."""
+    problems, modes, width, cols = _layout(kind, shape, cfg)
+    want = (problems, sum(modes), width)
+    if stack.ndim == 3 and stack.shape[2] != width:
+        raise ValueError(f"{kind} factors of width {stack.shape[2]}; the config gives {width}")
+    if stack.shape != want:
+        raise ValueError(f"{kind} factors of shape {stack.shape} in a {tuple(shape)} model "
+                         f"must have shape {want}")
+    if len(traces) != problems:
+        raise ValueError(f"{kind} needs one loss trace per problem ({problems}), got {len(traces)}")
+    traces = tuple(map(tuple, traces))
+    ones = [] if kind in TENSOR_KINDS else [np.ones((1, width))]  # the slices' topic row
+    fs = tuple(FactorModel(*np.split(f, np.cumsum(modes)[:-1]), *ones, sensitive_cols=cols)
+               for f in stack)
     if kind in TENSOR_KINDS:
-        ((params, trace),) = fits
-        factors = FactorModel(*params, sensitive_cols=sens_cols)
-        return TrainedModel(kind, shape, cfg, factors=factors, loss_trace=trace)
-    slices = tuple(FactorModel(*params, np.ones((1, params[0].shape[1])), sensitive_cols=sens_cols)
-                   for params, _ in fits)
-    traces = tuple(trace for _, trace in fits)
-    return TrainedModel(kind, shape, cfg, slices=slices, slice_traces=traces)
+        return TrainedModel(kind, shape, cfg, factors=fs[0], loss_trace=traces[0])
+    return TrainedModel(kind, shape, cfg, slices=fs, slice_traces=traces)
 
 
 def train_model(
@@ -635,12 +658,14 @@ def train_model(
     sensitive: SensitiveMap | None = None,
 ) -> TrainedModel:
     """Train one model of ``kind``: the pre-training checks of
-    :func:`_training_layout` once, :func:`_train` of each problem in turn,
-    then :func:`_assemble`.  A matrix kind's errors name the lowest failing
-    topic."""
+    :func:`_training_layout` once, :func:`_train` of each problem in turn
+    into one factor stack, then :func:`_assemble`.  A matrix kind's errors
+    name the lowest failing topic."""
     layout = _training_layout(kind, train, cfg, sensitive)
-    fits = [_train(kind, train, cfg, sensitive, layout, index) for index in range(layout.problems)]
-    return _assemble(kind, train.shape, cfg, fits)
+    stack = np.empty((layout.problems, sum(layout.modes), layout.width))
+    traces = [_train(kind, train, cfg, sensitive, layout, index, stack[index])
+              for index in range(layout.problems)]
+    return _assemble(kind, train.shape, cfg, stack, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -742,49 +767,27 @@ def top_k(
 # checkpoints
 
 
-def _encode_matrix(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
-
-
-def _decode_matrix(obj: dict) -> np.ndarray:
-    arr = np.asarray(obj["data"], dtype=np.float64).reshape(obj["shape"])
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("factor values must be finite")
-    return arr
-
-
-_FACTOR_FIELDS = ("u_users", "u_curators", "u_topics")
-
-
-def _encode_factors(f: FactorModel) -> dict:
-    doc = {name: _encode_matrix(getattr(f, name)) for name in _FACTOR_FIELDS}
-    return {**doc, "sensitive_cols": list(f.sensitive_cols)}
-
-
-def _decode_factors(doc: dict) -> FactorModel:
-    mats = (_decode_matrix(doc[name]) for name in _FACTOR_FIELDS)
-    return FactorModel(*mats, sensitive_cols=tuple(doc["sensitive_cols"]))
-
-
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
-    """Serialise a trained model to JSON (bit-exact float round trip)."""
-    doc: dict = {
+    """Serialise a trained model to JSON (bit-exact float round trip).
+
+    Format 2's keys are ``format_version``, ``kind``, ``dimensions``
+    (``n_users``, ``n_curators``, ``n_topics``), ``config`` (the
+    :class:`TrainConfig` fields), ``factors``, the factor stack of
+    :func:`_layout` as ``{"shape": [problems, rows, width], "data": [...]}``
+    in row-major order, and ``traces``, one loss trace per problem.
+    """
+    if model.factors is not None:
+        fs, traces, n_modes = [model.factors], [model.loss_trace], 3
+    else:
+        fs, traces, n_modes = model.slices, model.slice_traces, 2
+    stack = np.stack([np.concatenate((f.u_users, f.u_curators, f.u_topics)[:n_modes]) for f in fs])
+    doc = {
         "format_version": CHECKPOINT_VERSION,
         "kind": model.kind,
-        "dimensions": {
-            "n_users": model.shape[0],
-            "n_curators": model.shape[1],
-            "n_topics": model.shape[2],
-        },
+        "dimensions": dict(zip(("n_users", "n_curators", "n_topics"), model.shape)),
         "config": asdict(model.config),
-        "loss_trace": list(model.loss_trace) if model.loss_trace is not None else None,
-        "slice_traces": [list(t) for t in model.slice_traces]
-        if model.slice_traces is not None
-        else None,
-        "factors": _encode_factors(model.factors) if model.factors is not None else None,
-        "slices": [_encode_factors(sl) for sl in model.slices]
-        if model.slices is not None
-        else None,
+        "factors": {"shape": list(stack.shape), "data": stack.ravel().tolist()},
+        "traces": [list(t) for t in traces],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -792,8 +795,9 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Rebuild a trained model from :func:`save_checkpoint` output.
 
-    An unreadable, malformed or inconsistent checkpoint, or one of another
-    ``format_version``, is a :class:`ConfigError`.
+    An unreadable, malformed or inconsistent checkpoint, one of another
+    ``format_version`` or one with a key that format 2 does not define, is a
+    :class:`ConfigError`.
     """
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -802,20 +806,16 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             f"checkpoint {path}: format_version {version!r} is not {CHECKPOINT_VERSION}"
         )
     try:
-        dims = doc["dimensions"]
-        return TrainedModel(
-            kind=doc["kind"],
-            shape=(dims["n_users"], dims["n_curators"], dims["n_topics"]),
-            config=TrainConfig(**check_fields(TrainConfig, doc["config"], "checkpoint config")),
-            factors=_decode_factors(doc["factors"]) if doc["factors"] is not None else None,
-            slices=tuple(map(_decode_factors, doc["slices"]))
-            if doc["slices"] is not None
-            else None,
-            loss_trace=tuple(doc["loss_trace"]) if doc["loss_trace"] is not None else None,
-            slice_traces=tuple(tuple(t) for t in doc["slice_traces"])
-            if doc["slice_traces"] is not None
-            else None,
-        )
+        unknown = set(doc) - {"format_version", "kind", "dimensions", "config", "factors", "traces"}
+        if unknown:
+            raise ValueError(f"format {CHECKPOINT_VERSION} defines no key {sorted(unknown)}")
+        dims, factors = doc["dimensions"], doc["factors"]
+        config = TrainConfig(**check_fields(TrainConfig, doc["config"], "checkpoint config"))
+        stack = np.asarray(factors["data"], dtype=np.float64).reshape(factors["shape"])
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("factor values must be finite")
+        shape = (dims["n_users"], dims["n_curators"], dims["n_topics"])
+        return _assemble(doc["kind"], shape, config, stack, doc["traces"])
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} lacks key {exc}") from None
     except (TypeError, ValueError, IndexError) as exc:

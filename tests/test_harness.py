@@ -324,7 +324,7 @@ class TestWorkerProcesses:
         rmc_cfg = cfg.train_config_for("RMC", ds.seed)
         for topic in range(ds.train.n_topics):  # every RMC slice diverges
             with pytest.raises(ConfigError, match=f"topic {topic}: gradient descent diverged"):
-                harness.train_problem("RMC", ds.train, rmc_cfg, smap, topic)
+                models.train_problem("RMC", ds.train, rmc_cfg, smap, topic)
         for cores in (1, 2):
             use_workers(monkeypatch, cores)
             report = run_experiment(cfg, out_dir=tmp_path / f"cores{cores}")
@@ -582,10 +582,10 @@ class TestChecksOnce:
         cfg = self.config()
         ds, smap = prepare_run(cfg, 1)
         calls = count_layouts(monkeypatch)
-        harness.train_problem("OMC", ds.train, cfg.train_config_for("OMC", ds.seed), smap, 1)
+        models.train_problem("OMC", ds.train, cfg.train_config_for("OMC", ds.seed), smap, 1)
         assert calls == ["OMC"]
         with pytest.raises(ConfigError, match="fairness-aware kinds need rank >= 3"):
-            harness.train_problem("FM", ds.train, TrainConfig(rank=2), smap, 0)
+            models.train_problem("FM", ds.train, TrainConfig(rank=2), smap, 0)
         assert calls == ["OMC", "FM"]
 
 
@@ -1406,6 +1406,17 @@ def checkpoint_paths(node, path=()):
         yield from checkpoint_paths(node[0], (*path, 0))
 
 
+# format 2's key paths: every sub-field of the dimensions and the config, the
+# factor stack's shape and data, and the first entry of the first trace
+FORMAT_2_PATHS = sorted([
+    ("format_version",), ("kind",), ("dimensions",),
+    *(("dimensions", d) for d in ("n_users", "n_curators", "n_topics")),
+    ("config",), *(("config", f.name) for f in fields(TrainConfig)),
+    ("factors",), ("factors", "shape"), ("factors", "shape", 0), ("factors", "data"),
+    ("factors", "data", 0), ("traces",), ("traces", 0), ("traces", 0, 0),
+])
+
+
 class TestHostileCheckpointSweep:
     """Every field of a trained checkpoint set to each hostile value, through
     ``fairtensor evaluate`` in-process on the config sweep's tiny synth: the
@@ -1420,7 +1431,7 @@ class TestHostileCheckpointSweep:
         checkpoint = tmp_path / f"{kind.lower()}_checkpoint.json"
         trained = json.loads(checkpoint.read_text(encoding="utf-8"))
         paths = list(checkpoint_paths(trained))
-        assert len(paths) >= 30
+        assert sorted(paths) == FORMAT_2_PATHS
         capsys.readouterr()
         bad = []
         for path in paths:
@@ -1449,11 +1460,10 @@ def train_checkpoint(tmp_path, kind) -> dict:
 
 
 class TestCheckpointHoldsOneLayout:
-    """A tensor kind's checkpoint with ``slices`` or ``slice_traces`` set, or
-    a matrix kind's with ``factors`` or ``loss_trace``, is refused:
+    """A checkpoint with the factor stack or the traces of another kind, or
+    with a key of format 1 (``slices``, ``slice_traces``), is refused:
     ``fairtensor evaluate`` exits 2 with an ``error:`` line.  An OMC
-    checkpoint with an OTC ``factors`` block would otherwise score with the
-    OTC factors."""
+    checkpoint with OTC factors would otherwise score with them."""
 
     def evaluate(self, tmp_path, capsys, kind, doc) -> tuple[int, str]:
         checkpoint = tmp_path / "mixed.json"
@@ -1465,11 +1475,11 @@ class TestCheckpointHoldsOneLayout:
 
     @pytest.mark.parametrize("kind, donor, keys", [
         ("OMC", "OTC", ("factors",)),
-        ("OMC", "OTC", ("loss_trace",)),
-        ("OMC", "OTC", ("factors", "loss_trace")),
-        ("OTC", "OMC", ("slices",)),
-        ("OTC", "OMC", ("slice_traces",)),
-        ("OTC", "OMC", ("slices", "slice_traces")),
+        ("OMC", "OTC", ("traces",)),
+        ("OMC", "OTC", ("factors", "traces")),
+        ("OTC", "OMC", ("factors",)),
+        ("OTC", "OMC", ("traces",)),
+        ("OTC", "OMC", ("factors", "traces")),
     ])
     def test_the_other_layouts_fields_are_refused(self, tmp_path, capsys, kind, donor, keys):
         doc, other = train_checkpoint(tmp_path, kind), train_checkpoint(tmp_path, donor)
@@ -1477,18 +1487,26 @@ class TestCheckpointHoldsOneLayout:
         doc.update({key: other[key] for key in keys})
         code, err = self.evaluate(tmp_path, capsys, kind, doc)
         assert code == 2
-        assert err.startswith("error: checkpoint") and f"{kind} models set exactly" in err
+        message = "factors of shape" if "factors" in keys else "needs one loss trace per problem"
+        assert err.startswith("error: checkpoint") and f"{kind} {message}" in err
+
+    @pytest.mark.parametrize("key", ["slices", "slice_traces", "loss_trace"])
+    def test_format_1_keys_are_refused(self, tmp_path, capsys, key):
+        doc = train_checkpoint(tmp_path, "OMC")
+        code, err = self.evaluate(tmp_path, capsys, "OMC", {**doc, key: None})
+        assert code == 2
+        assert err.startswith("error: checkpoint") and f"format 2 defines no key ['{key}']" in err
 
     def test_a_one_user_factors_block_is_an_error_not_a_traceback(self, tmp_path, capsys):
         doc, other = train_checkpoint(tmp_path, "OMC"), train_checkpoint(tmp_path, "OTC")
-        users = other["factors"]["u_users"]
-        rank = users["shape"][1]
-        doc["factors"] = {**other["factors"],
-                          "u_users": {"shape": [1, rank], "data": users["data"][:rank]}}
+        _, rows, rank = other["factors"]["shape"]
+        # the OTC stack without its first 19 of 20 user rows
+        doc["factors"] = {"shape": [1, rows - 19, rank],
+                          "data": other["factors"]["data"][19 * rank:]}
         code, err = self.evaluate(tmp_path, capsys, "OMC", doc)
         assert code == 2
         assert err.startswith("error: checkpoint")
-        assert "OMC models set exactly ['slices', 'slice_traces'], not ['factors'," in err
+        assert "OMC factors of shape (1, 16, 4) in a (20, 12, 3) model must have shape" in err
 
 
 def test_package_has_no_assert():

@@ -1273,6 +1273,60 @@ def assert_same_model(a, b):
             assert np.array_equal(getattr(x, name), getattr(y, name))
 
 
+def model_bytes(model) -> list[bytes]:
+    """Every factor matrix and trace of a model, as bytes, in layout order."""
+    fs = [model.factors] if model.factors is not None else list(model.slices)
+    traces = [model.loss_trace] if model.loss_trace is not None else list(model.slice_traces)
+    return [np.asarray(x, dtype=np.float64).tobytes()
+            for f in fs for x in (f.u_users, f.u_curators, f.u_topics)] + [
+        np.asarray(t, dtype=np.float64).tobytes() for t in traces]
+
+
+class TestTrainedModelLayout:
+    """A model built directly, not loaded, holds its kind's one layout: the
+    two checks format 2 checkpoints cannot reach, since they store neither
+    the other kind's fields nor the sensitive columns."""
+
+    cfg = TrainConfig(rank=3, max_iters=2, seed=2)
+
+    def trained(self, kind):
+        ds, smap = biased_dataset()
+        return train_model(kind, ds.train, self.cfg, smap)
+
+    def test_a_model_sets_exactly_its_kinds_fields(self):
+        otc, omc = self.trained("OTC"), self.trained("OMC")
+        with pytest.raises(ValueError, match=r"OMC models set exactly \['slices', "
+                           r"'slice_traces'\], not \['factors', 'slices', 'slice_traces'\]"):
+            replace(omc, factors=otc.factors)
+        with pytest.raises(ValueError, match=r"OTC models set exactly \['factors', "
+                           r"'loss_trace'\], not \['factors', 'loss_trace', 'slice_traces'\]"):
+            replace(otc, slice_traces=omc.slice_traces)
+        with pytest.raises(ValueError, match=r"OTC models set exactly .*, not \['factors'\]"):
+            TrainedModel("OTC", otc.shape, otc.config, factors=otc.factors)
+
+    def test_factors_must_have_the_configs_columns(self):
+        ft, fm, otc = self.trained("FT"), self.trained("FM"), self.trained("OTC")
+        with pytest.raises(ValueError, match=r"FT factors of width 3 with sensitive_cols "
+                           r"\[\]; the config gives 3 with \[1, 2\]"):
+            replace(ft, factors=replace(ft.factors, sensitive_cols=()))
+        with pytest.raises(ValueError, match=r"FT factors of width 3 with sensitive_cols "
+                           r"\[1, 2\]; the config gives 5 with \[3, 4\]"):
+            replace(ft, config=replace(ft.config, extra_sensitive_cols=True))
+        with pytest.raises(ValueError, match=r"FM factors of width 3 with sensitive_cols "
+                           r"\[0, 1\]; the config gives 3 with \[1, 2\]"):
+            replace(fm, slices=(fm.slices[0], replace(fm.slices[1], sensitive_cols=(0, 1)),
+                                fm.slices[2]))
+        with pytest.raises(ValueError, match=r"OTC factors of width 3 with sensitive_cols "
+                           r"\[1, 2\]; the config gives 3 with \[\]"):
+            replace(otc, factors=replace(otc.factors, sensitive_cols=(1, 2)))
+
+    def test_a_slice_has_a_topic_row_of_ones(self):
+        omc = self.trained("OMC")
+        halved = replace(omc.slices[0], u_topics=np.full((1, 3), 0.5))
+        with pytest.raises(ValueError, match="OMC slices must have a topic row of ones"):
+            replace(omc, slices=(halved, *omc.slices[1:]))
+
+
 class TestCheckpoints:
     def round_trip(self, kind, tmp_path):
         ds, smap = biased_dataset()
@@ -1312,23 +1366,29 @@ class TestCheckpoints:
         (lambda d: d.update(format_version=True), "format_version True"),
         (lambda d: d.update(format_version=1.0), "format_version 1.0"),
         (lambda d: d.pop("factors"), "lacks key 'factors'"),
-        (lambda d: d["factors"].pop("u_topics"), "lacks key 'u_topics'"),
+        (lambda d: d["factors"].pop("data"), "lacks key 'data'"),
         (lambda d: d.update(kind="XYZ"), "unknown model kind"),
         (lambda d: d["config"].update(rnak=3), "unknown checkpoint config field"),
         (lambda d: d["dimensions"].update(n_users=1), "factors of shape"),
-        (lambda d: d["factors"]["u_users"]["data"].__setitem__(0, None), "values must be finite"),
-        (lambda d: d["factors"]["u_topics"]["data"].__setitem__(1, np.nan), "must be finite"),
-        # a fair layout other than the config's; (kind, edit) trains that kind
-        (("FT", lambda d: d["factors"].update(sensitive_cols=[])),
-         r"FT factors of width 3 with sensitive_cols \[\]; the config gives 3 with \[1, 2\]"),
-        (("FM", lambda d: d["slices"][1].update(sensitive_cols=[0, 1])),
-         r"FM factors of width 3 with sensitive_cols \[0, 1\]; the config gives 3 with \[1, 2\]"),
-        (lambda d: d["factors"].update(sensitive_cols=[1, 2]),
-         r"OTC factors of width 3 with sensitive_cols \[1, 2\]; the config gives 3 with \[\]"),
-        (lambda d: d.update(loss_trace=["x", None]), "loss traces must hold finite floats"),
-        (("OMC", lambda d: d["slice_traces"][0].__setitem__(0, np.inf)), "finite floats"),
+        (lambda d: d["factors"]["data"].__setitem__(0, None), "values must be finite"),
+        (lambda d: d["factors"]["data"].__setitem__(1, np.nan), "must be finite"),
+        # a config whose width is not the stack's; (kind, edit) trains that kind
+        (("FT", lambda d: d["config"].update(extra_sensitive_cols=True)),
+         r"FT factors of width 3; the config gives 5"),
+        (("FM", lambda d: d["config"].update(rank=4)),
+         r"FM factors of width 3; the config gives 4"),
+        (lambda d: d["config"].update(rank=2), r"OTC factors of width 3; the config gives 2"),
+        (lambda d: d.update(traces=[["x", None]]), "loss traces must hold finite floats"),
+        (("OMC", lambda d: d["traces"][0].__setitem__(0, np.inf)), "finite floats"),
         (lambda d: d["dimensions"].update(n_users=float(d["dimensions"]["n_users"])),
          r"dimensions must be ints, got \(60\.0, 30, 3\)"),
+        # format 1 and its keys
+        (lambda d: d.update(format_version=1), "format_version 1 is not 2"),
+        (lambda d: d.update(slices=None), r"format 2 defines no key \['slices'\]"),
+        (lambda d: d.update(loss_trace=[0.5]), r"format 2 defines no key \['loss_trace'\]"),
+        (lambda d: d["factors"].update(shape=[3, 31, 3]), r"OTC factors of shape \(3, 31, 3\)"),
+        (lambda d: d["traces"].append([0.5]), r"OTC needs one loss trace per problem \(1\), got 2"),
+        (("OMC", lambda d: d["traces"].pop()), r"OMC needs one loss trace per problem \(3\), got 2"),
     ])
     def test_malformed_checkpoint_is_config_error(self, tmp_path, edit, message):
         kind, edit = edit if isinstance(edit, tuple) else ("OTC", edit)
@@ -1343,6 +1403,25 @@ class TestCheckpoints:
         path.write_text(path.read_text(encoding="utf-8")[:100], encoding="utf-8")
         with pytest.raises(ConfigError, match="not JSON"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["reserved", "extra"])
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_load_of_save_is_the_same_model_and_bytes(self, tmp_path, kind, extra):
+        ds, smap = biased_dataset()
+        # topic 2 loses its training cells: an empty slice for the matrix kinds
+        train = ds.train.subset(np.flatnonzero(ds.train.topics != 2))
+        cfg = TrainConfig(rank=4, learning_rate=0.005, max_iters=10, tol=0.0, seed=1,
+                          extra_sensitive_cols=extra)
+        model = train_model(kind, train, cfg, smap)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_checkpoint(model, first)
+        loaded = load_checkpoint(first)
+        assert_same_model(loaded, model)
+        assert model_bytes(loaded) == model_bytes(model)
+        if kind in models.MATRIX_KINDS:
+            assert loaded.slice_traces[2] == ()
+        save_checkpoint(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_slice_of_wrong_shape_rejected(self):
         model = train_model("OMC", biased_dataset()[0].train,

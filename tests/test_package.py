@@ -3,6 +3,8 @@ entry point that takes an index, a group label or a count follows one
 integer rule."""
 
 import json
+import math
+import re
 import types
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -231,18 +233,22 @@ def test_numpy_integers_once_refused_are_accepted():
 # the float rule: a probability or a fraction is a Python or numpy integer or
 # float, never a bool, a string or another object
 
+_CALIBRATED = data.SynthConfig(n_users=20, n_curators=10, n_topics=2, target_sparsity=0.2, seed=3)
+
 FLOAT_ENTRIES = {
     "negative_sample-probability": lambda x: [
         (o := data.negative_sample(_tiny_train(), x, 1)).users, o.curators, o.topics, o.values],
     "split-train_fraction": lambda x: [
         (d := data.split(_tiny_train(), x, 1)).train.values, d.train.users, d.test.users],
+    "calibrate_bias_strength-target_ratio": lambda x: data.calibrate_bias_strength(_CALIBRATED, x),
+    "calibrate_bias_strength-rel_tol": lambda x: data.calibrate_bias_strength(_CALIBRATED, 2.0, x),
 }
 
 
 @pytest.mark.parametrize("name", FLOAT_ENTRIES)
 def test_float_rule_refuses_bools_and_non_numbers(name):
-    for x in (True, False, np.True_, "0.5", None, [0.5], 0.5j):
-        with pytest.raises(ConfigError):
+    for x in (True, False, np.True_, "0.5", None, [0.5], 0.5j, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=re.escape(repr(x))):
             FLOAT_ENTRIES[name](x)
 
 
@@ -251,6 +257,8 @@ def test_float_rule_refuses_bools_and_non_numbers(name):
     ("negative_sample-probability", 1, [1.0, np.int64(1), np.uint8(1), np.float64(1.0)]),
     ("negative_sample-probability", 0, [0.0, np.int32(0), np.float32(0.0)]),
     ("split-train_fraction", 0.5, [np.float64(0.5), np.float32(0.5), np.float16(0.5)]),
+    ("calibrate_bias_strength-target_ratio", 2, [2.0, np.int64(2), np.float32(2.0)]),
+    ("calibrate_bias_strength-rel_tol", 0.05, [np.float64(0.05), np.float32(0.05)]),
 ])
 def test_float_rule_accepts_python_and_numpy_numbers_alike(name, good, same):
     want = _canonical(FLOAT_ENTRIES[name](good))
